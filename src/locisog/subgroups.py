@@ -3,13 +3,24 @@ conjugacy testing, and exhaustive enumeration of conjugacy classes for small
 ell.
 
 Matrices are packed into the integer code ((a*ell + b)*ell + c)*ell + d, an
-order-preserving bijection with row-major entry tuples, so whole subgroups
-live in sorted numpy arrays and the inner loops (closure, conjugation,
-normalizers) are vectorized.  Enumeration proceeds by iterated one-element
-extension of known class representatives until a fixpoint; candidates are
-taken one per orbit of the normalizer acting on the complement (conjugate
-candidates generate conjugate extensions), and identification is exact
-against a table holding every conjugate element-set of every known class.
+order-preserving bijection with row-major entry tuples, so a Subgroup holds
+the sorted numpy array of its codes.  Closure works on positions in the
+sorted code list of GL_2 (_group_codes): each generator becomes its
+right-multiplication permutation of those positions, and a BFS marks new
+elements in a boolean mask over the group.  Adding one element x to a
+subgroup H that is already closed starts the BFS from H*x, not from the
+identity.
+
+Enumeration is the cyclic-extension method: extend each known class
+representative H by one element x at a time until a fixpoint.  Candidates
+are taken one per orbit of the normalizer N(H) acting on the complement by
+conjugation (conjugate candidates generate conjugate extensions), and an
+orbit is skipped when it meets H y H or H y^-1 H for a candidate y already
+tried, since <H, y h> = <H, y^-1> = <H, y>.  A new class is registered by a
+single pass of conjugation slabs over GL_2 modulo scalars (which act
+trivially); that pass records every conjugate element set, for exact
+identification of later extensions, and the class's normalizer, for
+choosing its candidates.  Conjugation is table-driven (_conj_tables).
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .gl2 import GL2Element
 ENUMERABLE_CHEAP = (2, 3, 5, 7)
 ENUMERABLE_EXPENSIVE = (11,)
 
-_CHUNK = 1 << 21  # element budget per vectorized conjugation slab
+_CHUNK = 1 << 17  # element budget per vectorized conjugation slab
 
 
 def _decode(codes, ell):
@@ -78,28 +89,70 @@ def _group_codes(ell: int):
 def _code_index(ell: int):
     """code -> position in _group_codes(ell), or -1."""
     g = _group_codes(ell)
-    idx = np.full(ell ** 4, -1, dtype=np.int64)
+    idx = np.full(ell ** 4, -1, dtype=np.int32)
     idx[g] = np.arange(len(g))
     return idx
 
 
-def _closure_codes(gen_codes, ell):
-    """Sorted codes of the subgroup generated by gen_codes (BFS over products)."""
-    member = np.zeros(ell ** 4, dtype=bool)
-    member[_id_code(ell)] = True
-    gens = np.unique(np.asarray(gen_codes, dtype=np.int64))
-    frontier = gens[~member[gens]]
-    member[frontier] = True
-    while len(frontier):
-        prod = np.unique(_mul_codes(frontier[:, None], gens[None, :], ell))
-        frontier = prod[~member[prod]]
-        member[frontier] = True
-    return np.flatnonzero(member).astype(np.int64)
+@lru_cache(maxsize=None)
+def _row_codes(ell: int):
+    """Top and bottom rows, as a*ell + b and c*ell + d, of _group_codes(ell)."""
+    g = _group_codes(ell)
+    return g // (ell * ell), g % (ell * ell)
+
+
+def _right_perm(code: int, ell: int):
+    """Position of g * code for every g, as positions in _group_codes(ell).
+
+    Right multiplication acts on each row separately, so it is a table on
+    the ell^2 row vectors applied to both rows.
+    """
+    a, b, c, d = _decode(int(code), ell)
+    x, y = np.divmod(np.arange(ell * ell), ell)
+    row = (x * a + y * c) % ell * ell + (x * b + y * d) % ell
+    hi, lo = _row_codes(ell)
+    return _code_index(ell)[row[hi] * (ell * ell) + row[lo]]
+
+
+def _close(member, seeds, perms):
+    """Close the boolean mask `member` (over _group_codes positions) in place.
+
+    `member` must already be closed under right multiplication by `perms`
+    except for the products listed in `seeds` (positions, marked or not); the
+    BFS starts from the unmarked seeds only.  Closing a subgroup H with a new
+    element x is then close(H, H*x, gens(H) + [x]).
+    """
+    fresh = np.zeros_like(member)
+    fresh[seeds] = True
+    while True:
+        np.greater(fresh, member, out=fresh)  # fresh &= ~member
+        frontier = fresh.nonzero()[0]
+        if not len(frontier):
+            return member
+        member |= fresh
+        for p in perms:
+            fresh[p[frontier]] = True
+
+
+def _generated(gen_codes, ell):
+    """Sorted codes of the subgroup generated by gen_codes."""
+    member = np.zeros(len(_group_codes(ell)), dtype=bool)
+    member[_code_index(ell)[_id_code(ell)]] = True
+    gens = [int(c) for c in gen_codes]
+    _close(member, _code_index(ell)[np.array(gens, dtype=np.int64)],
+           [_right_perm(c, ell) for c in set(gens)])
+    return _group_codes(ell)[member]
 
 
 def _sorted_key(codes) -> bytes:
     # big-endian so byte order == numeric lexicographic order
     return codes.astype(">i4").tobytes()
+
+
+def _row_keys(rows) -> list[bytes]:
+    """_sorted_key of every row of a 2-d code array."""
+    rows = np.ascontiguousarray(rows, dtype=">i4")
+    return rows.view("V%d" % (4 * rows.shape[1])).ravel().tolist()
 
 
 class Subgroup:
@@ -203,7 +256,7 @@ def closure(generators, ell: int | None = None) -> Subgroup:
     if ell is not None and ell != m:
         raise ValueError("generators live over F_%d, not F_%d" % (m, ell))
     codes = [g.code() for g in gens]
-    return Subgroup(m, _closure_codes(codes, m), tuple(codes))
+    return Subgroup(m, _generated(codes, m), tuple(codes))
 
 
 def from_elements(elements, generators=None) -> Subgroup:
@@ -224,7 +277,7 @@ def from_elements(elements, generators=None) -> Subgroup:
         raise ValueError("element set is not closed under multiplication")
     if generators is not None:
         gen_codes = tuple(g.code() for g in generators)
-        gen = _closure_codes(gen_codes, ell)
+        gen = _generated(gen_codes, ell)
         if len(gen) != len(codes) or (gen != codes).any():
             raise ValueError("stated generators do not generate the element set")
     else:
@@ -233,51 +286,102 @@ def from_elements(elements, generators=None) -> Subgroup:
 
 
 def _greedy_generators(codes, ell):
-    target = len(codes)
+    """Generators of the subgroup with sorted codes `codes`: each code, in
+    order, that the earlier ones do not already generate."""
+    pos = _code_index(ell)
+    member = np.zeros(len(_group_codes(ell)), dtype=bool)
+    member[pos[_id_code(ell)]] = True
+    size = 1
     gens: list[int] = []
-    have = np.array([_id_code(ell)], dtype=np.int64)
-    if target == 1:
-        return gens
+    perms = []
     for c in codes:
-        c = int(c)
-        i = np.searchsorted(have, c)
-        if i < len(have) and have[i] == c:
+        if size == len(codes):
+            break
+        if member[pos[c]]:
             continue
-        gens.append(c)
-        have = _closure_codes(gens, ell)
-        if len(have) == target:
-            return gens
-    raise AssertionError("generator search failed; set not closed?")
+        gens.append(int(c))
+        perms.append(_right_perm(c, ell))
+        _close(member, perms[-1][np.flatnonzero(member)], perms)
+        size = int(member.sum())
+    if size != len(codes):
+        raise AssertionError("generator search failed; set not closed?")
+    return gens
 
 
-def _conjugate_slabs(els, ell, conjugators=None):
-    """Yield (slice, sorted-conjugate-rows) over chunks of conjugating elements."""
-    group = _group_codes(ell) if conjugators is None else conjugators
-    step = max(1, _CHUNK // max(1, len(els)))
-    for i in range(0, len(group), step):
-        g = group[i:i + step]
-        gi = _inv_codes(g, ell)
-        rows = _mul_codes(_mul_codes(g[:, None], els[None, :], ell), gi[:, None], ell)
-        rows.sort(axis=1)
-        yield slice(i, i + len(g)), rows
-
-
-def _normalizer_mask(els, ell):
+@lru_cache(maxsize=None)
+def _scalar_cosets(ell: int):
+    """Conjugation by g depends only on g up to a scalar.  Returns the
+    positions in _group_codes(ell) of one element per scalar coset, the one
+    whose first non-zero entry is 1, and for every position the index of its
+    coset among them."""
     group = _group_codes(ell)
-    out = np.zeros(len(group), dtype=bool)
+    a, b, c, d = _decode(group, ell)
+    s = _inv_table(ell)[np.where(a != 0, a, b)]
+    unit = _encode(a * s % ell, b * s % ell, c * s % ell, d * s % ell, ell)
+    reps = np.flatnonzero(unit == group)
+    return reps, np.searchsorted(group[reps], unit)
+
+
+@lru_cache(maxsize=None)
+def _conj_tables(ell: int):
+    """Tables that conjugate any matrix by every element of GL_2, up to
+    scalars, in two lookups.
+
+    g h g^-1 is linear in h, so it is the entry-wise sum mod ell of the
+    conjugates of h's top row [[a, b], [0, 0]] and of its bottom row
+    [[0, 0], [c, d]].  Entries are re-packed in base m = 2*ell - 1, where
+    two such matrices add without carries: top[i, r] and bottom[i, r] hold
+    the conjugates of row r (r = a*ell + b) by the i-th _scalar_cosets
+    representative in that base, and fold maps a sum back to the code of its
+    entries mod ell.
+    """
+    reps = _group_codes(ell)[_scalar_cosets(ell)[0]]
+    q, m = ell * ell, 2 * ell - 1
+    a, b, c, d = _decode(np.arange(ell ** 4), ell)
+    spread = (((a * m + b) * m + c) * m + d).astype(np.int32)
+    top = np.empty((len(reps), q), dtype=np.int32)
+    bottom = np.empty_like(top)
+    step = max(1, _CHUNK // q)
+    for i in range(0, len(reps), step):
+        g = reps[i:i + step, None]
+        gi = _inv_codes(g, ell)
+        for out, rows in ((top, np.arange(q) * q), (bottom, np.arange(q))):
+            out[i:i + step] = spread[_mul_codes(_mul_codes(g, rows, ell), gi, ell)]
+    s = np.arange(m ** 4)
+    fold = _encode(s // m ** 3 % ell, s // m ** 2 % m % ell, s // m % m % ell,
+                   s % m % ell, ell)
+    return top, bottom, fold
+
+
+def _conjugate_slabs(els, ell):
+    """Yield (slice, sorted-conjugate-rows) over chunks of the _scalar_cosets
+    representatives."""
+    top, bottom, fold = _conj_tables(ell)
+    hi, lo = np.divmod(els, ell * ell)
+    step = max(1, _CHUNK // max(1, len(els)))
+    for i in range(0, len(top), step):
+        sl = slice(i, i + step)
+        rows = fold[top[sl][:, hi] + bottom[sl][:, lo]]
+        rows.sort(axis=1)
+        yield sl, rows
+
+
+def _conjugates(els, ell):
+    """One pass of conjugation slabs over the sorted code array els: the
+    _sorted_key of every conjugate, and the normalizer as a mask over
+    _group_codes(ell)."""
+    reps, coset = _scalar_cosets(ell)
+    normal = np.empty(len(reps), dtype=bool)
+    keys: set[bytes] = set()
     for sl, rows in _conjugate_slabs(els, ell):
-        out[sl] = (rows == els[None, :]).all(axis=1)
-    return out
+        normal[sl] = (rows == els[None, :]).all(axis=1)
+        keys.update(_row_keys(rows))
+    return keys, normal[coset]
 
 
 def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
     """The lexicographically least element-code tuple among all conjugates."""
-    best = None
-    for _, rows in _conjugate_slabs(G._codes, G.ell):
-        for r in np.unique(rows, axis=0):
-            key = _sorted_key(r)
-            if best is None or key < best:
-                best = key
+    best = min(_conjugates(G._codes, G.ell)[0])
     return tuple(int(v) for v in np.frombuffer(best, dtype=">i4"))
 
 
@@ -304,25 +408,27 @@ def conjugating_element(G1: Subgroup, G2: Subgroup) -> GL2Element | None:
     """Some w with w G1 w^-1 = G2, or None."""
     if G1.ell != G2.ell or G1.order != G2.order:
         return None
-    group = _group_codes(G1.ell)
+    reps = _group_codes(G1.ell)[_scalar_cosets(G1.ell)[0]]
     target = G2._codes
     for sl, rows in _conjugate_slabs(G1._codes, G1.ell):
         hit = np.flatnonzero((rows == target[None, :]).all(axis=1))
         if len(hit):
-            return GL2Element.from_code(int(group[sl][hit[0]]), G1.ell)
+            return GL2Element.from_code(int(reps[sl][hit[0]]), G1.ell)
     return None
 
 
-def _orbit_reps_under(ngens, ell):
-    """Positions of orbit minima for conjugation by <ngens> on all of GL_2."""
-    group = _group_codes(ell)
+def _orbit_labels(ngens, ell):
+    """The least position in the orbit of every position of GL_2 under
+    conjugation by <ngens>."""
+    top, bottom, fold = _conj_tables(ell)
+    coset = _scalar_cosets(ell)[1]
     idx = _code_index(ell)
-    n = len(group)
-    labels = np.arange(n)
+    hi, lo = _row_codes(ell)
+    labels = np.arange(len(hi))
     perms = []
     for g in ngens:
-        gi = int(_inv_codes(np.int64(g), ell))
-        p = idx[_mul_codes(_mul_codes(np.int64(g), group, ell), np.int64(gi), ell)]
+        i = coset[idx[g]]
+        p = idx[fold[top[i][hi] + bottom[i][lo]]]
         perms.append(p)
         perms.append(np.argsort(p))
     while True:
@@ -330,16 +436,15 @@ def _orbit_reps_under(ngens, ell):
         for p in perms:
             labels = np.minimum(labels, labels[p])
         if (labels == before).all():
-            break
-    return np.flatnonzero(labels == np.arange(n))
+            return labels
 
 
 def enumerate_subgroups(ell: int, expensive: bool = False) -> tuple[Subgroup, ...]:
     """All conjugacy classes of subgroups of GL_2(F_ell), one representative
     each, sorted by (order, conjugacy key).
 
-    ell in {2, 3, 5, 7} runs in seconds to minutes; ell = 11 only with
-    expensive=True.
+    ell in {2, 3, 5, 7} runs in under a second; ell = 11 (a few seconds)
+    only with expensive=True.
     """
     if ell in ENUMERABLE_EXPENSIVE:
         if not expensive:
@@ -348,52 +453,63 @@ def enumerate_subgroups(ell: int, expensive: bool = False) -> tuple[Subgroup, ..
         raise ValueError("subgroup enumeration supports ell in %s (+%s opt-in), got %d"
                          % (ENUMERABLE_CHEAP, ENUMERABLE_EXPENSIVE, ell))
     group = _group_codes(ell)
+    n = len(group)
+    inverse = _code_index(ell)[_inv_codes(group, ell)]
+    perms: dict[int, np.ndarray] = {}  # class generator code -> _right_perm
 
     classes: list[dict] = []
-    seen: dict[bytes, int] = {}
+    seen: set[bytes] = set()
 
-    def register(els, gen_codes):
-        canonical = None
-        for _, rows in _conjugate_slabs(els, ell):
-            for r in np.unique(rows, axis=0):
-                key = _sorted_key(r)
-                if canonical is None or key < canonical:
-                    canonical = key
-                seen.setdefault(key, len(classes))
-        classes.append({"els": els, "gens": tuple(int(c) for c in gen_codes),
-                        "key": canonical})
+    def register(idx, gen_codes):
+        keys, nmask = _conjugates(group[idx], ell)
+        seen.update(keys)
+        classes.append({"idx": idx, "gens": tuple(int(c) for c in gen_codes),
+                        "key": min(keys), "nmask": nmask})
 
-    register(np.array([_id_code(ell)], dtype=np.int64), ())
+    register(_code_index(ell)[[_id_code(ell)]], ())
     qi = 0
     while qi < len(classes):
         rec = classes[qi]
         qi += 1
-        els = rec["els"]
-        if len(els) == len(group):
+        idx = rec["idx"]
+        if len(idx) == n:
             continue
-        nmask = _normalizer_mask(els, ell)
-        ngens = _greedy_generators(group[nmask], ell)
-        member = np.zeros(ell ** 4, dtype=bool)
-        member[els] = True
-        for pos in _orbit_reps_under(ngens, ell):
-            x = int(group[pos])
-            if member[x]:
+        ngens = _greedy_generators(group[rec["nmask"]], ell)
+        member = np.zeros(n, dtype=bool)
+        member[idx] = True
+        gperms = []
+        for c in rec["gens"]:
+            if c not in perms:
+                perms[c] = _right_perm(c, ell)
+            gperms.append(perms[c])
+        labels = _orbit_labels(ngens, ell)
+        # tried[m] marks orbit minima m whose extension is a conjugate of
+        # one already closed, so already in `seen`: for x' in H x H or
+        # H x^-1 H, <H, x'> = <H, x>; for x' in the N(H)-orbit of such an
+        # element, <H, x'> is a conjugate of <H, x>
+        tried = member.copy()
+        for pos in np.flatnonzero(labels == np.arange(n)):
+            if tried[pos]:
                 continue
-            ext = _closure_codes(list(rec["gens"]) + [x], ell)
-            if _sorted_key(ext) in seen:
+            px = _right_perm(group[pos], ell)
+            double = np.flatnonzero(_close(member.copy(), px[idx], gperms))
+            tried[labels[double]] = True
+            tried[labels[inverse[double]]] = True
+            ext = np.flatnonzero(_close(member.copy(), px[idx], gperms + [px]))
+            if _sorted_key(group[ext]) in seen:
                 continue
             if len(rec["gens"]) + 1 > 3:
                 raise VerificationError(
                     "subgroup of GL2(F_%d) needed more than 3 generators" % ell)
-            register(ext, rec["gens"] + (x,))
+            register(ext, rec["gens"] + (int(group[pos]),))
 
     order = sorted(range(len(classes)),
-                   key=lambda i: (len(classes[i]["els"]), classes[i]["key"]))
-    return tuple(Subgroup(ell, classes[i]["els"], classes[i]["gens"]) for i in order)
+                   key=lambda i: (len(classes[i]["idx"]), classes[i]["key"]))
+    return tuple(Subgroup(ell, group[classes[i]["idx"]], classes[i]["gens"]) for i in order)
 
 
 def normalizer(G: Subgroup) -> Subgroup:
     """N_{GL_2}(G) as a subgroup (explicit scan; small ell only)."""
-    mask = _normalizer_mask(G._codes, G.ell)
+    mask = _conjugates(G._codes, G.ell)[1]
     codes = _group_codes(G.ell)[mask]
     return Subgroup(G.ell, codes, tuple(int(c) for c in _greedy_generators(codes, G.ell)))

@@ -1,5 +1,8 @@
+import hashlib
 import random
+from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -77,6 +80,49 @@ def test_enumeration_class_counts():
     assert len(enumerate_subgroups(2)) == 4
     assert len(enumerate_subgroups(3)) == 16
     assert len(enumerate_subgroups(5)) == 48
+
+
+# sha256 over (order, generator codes, element codes) of every class, in
+# enumeration order, as the packed-code engine returned them
+_CLASS_DIGESTS = {
+    5: "b1e9e80aea49898593bf51ad0942d36a589d37ca23a9c4308d000a51e765b29f",
+    7: "bbd2c250df4e45d9b337c85c3f01b4a8047ce6dee683bd581295dd4fe2ad1f35",
+}
+
+
+@pytest.mark.parametrize("ell", sorted(_CLASS_DIGESTS))
+def test_enumeration_regression_pin(ell):
+    h = hashlib.sha256()
+    for G in enumerate_subgroups(ell):
+        h.update(repr((G.order, G._gen_codes, G.element_codes)).encode())
+    assert h.hexdigest() == _CLASS_DIGESTS[ell]
+
+
+def _phi(k):
+    return sum(1 for i in range(1, k + 1) if gcd(i, k) == 1)
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_cyclic_subgroup_count_oracle(ell):
+    """Cyclic subgroups of order k number (elements of order k) / phi(k),
+    with orders from plain GL2Element powering; the enumerated cyclic
+    classes must account for exactly these, each with |GL2| / |N(H)|
+    conjugates."""
+    ident = GL2Element.identity(ell)
+    by_order = Counter()
+    for g in _all_elements(ell):
+        x, k = g, 1
+        while x != ident:
+            x, k = x * g, k + 1
+        by_order[k] += 1
+    expected = {k: n // _phi(k) for k, n in by_order.items()}
+    assert all(n % _phi(k) == 0 for k, n in by_order.items())
+    size = len(_all_elements(ell))
+    found = Counter()
+    for G in enumerate_subgroups(ell):
+        if max(G.element_order_multiset()) == G.order:
+            found[G.order] += size // normalizer(G).order
+    assert dict(found) == expected
 
 
 def test_enumeration_rejects_out_of_range():
