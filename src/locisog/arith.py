@@ -8,7 +8,7 @@ which already keeps every value in lowest terms with a positive denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import mpmath
 

@@ -51,7 +51,7 @@ def _render(report: RunReport, as_json: bool) -> None:
 
 
 def _cmd_lemma(args) -> tuple[str, list]:
-    reports = lemma1_verify(args.ell, expensive=args.expensive)
+    reports = lemma1_verify(args.ell)
     findings = [{"order": r.order, "n": r.n, "cartan": r.cartan_kind,
                  "proper_containment": r.proper_containment,
                  "orbit_sizes": list(r.orbit_sizes),
@@ -207,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma", help="exhaustively verify the dihedral lemma at one prime")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--expensive", action="store_true", help="allow ell = 11")
 
     p = sub.add_parser("counterexample", help="replay the degree-7 counterexample end to end")
     p.add_argument("--bound", type=int, default=10000, help="local scan bound (default 10000)")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .arith import _require_prime, legendre_kronecker, primes_up_to, sqrt_mod
+from .arith import _require_prime, factorize, legendre_kronecker, primes_up_to, sqrt_mod
 from .ecq import WeierstrassCurve
 from .errors import VerificationError
 
@@ -135,7 +135,7 @@ def _random_point(A: int, B: int, p: int, rng: random.Random):
 
 
 def _strip_to_order(g: int, P, A: int, p: int) -> int:
-    for q in _prime_divisors(g):
+    for q in factorize(g):
         while g % q == 0 and _ec_mul(g // q, P, A, p) is None:
             g //= q
     return g
@@ -160,37 +160,17 @@ def _point_order(P, A: int, p: int) -> int:
     for i in range(-s, s + 1):
         n0 = p + 1 + i * stride
         if R is None:
-            g = _gcd(g, abs(n0))
+            g = gcd(g, abs(n0))
         else:
             for j, y in baby.get(R[0], ()):
                 if R[1] == y:
-                    g = _gcd(g, abs(n0 - j))
+                    g = gcd(g, abs(n0 - j))
                 if R[1] == (p - y) % p:
-                    g = _gcd(g, abs(n0 + j))
+                    g = gcd(g, abs(n0 + j))
         R = _ec_add(R, step, A, p)
     if g == 0:
         raise VerificationError("no annihilator of a point found in the Hasse window")
     return _strip_to_order(g, P, A, p)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _hasse_multiples(L: int, p: int) -> list[int]:
@@ -210,7 +190,7 @@ def _bsgs_count(coeffs: tuple[int, ...], p: int, seed: int) -> int:
     L = 1
     for _ in range(60):
         o = _point_order(_random_point(A, B, p, rng), A, p)
-        L = L * o // _gcd(L, o)
+        L = lcm(L, o)
         cands = _hasse_multiples(L, p)
         if len(cands) == 1:
             return cands[0]
@@ -221,7 +201,7 @@ def _bsgs_count(coeffs: tuple[int, ...], p: int, seed: int) -> int:
     Lt = 1
     for _ in range(60):
         o = _point_order(_random_point(At, Bt, p, rng), At, p)
-        Lt = Lt * o // _gcd(Lt, o)
+        Lt = lcm(Lt, o)
         pairs = [n for n in _hasse_multiples(L, p)
                  if (2 * p + 2 - n) % Lt == 0]
         if len(pairs) == 1:

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 from .arith import QuadFieldElement, factorize, is_rational_square
 from .errors import DegeneratePointError
+from .modpoly import rational_linear_factors
 
 
 def _frac(v) -> Fraction:
@@ -104,69 +105,11 @@ def bad_primes(E: WeierstrassCurve) -> frozenset[int]:
     return frozenset(factorize(abs(disc)))
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return out
-
-
-def _int_poly_rational_roots(coeffs: list[int]) -> list[Fraction]:
-    """Distinct rational roots of an integer polynomial, by the rational root
-    test over divisors of the constant and leading terms; candidates verified
-    exactly.  Falls back to modular root reconstruction when the constant
-    term resists trial-division factoring."""
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    if not coeffs:
-        raise ValueError("zero polynomial has every root")
-    roots = []
-    while coeffs[-1] == 0:
-        roots.append(Fraction(0))
-        coeffs = coeffs[:-1]
-        if not coeffs:
-            return roots
-    if len(coeffs) == 1:
-        return roots
-    try:
-        nums = _divisors(abs(coeffs[-1]))
-        dens = _divisors(abs(coeffs[0]))
-    except ValueError:
-        from .modpoly import rational_linear_factors
-        found = rational_linear_factors([Fraction(c) for c in coeffs])
-        return sorted(set(roots) | set(found))
-    for num in nums:
-        for den in dens:
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in coeffs:
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return sorted(roots)
-
-
 def two_torsion_x(E: WeierstrassCurve) -> tuple[Fraction, ...]:
-    """x-coordinates of the rational 2-torsion: rational roots of
-    4x^3 + b2 x^2 + 2 b4 x + b6."""
+    """x-coordinates of the rational 2-torsion: the distinct rational roots
+    of 4x^3 + b2 x^2 + 2 b4 x + b6, ascending."""
     b2, b4, b6, _ = E.b_invariants()
-    coeffs = [Fraction(4), b2, 2 * b4, b6]
-    mult = 1
-    for c in coeffs:
-        mult *= c.denominator
-    ints = [int(c * mult) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
-    return tuple(_int_poly_rational_roots([c // g for c in ints]))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return tuple(dict.fromkeys(rational_linear_factors([Fraction(4), b2, 2 * b4, b6])))
 
 
 def _coerce_pair(x, y):

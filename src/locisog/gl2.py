@@ -1,17 +1,76 @@
-"""GL_2 over a prime field: matrices, the projective line P^1(F_ell), the
-permutation profile of a matrix acting on the ell + 1 lines, and Cartan
-subgroups together with their normalizers.
+"""GL_2 over a prime field: matrices, their action on the projective line
+P^1(F_ell), and Cartan subgroups together with their normalizers.
 
-Points of P^1 are the lines through the origin in F_ell^2; matrices act by
-left multiplication on column vectors.
+Matrices are packed into the integer code ((a*ell + b)*ell + c)*ell + d, an
+order-preserving bijection with row-major entry tuples; this module owns
+that format, and the private helpers below work on numpy arrays of codes.
+GL2Element is the view of one matrix that users see.
+
+The lines through the origin in F_ell^2 are the indices 0..ell: t < ell is
+the line (1 : t) and ell is (0 : 1).  Matrices act by left multiplication
+on column vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .arith import _require_prime, legendre_kronecker, sqrt_mod
 from .errors import VerificationError
+
+
+def _decode(codes, ell):
+    d = codes % ell
+    r = codes // ell
+    c = r % ell
+    r = r // ell
+    return r // ell, r % ell, c, d
+
+
+def _encode(a, b, c, d, ell):
+    return ((a * ell + b) * ell + c) * ell + d
+
+
+def _id_code(ell: int) -> int:
+    return _encode(1, 0, 0, 1, ell)
+
+
+def _mul_codes(u, v, ell):
+    a1, b1, c1, d1 = _decode(u, ell)
+    a2, b2, c2, d2 = _decode(v, ell)
+    return _encode((a1 * a2 + b1 * c2) % ell, (a1 * b2 + b1 * d2) % ell,
+                   (c1 * a2 + d1 * c2) % ell, (c1 * b2 + d1 * d2) % ell, ell)
+
+
+@lru_cache(maxsize=None)
+def _inv_table(ell: int):
+    t = np.zeros(ell, dtype=np.int64)
+    for x in range(1, ell):
+        t[x] = pow(x, -1, ell)
+    return t
+
+
+def _inv_codes(codes, ell):
+    a, b, c, d = _decode(codes, ell)
+    di = _inv_table(ell)[(a * d - b * c) % ell]
+    return _encode(d * di % ell, (-b * di) % ell, (-c * di) % ell, a * di % ell, ell)
+
+
+@lru_cache(maxsize=None)
+def _group_codes(ell: int):
+    """Sorted codes of every invertible matrix over F_ell."""
+    _require_prime(ell)
+    codes = np.arange(ell ** 4, dtype=np.int64)
+    a, b, c, d = _decode(codes, ell)
+    return codes[(a * d - b * c) % ell != 0]
+
+
+def _is_scalar(codes, ell):
+    a, b, c, d = _decode(codes, ell)
+    return (b == 0) & (c == 0) & (a == d)
 
 
 class GL2Element:
@@ -39,17 +98,11 @@ class GL2Element:
 
     @classmethod
     def from_code(cls, code: int, ell: int) -> "GL2Element":
-        d = code % ell
-        code //= ell
-        c = code % ell
-        code //= ell
-        b = code % ell
-        a = code // ell
-        return cls(a, b, c, d, ell)
+        return cls(*_decode(int(code), ell), ell)
 
     def code(self) -> int:
         """Pack the entries into ((a*ell + b)*ell + c)*ell + d."""
-        return ((self.a * self.ell + self.b) * self.ell + self.c) * self.ell + self.d
+        return _encode(self.a, self.b, self.c, self.d, self.ell)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -103,64 +156,50 @@ class GL2Element:
         return "GL2Element(%d, %d, %d, %d, ell=%d)" % (self.a, self.b, self.c, self.d, self.ell)
 
 
-class ProjPoint:
-    """A point of P^1(F_ell), normalized to (1 : y) or (0 : 1)."""
-
-    __slots__ = ("ell", "x", "y")
-
-    def __init__(self, x: int, y: int, ell: int):
-        _require_prime(ell)
-        x, y = x % ell, y % ell
-        if x != 0:
-            xi = pow(x, -1, ell)
-            x, y = 1, y * xi % ell
-        elif y != 0:
-            y = 1
-        else:
-            raise ValueError("(0 : 0) is not a projective point")
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ProjPoint is immutable")
-
-    @classmethod
-    def all_points(cls, ell: int) -> tuple["ProjPoint", ...]:
-        """The ell + 1 lines: (1 : t) for t in F_ell, then (0 : 1)."""
-        return tuple(cls(1, t, ell) for t in range(ell)) + (cls(0, 1, ell),)
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjPoint) and self.ell == other.ell
-                and self.x == other.x and self.y == other.y)
-
-    def __hash__(self):
-        return hash((self.ell, self.x, self.y))
-
-    def __repr__(self):
-        return "ProjPoint(%d, %d, ell=%d)" % (self.x, self.y, self.ell)
+def _line_perm(codes, ell):
+    """The image of every line under every code, as an array of shape
+    codes.shape + (ell + 1,) of line indices."""
+    a, b, c, d = (v[..., None] for v in _decode(np.asarray(codes, dtype=np.int64), ell))
+    x = np.append(np.ones(ell, dtype=np.int64), 0)
+    y = np.append(np.arange(ell), 1)
+    u = (a * x + b * y) % ell
+    v = (c * x + d * y) % ell
+    return np.where(u == 0, ell, v * _inv_table(ell)[u] % ell)
 
 
-def act(g: GL2Element, p: ProjPoint) -> ProjPoint:
-    """The image of the line p under left multiplication by g."""
-    if g.ell != p.ell:
-        raise ValueError("mixed moduli %d and %d" % (g.ell, p.ell))
-    return ProjPoint(g.a * p.x + g.b * p.y, g.c * p.x + g.d * p.y, g.ell)
+def _orbit_minima(perms, n: int):
+    """The least index in the orbit of each of 0..n-1 under the group that
+    the permutations `perms` (index arrays of length n) generate."""
+    steps = [q for p in perms for q in (p, np.argsort(p))]
+    labels = np.arange(n)
+    while True:
+        before = labels
+        for p in steps:
+            labels = np.minimum(labels, labels[p])
+        labels = labels[labels]  # each label lies in its index's orbit
+        if (labels == before).all():
+            return labels
 
 
-def fixed_points(g: GL2Element) -> tuple[ProjPoint, ...]:
-    return tuple(p for p in ProjPoint.all_points(g.ell) if act(g, p) == p)
+def _orbit_sizes(perms, n: int) -> tuple[int, ...]:
+    """Sorted orbit sizes of the group the permutations `perms` generate."""
+    counts = np.bincount(_orbit_minima(perms, n), minlength=n)
+    return tuple(sorted(int(t) for t in counts[counts > 0]))
+
+
+def _fixed_line_counts(codes, ell):
+    """|Omega^g| for every code g: ell + 1 for a scalar; otherwise each
+    eigenline is fixed, one per root of x^2 - tr(g) x + det(g) in F_ell."""
+    codes = np.asarray(codes, dtype=np.int64)
+    a, b, c, d = _decode(codes, ell)
+    x = np.arange(ell)
+    roots = ((x * (x - (a + d)[..., None]) + (a * d - b * c)[..., None]) % ell == 0).sum(axis=-1)
+    return np.where(_is_scalar(codes, ell), ell + 1, roots)
 
 
 def fixed_point_count(g: GL2Element) -> int:
-    """|Omega^g| without listing: via the characteristic polynomial discriminant."""
-    if g.is_scalar():
-        return g.ell + 1
-    if g.ell == 2:
-        return len(fixed_points(g))
-    disc = (g.trace() ** 2 - 4 * g.det()) % g.ell
-    chi = legendre_kronecker(disc, g.ell)
-    return 2 if chi == 1 else (1 if chi == 0 else 0)
+    """|Omega^g|: the number of lines g fixes."""
+    return int(_fixed_line_counts(g.code(), g.ell))
 
 
 def projective_order(g: GL2Element) -> int:
@@ -172,13 +211,20 @@ def projective_order(g: GL2Element) -> int:
     return r
 
 
-def pgl_canonical(g: GL2Element) -> GL2Element:
-    """The lift of g's class in PGL_2 scaled so the first nonzero entry is 1."""
-    for e in g.entries():
-        if e:
-            u = pow(e, -1, g.ell)
-            return GL2Element(g.a * u, g.b * u, g.c * u, g.d * u, g.ell)
-    raise AssertionError("zero matrix cannot be invertible")
+def _projective_orders(codes, ell):
+    """projective_order of every code in an array."""
+    cur = codes.copy()
+    orders = np.zeros(len(codes), dtype=np.int64)
+    r = 1
+    while True:
+        live = orders == 0
+        done = live & _is_scalar(cur, ell)
+        orders[done] = r
+        live &= ~done
+        if not live.any():
+            return orders
+        cur[live] = _mul_codes(cur[live], codes[live], ell)
+        r += 1
 
 
 @dataclass(frozen=True)
@@ -212,25 +258,11 @@ class ElementActionProfile:
 
 def action_profile(g: GL2Element) -> ElementActionProfile:
     """Full orbit decomposition of <g> acting on P^1(F_ell)."""
-    pts = ProjPoint.all_points(g.ell)
-    index = {p: i for i, p in enumerate(pts)}
-    perm = [index[act(g, p)] for p in pts]
-    seen = [False] * len(pts)
-    sizes = []
-    for i in range(len(pts)):
-        if seen[i]:
-            continue
-        j, n = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            n += 1
-        sizes.append(n)
-    sizes.sort()
-    k = sum(1 for t in sizes if t == 1)
+    n = g.ell + 1
+    sizes = _orbit_sizes([_line_perm(g.code(), g.ell)], n)
     s = len(sizes)
-    prof = ElementActionProfile(g.ell, projective_order(g), k, s,
-                                (-1) ** (g.ell + 1 - s), tuple(sizes))
+    prof = ElementActionProfile(g.ell, projective_order(g), sizes.count(1), s,
+                                (-1) ** (n - s), sizes)
     prof.validate()
     return prof
 
@@ -240,6 +272,37 @@ def smallest_nonresidue(ell: int) -> int:
         if legendre_kronecker(z, ell) == -1:
             return z
     raise ValueError("no quadratic non-residue mod %d" % ell)
+
+
+def _cartan_theta(kind: str, delta: int | None, ell: int) -> int:
+    """The code of a matrix theta whose centralizer is the standard Cartan
+    of this kind: diag(1, 0) for split, [[0, delta], [1, 0]] for nonsplit,
+    and [[0, 1], [1, 1]] for the nonsplit Cartan at ell = 2, where
+    x^2 + x + 1 is the irreducible quadratic.  The Cartan is then the unit
+    group of F_ell[theta]."""
+    if kind == "split":
+        return _encode(1, 0, 0, 0, ell)
+    if ell == 2:
+        return _encode(0, 1, 1, 1, 2)
+    return _encode(0, delta, 1, 0, ell)
+
+
+def _centralizer_masks(theta, codes, ell):
+    """(g commutes with theta, g theta g^-1 commutes with theta) for every
+    code g, with theta broadcast against codes.  For a non-scalar
+    semisimple theta these test membership in its Cartan F_ell[theta]^*
+    (theta's centralizer) and in that Cartan's normalizer."""
+
+    def commutes(u):
+        return _mul_codes(u, theta, ell) == _mul_codes(theta, u, ell)
+
+    return commutes(codes), commutes(_mul_codes(_mul_codes(codes, theta, ell),
+                                                _inv_codes(codes, ell), ell))
+
+
+def _cartan_masks(kind: str, delta: int | None, ell: int, codes):
+    """(in the standard Cartan, in its normalizer) for every code."""
+    return _centralizer_masks(np.int64(_cartan_theta(kind, delta, ell)), codes, ell)
 
 
 def cartan(kind: str, ell: int, delta: int | None = None) -> frozenset[GL2Element]:
@@ -256,65 +319,34 @@ def cartan(kind: str, ell: int, delta: int | None = None) -> frozenset[GL2Elemen
         if ell == 2:
             raise ValueError("split Cartan is undefined for ell = 2 "
                              "(the diagonal torus of GL2(F_2) is trivial)")
-        return frozenset(GL2Element(a, 0, 0, d, ell)
-                         for a in range(1, ell) for d in range(1, ell))
-    if ell == 2:
+    elif ell == 2:
         if delta is not None:
             raise ValueError("no usable non-residue mod 2; omit delta for ell = 2")
-        return frozenset((GL2Element.identity(2), GL2Element(0, 1, 1, 1, 2),
-                          GL2Element(1, 1, 1, 0, 2)))
-    if delta is None:
+    elif delta is None:
         delta = smallest_nonresidue(ell)
     elif legendre_kronecker(delta, ell) != -1:
         raise ValueError("delta = %d is not a non-residue mod %d" % (delta, ell))
-    out = []
-    for x in range(ell):
-        for y in range(ell):
-            if x or y:
-                out.append(GL2Element(x, delta * y, y, x, ell))
-    return frozenset(out)
+    ta, tb, tc, td = _decode(_cartan_theta(kind, delta, ell), ell)
+    span = ((x + y * ta, y * tb, y * tc, x + y * td) for x in range(ell) for y in range(ell))
+    return frozenset(GL2Element(*m, ell) for m in span if (m[0] * m[3] - m[1] * m[2]) % ell)
 
 
 @dataclass(frozen=True)
 class CartanSpec:
-    """A Cartan subgroup given by kind and the conjugator from the standard copy.
-
-    elements() = w * C_standard * w^-1 where w is the conjugator.
-    """
+    """A Cartan subgroup given by kind and the conjugator from the standard
+    copy: the subgroup is w * C_standard * w^-1 for w the conjugator."""
 
     kind: str
     ell: int
     delta: int | None
     conjugator: GL2Element
 
-    def elements(self) -> frozenset[GL2Element]:
-        w = self.conjugator
-        wi = w.inverse()
-        return frozenset(w * m * wi for m in cartan(self.kind, self.ell, self.delta))
-
-    def normalizer(self) -> frozenset[GL2Element]:
-        w = self.conjugator
-        wi = w.inverse()
-        std = _standard_cartan_normalizer(self.kind, self.ell, self.delta)
-        return frozenset(w * m * wi for m in std)
-
-
-def _standard_cartan_normalizer(kind: str, ell: int, delta: int | None = None):
-    if kind == "split":
-        diag = cartan("split", ell)
-        anti = frozenset(GL2Element(0, b, c, 0, ell)
-                         for b in range(1, ell) for c in range(1, ell))
-        return diag | anti
-    if ell == 2:
-        return frozenset(GL2Element(a, b, c, d, 2)
-                         for a in range(2) for b in range(2)
-                         for c in range(2) for d in range(2)
-                         if (a * d - b * c) % 2)
-    if delta is None:
-        delta = smallest_nonresidue(ell)
-    base = cartan("nonsplit", ell, delta)
-    flip = GL2Element(1, 0, 0, -1, ell)
-    return base | frozenset(m * flip for m in base)
+    def masks(self, codes):
+        """(in this Cartan, in its normalizer) for every code in an array."""
+        ell, w = self.ell, self.conjugator
+        std = _mul_codes(_mul_codes(np.int64(w.inverse().code()), codes, ell),
+                         np.int64(w.code()), ell)
+        return _cartan_masks(self.kind, self.delta, ell, std)
 
 
 def _eigenvector(g: GL2Element, lam: int) -> tuple[int, int]:
@@ -352,65 +384,3 @@ def nonsplit_conjugator(g: GL2Element, delta: int) -> GL2Element:
     p_vec = (g.b % m, (g.d - g.a) * inv2 % m)
     q_vec = (0, s * inv2 % m)
     return GL2Element(q_vec[0], p_vec[0], q_vec[1], p_vec[1], m)
-
-
-def _in_standard_cartan(m: GL2Element, kind: str, delta: int | None) -> bool:
-    if kind == "split":
-        return m.b == 0 and m.c == 0
-    return m.a == m.d and m.b == delta * m.c % m.ell
-
-
-def _in_standard_normalizer(m: GL2Element, kind: str, delta: int | None) -> bool:
-    if kind == "split":
-        return (m.b == 0 and m.c == 0) or (m.a == 0 and m.d == 0)
-    if m.a == m.d and m.b == delta * m.c % m.ell:
-        return True
-    return m.a == (-m.d) % m.ell and m.b == (-delta * m.c) % m.ell
-
-
-def standardize_cartan(C) -> CartanSpec:
-    """Recognize a conjugate of a standard Cartan and return kind + conjugator.
-
-    Validates the defining properties along the way: correct order, scalars
-    inside, and simultaneous (anti)diagonalizability.
-    """
-    els = sorted(set(C), key=lambda g: g.code())
-    if not els:
-        raise ValueError("empty set is not a Cartan subgroup")
-    ell = els[0].ell
-    if any(g.ell != ell for g in els):
-        raise ValueError("mixed moduli in Cartan candidate")
-    for a in range(1, ell):
-        if GL2Element(a, 0, 0, a, ell) not in set(els):
-            raise ValueError("candidate does not contain all scalars")
-    if ell == 2:
-        if len(els) == 3 and set(els) == cartan("nonsplit", 2):
-            return CartanSpec("nonsplit", 2, None, GL2Element.identity(2))
-        raise ValueError("not a Cartan subgroup of GL2(F_2)")
-    if len(els) == (ell - 1) ** 2:
-        kind, delta = "split", None
-    elif len(els) == ell * ell - 1:
-        kind, delta = "nonsplit", smallest_nonresidue(ell)
-    else:
-        raise ValueError("order %d matches no Cartan subgroup of GL2(F_%d)"
-                         % (len(els), ell))
-    g0 = next((g for g in els if not g.is_scalar()), None)
-    if g0 is None:
-        raise ValueError("candidate is all scalars")
-    w = split_conjugator(g0) if kind == "split" else nonsplit_conjugator(g0, delta)
-    wi = w.inverse()
-    for g in els:
-        if not _in_standard_cartan(wi * g * w, kind, delta):
-            raise ValueError("candidate is not simultaneously of Cartan form")
-    return CartanSpec(kind, ell, delta, w)
-
-
-def normalizer_of_cartan(C) -> frozenset[GL2Element]:
-    """The normalizer of a Cartan subgroup (any conjugate copy)."""
-    spec = standardize_cartan(C)
-    if spec.ell == 2:
-        return _standard_cartan_normalizer("nonsplit", 2)
-    n = spec.normalizer()
-    if not set(C) <= n:
-        raise AssertionError("normalizer does not contain the Cartan it came from")
-    return n

@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _require_prime, legendre_kronecker, primitive_root
+from .arith import _require_prime, primitive_root
 from .errors import NotSemisimpleError, VerificationError
-from .gl2 import (CartanSpec, GL2Element, ProjPoint, _in_standard_cartan,
-                  _in_standard_normalizer, act, action_profile, cartan,
-                  fixed_point_count, nonsplit_conjugator, projective_order,
-                  smallest_nonresidue, split_conjugator)
-from .subgroups import (Subgroup, _decode, _group_codes, _inv_codes,
-                        _mul_codes, enumerate_subgroups, from_elements)
+from .gl2 import (CartanSpec, GL2Element, _cartan_masks, _centralizer_masks,
+                  _fixed_line_counts, _group_codes, _inv_codes, _is_scalar, _line_perm,
+                  _mul_codes, _orbit_sizes, _projective_orders, fixed_point_count,
+                  nonsplit_conjugator, smallest_nonresidue, split_conjugator)
+from .subgroups import Subgroup, enumerate_subgroups, from_elements
 
 CASE_CARTAN = "CartanContained"
 CASE_NORMALIZER = "NormalizerNotCartan"
@@ -31,46 +30,37 @@ _EXCEPTIONAL_SHAPES = {
 }
 
 
+def _generator_codes(G: Subgroup):
+    return np.array([g.code() for g in G.generators], dtype=np.int64)
+
+
+def _generator_perms(G: Subgroup):
+    """The line permutation of each generator, one row per generator."""
+    return _line_perm(_generator_codes(G), G.ell)
+
+
 def projective_image_order(G: Subgroup) -> int:
-    scalars = sum(1 for g in G.elements if g.is_scalar())
-    return G.order // scalars
+    return G.order // int(_is_scalar(G.codes, G.ell).sum())
 
 
 def omega_orbit_sizes(G: Subgroup) -> tuple[int, ...]:
     """Sorted sizes of the orbits of G on the ell + 1 lines."""
-    gens = G.generators
-    seen: set[ProjPoint] = set()
-    sizes = []
-    for p in ProjPoint.all_points(G.ell):
-        if p in seen:
-            continue
-        orbit = {p}
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            for g in gens:
-                r = act(g, q)
-                if r not in orbit:
-                    orbit.add(r)
-                    frontier.append(r)
-        seen |= orbit
-        sizes.append(len(orbit))
-    return tuple(sorted(sizes))
+    return _orbit_sizes(_generator_perms(G), G.ell + 1)
 
 
 def common_fixed_count(G: Subgroup) -> int:
     """|Omega^G|: lines fixed by the whole group (= by its generators)."""
-    gens = G.generators
-    return sum(1 for p in ProjPoint.all_points(G.ell)
-               if all(act(g, p) == p for g in gens))
+    return int((_generator_perms(G) == np.arange(G.ell + 1)).all(axis=0).sum())
 
 
 def sigma_nontrivial(G: Subgroup) -> bool:
     """Whether some element acts as an odd permutation of the lines.
 
-    The sign is a homomorphism, so checking generators suffices.
+    The sign is a homomorphism, so checking generators suffices: a
+    permutation of ell + 1 lines with s cycles has sign (-1)^(ell + 1 - s).
     """
-    return any(action_profile(g).sigma == -1 for g in G.generators)
+    n = G.ell + 1
+    return any((n - len(_orbit_sizes([p], n))) % 2 for p in _generator_perms(G))
 
 
 def lemma1_hypothesis(G: Subgroup) -> bool:
@@ -80,7 +70,7 @@ def lemma1_hypothesis(G: Subgroup) -> bool:
         return False
     if common_fixed_count(G) != 0:
         return False
-    return all(fixed_point_count(g) > 0 for g in G.elements)
+    return bool((_fixed_line_counts(G.codes, G.ell) > 0).all())
 
 
 @dataclass(frozen=True)
@@ -97,103 +87,52 @@ class ClassificationResult:
 def _torus_witness(g0: GL2Element) -> CartanSpec:
     """The Cartan subgroup through a non-scalar semisimple g0, as a spec."""
     ell = g0.ell
-    if ell == 2:
-        std = cartan("nonsplit", 2)
-        for code in range(1, 16):
-            try:
-                w = GL2Element.from_code(code, 2)
-            except ValueError:
-                continue
-            if w.inverse() * g0 * w in std:
-                return CartanSpec("nonsplit", 2, None, w)
-        raise ValueError("%r lies in no Cartan subgroup of GL2(F_2)" % (g0,))
-    disc = (g0.trace() ** 2 - 4 * g0.det()) % ell
-    chi = legendre_kronecker(disc, ell)
-    if chi == 0:
+    k = fixed_point_count(g0)
+    if k == 1:
         raise ValueError("%r has a repeated eigenvalue; not in any Cartan" % (g0,))
-    if chi == 1:
+    if k == 2:
         return CartanSpec("split", ell, None, split_conjugator(g0))
+    if ell == 2:
+        # the nonsplit Cartan of GL2(F_2) is normal, so it is the only one
+        return CartanSpec("nonsplit", 2, None, GL2Element.identity(2))
     delta = smallest_nonresidue(ell)
     return CartanSpec("nonsplit", ell, delta, nonsplit_conjugator(g0, delta))
 
 
-def _all_in_pattern(G: Subgroup, spec: CartanSpec, pattern) -> bool:
-    if G.ell == 2:
-        target = cartan("nonsplit", 2)
-        if pattern is _in_standard_normalizer:
-            return True  # N(C) is all of GL2(F_2)
-        w, wi = spec.conjugator, spec.conjugator.inverse()
-        return all(wi * g * w in target for g in G.elements)
-    w, wi = spec.conjugator, spec.conjugator.inverse()
-    return all(pattern(wi * g * w, spec.kind, spec.delta) for g in G.elements)
-
-
 def brute_cartan_witness(G: Subgroup, normalizer: bool = False) -> CartanSpec | None:
-    """Exhaustive conjugator scan against the standard Cartan patterns.
+    """Exhaustive conjugator scan against the standard Cartan subgroups.
 
-    Slow fallback/oracle for small ell: tries every w in GL_2(F_ell) and
-    every kind, returns the first spec whose (normalizer) pattern contains
-    w^-1 G w, or None.
+    A test oracle for small ell: tries every w in GL_2(F_ell) and every
+    kind, returns the first spec whose Cartan (or its normalizer, with
+    normalizer=True) contains w^-1 G w, or None.
     """
     ell = G.ell
-    if ell == 2:
-        std = cartan("nonsplit", 2)
-        for code in range(16):
-            try:
-                w = GL2Element.from_code(code, 2)
-            except ValueError:
-                continue
-            wi = w.inverse()
-            if normalizer or all(wi * g * w in std for g in G.elements):
-                return CartanSpec("nonsplit", 2, None, w)
-        return None
     group = _group_codes(ell)
-    ginv = _inv_codes(group, ell)
-    codes = np.array(G.element_codes, dtype=np.int64)
-    delta = smallest_nonresidue(ell)
     # rows of w^-1 * g * w for every candidate w
-    rows = _mul_codes(_mul_codes(ginv[:, None], codes[None, :], ell), group[:, None], ell)
-    a, b, c, d = _decode(rows, ell)
-    split_c = (b == 0) & (c == 0)
-    anti = (a == 0) & (d == 0)
-    ns_c = (a == d) & (b == delta * c % ell)
-    ns_coset = (a == (-d) % ell) & (b == (-delta * c) % ell)
-    if normalizer:
-        split_ok = (split_c | anti).all(axis=1)
-        ns_ok = (ns_c | ns_coset).all(axis=1)
-    else:
-        split_ok = split_c.all(axis=1)
-        ns_ok = ns_c.all(axis=1)
-    hit = np.flatnonzero(split_ok)
-    if len(hit):
-        return CartanSpec("split", ell, None,
-                          GL2Element.from_code(int(group[hit[0]]), ell))
-    hit = np.flatnonzero(ns_ok)
-    if len(hit):
-        return CartanSpec("nonsplit", ell, delta,
-                          GL2Element.from_code(int(group[hit[0]]), ell))
+    rows = _mul_codes(_mul_codes(_inv_codes(group, ell)[:, None], G.codes[None, :], ell),
+                      group[:, None], ell)
+    kinds = [("nonsplit", None)] if ell == 2 else \
+        [("split", None), ("nonsplit", smallest_nonresidue(ell))]
+    for kind, delta in kinds:
+        hit = np.flatnonzero(_cartan_masks(kind, delta, ell, rows)[normalizer].all(axis=1))
+        if len(hit):
+            return CartanSpec(kind, ell, delta, GL2Element.from_code(group[hit[0]], ell))
     return None
 
 
-def _verify_inverting_coset(G: Subgroup, spec: CartanSpec) -> None:
+def _verify_inverting_coset(G: Subgroup, in_cartan) -> None:
     """Check the dihedral relation: conjugation by any element outside the
-    Cartan inverts the Cartan part modulo scalars."""
-    w, wi = spec.conjugator, spec.conjugator.inverse()
-
-    def in_c(g):
-        if G.ell == 2:
-            return wi * g * w in cartan("nonsplit", 2)
-        return _in_standard_cartan(wi * g * w, spec.kind, spec.delta)
-
-    torus = [g for g in G.elements if in_c(g)]
-    coset = [g for g in G.elements if not in_c(g)]
-    if not coset or 2 * len(torus) != G.order:
+    Cartan (given as a mask over G.codes) inverts the Cartan part modulo
+    scalars."""
+    ell = G.ell
+    torus, coset = G.codes[in_cartan], G.codes[~in_cartan]
+    if not len(coset) or 2 * len(torus) != G.order:
         raise VerificationError("Cartan part of %r does not have index 2" % (G,))
     x = coset[0]
-    for g in torus:
-        if not (x * g * x.inverse() * g).is_scalar():
-            raise VerificationError(
-                "conjugation by the outer coset of %r does not invert the torus" % (G,))
+    conj = _mul_codes(_mul_codes(x, torus, ell), _inv_codes(x, ell), ell)
+    if not _is_scalar(_mul_codes(conj, torus, ell), ell).all():
+        raise VerificationError(
+            "conjugation by the outer coset of %r does not invert the torus" % (G,))
 
 
 def classify(G: Subgroup) -> ClassificationResult:
@@ -201,43 +140,40 @@ def classify(G: Subgroup) -> ClassificationResult:
     projective image), inside a Cartan normalizer but not the Cartan
     (dihedral image), or exceptional (A4, S4, A5).
 
-    Containment witnesses are found by conjugating a common eigenbasis into
-    standard position, with a brute-force conjugator scan as fallback for
-    ell <= 7.
+    The Cartan through a non-scalar g0 is g0's centralizer, so G lies in it,
+    or in its normalizer, when each generator h commutes with g0, or
+    h g0 h^-1 does; the witness conjugates g0's eigenbasis into standard
+    position.  Searching every g0 is exhaustive: an abelian G lies in the
+    Cartan of any of its elements; and a non-abelian G inside a normalizer
+    N(C) meets C in a non-scalar element, whose Cartan is C (were G cap C
+    all scalars, it would be a central subgroup of index at most 2 and G
+    would be abelian).
     """
     ell = G.ell
     if G.order % ell == 0:
         raise NotSemisimpleError(
             "|G| = %d is divisible by ell = %d; classification needs order prime to ell"
             % (G.order, ell))
-    proj = projective_image_order(G)
-    nonscalar = [g for g in G.elements if not g.is_scalar()]
-    if not nonscalar:
+    scalar = _is_scalar(G.codes, ell)
+    proj = G.order // int(scalar.sum())
+    nonscalar = G.codes[~scalar]
+    if not len(nonscalar):
         kind = "nonsplit" if ell == 2 else "split"
         spec = CartanSpec(kind, ell, None, GL2Element.identity(ell))
         return ClassificationResult(CASE_CARTAN, "cyclic(1)", spec, 1)
-    if G.is_abelian():
-        spec = _torus_witness(nonscalar[0])
-        if not _all_in_pattern(G, spec, _in_standard_cartan):
-            spec = brute_cartan_witness(G) if ell <= 7 else None
-            if spec is None:
-                raise VerificationError(
-                    "abelian semisimple %r escaped every Cartan subgroup" % (G,))
-        return ClassificationResult(CASE_CARTAN, "cyclic(%d)" % proj, spec, proj)
-    for g0 in nonscalar:
-        spec = _torus_witness(g0)
-        if _all_in_pattern(G, spec, _in_standard_normalizer):
-            _verify_inverting_coset(G, spec)
-            return ClassificationResult(CASE_NORMALIZER, "dihedral(%d)" % proj,
-                                        spec, proj)
-    if ell <= 7:
-        spec = brute_cartan_witness(G, normalizer=True)
-        if spec is not None:
-            _verify_inverting_coset(G, spec)
-            return ClassificationResult(CASE_NORMALIZER, "dihedral(%d)" % proj,
-                                        spec, proj)
-    shape = _EXCEPTIONAL_SHAPES.get(
-        (proj, frozenset(projective_order(g) for g in G.elements)))
+    in_c, in_n = _centralizer_masks(nonscalar[:, None], _generator_codes(G)[None, :], ell)
+    hit = np.flatnonzero((in_c | in_n).all(axis=1))
+    if len(hit):
+        spec = _torus_witness(GL2Element.from_code(nonscalar[hit[0]], ell))
+        in_c, in_n = spec.masks(G.codes)
+        if in_c.all():
+            return ClassificationResult(CASE_CARTAN, "cyclic(%d)" % proj, spec, proj)
+        if not in_n.all():
+            raise VerificationError("witness %r does not contain %r" % (spec, G))
+        _verify_inverting_coset(G, in_c)
+        return ClassificationResult(CASE_NORMALIZER, "dihedral(%d)" % proj, spec, proj)
+    orders = frozenset(int(r) for r in _projective_orders(G.codes, ell))
+    shape = _EXCEPTIONAL_SHAPES.get((proj, orders))
     if shape is None:
         raise VerificationError(
             "%r fits no branch of the semisimple trichotomy" % (G,))
@@ -307,12 +243,12 @@ def lemma_report(G: Subgroup) -> LemmaReport:
                        2 in sizes, sizes, gens)
 
 
-def lemma1_verify(ell: int, expensive: bool = False) -> tuple[LemmaReport, ...]:
+def lemma1_verify(ell: int) -> tuple[LemmaReport, ...]:
     """Check the four conclusions on every conjugacy class satisfying the
     hypothesis; raises VerificationError on any violation, returns the
     reports (possibly none)."""
     reports = []
-    for G in enumerate_subgroups(ell, expensive=expensive):
+    for G in enumerate_subgroups(ell):
         if not lemma1_hypothesis(G):
             continue
         rep = lemma_report(G)

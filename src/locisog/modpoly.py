@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 
 from .arith import PrimeFieldElement, _require_prime, is_prime, is_rational_square
 from .errors import ModPolyFormatError
@@ -189,15 +190,8 @@ def _roots_mod(ints: list[int], q: int, rng: random.Random) -> list[int]:
     f = _ptrim([c % q for c in ints])
     if len(f) == 1:
         return []
-    xq = _ppowmod([1, 0], q, f, q)
-    # x^q - x: subtract 1 from the coefficient of x
-    g = list(xq)
-    while len(g) < 2:
-        g = [0] + g
-    g[-2] = (g[-2] - 1) % q
-    lin = _pgcd(g, f, q)
     roots = []
-    stack = [lin]
+    stack = [_root_part(f, q)]
     while stack:
         h = _ptrim(stack.pop())
         if len(h) <= 1:
@@ -216,12 +210,6 @@ def _roots_mod(ints: list[int], q: int, rng: random.Random) -> list[int]:
                 stack.append(_pdivmod(h, d, q)[0])
                 break
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _rational_reconstruct(c: int, m: int, num_bound: int, den_bound: int):
@@ -259,7 +247,7 @@ def rational_linear_factors(coeffs, seed: int = 0) -> tuple[Fraction, ...]:
         raise ValueError("the zero polynomial vanishes identically")
     mult = 1
     for c in coeffs:
-        mult = mult * c.denominator // _gcd(mult, c.denominator)
+        mult = lcm(mult, c.denominator)
     ints = [int(c * mult) for c in coeffs]
     zero_mult = 0
     while ints[-1] == 0:

@@ -2,12 +2,11 @@
 conjugacy testing, and exhaustive enumeration of conjugacy classes for small
 ell.
 
-Matrices are packed into the integer code ((a*ell + b)*ell + c)*ell + d, an
-order-preserving bijection with row-major entry tuples, so a Subgroup holds
-the sorted numpy array of its codes.  Closure works on positions in the
-sorted code list of GL_2 (_group_codes): each generator becomes its
-right-multiplication permutation of those positions, and a BFS marks new
-elements in a boolean mask over the group.  Adding one element x to a
+A Subgroup holds the sorted numpy array of its elements' codes (the packed
+integers of gl2).  Closure works on positions in the sorted code list of
+GL_2 (_group_codes): each generator becomes its right-multiplication
+permutation of those positions, and a BFS marks new elements in a boolean
+mask over the group.  Adding one element x to a
 subgroup H that is already closed starts the BFS from H*x, not from the
 identity.
 
@@ -31,58 +30,12 @@ import numpy as np
 
 from .arith import _require_prime
 from .errors import VerificationError
-from .gl2 import GL2Element
+from .gl2 import (GL2Element, _decode, _encode, _group_codes, _id_code, _inv_codes,
+                  _inv_table, _mul_codes, _orbit_minima)
 
-ENUMERABLE_CHEAP = (2, 3, 5, 7)
-ENUMERABLE_EXPENSIVE = (11,)
+ENUMERABLE = (2, 3, 5, 7, 11)
 
 _CHUNK = 1 << 17  # element budget per vectorized conjugation slab
-
-
-def _decode(codes, ell):
-    d = codes % ell
-    r = codes // ell
-    c = r % ell
-    r = r // ell
-    return r // ell, r % ell, c, d
-
-
-def _encode(a, b, c, d, ell):
-    return ((a * ell + b) * ell + c) * ell + d
-
-
-def _id_code(ell: int) -> int:
-    return _encode(1, 0, 0, 1, ell)
-
-
-def _mul_codes(u, v, ell):
-    a1, b1, c1, d1 = _decode(u, ell)
-    a2, b2, c2, d2 = _decode(v, ell)
-    return _encode((a1 * a2 + b1 * c2) % ell, (a1 * b2 + b1 * d2) % ell,
-                   (c1 * a2 + d1 * c2) % ell, (c1 * b2 + d1 * d2) % ell, ell)
-
-
-@lru_cache(maxsize=None)
-def _inv_table(ell: int):
-    t = np.zeros(ell, dtype=np.int64)
-    for x in range(1, ell):
-        t[x] = pow(x, -1, ell)
-    return t
-
-
-def _inv_codes(codes, ell):
-    a, b, c, d = _decode(codes, ell)
-    di = _inv_table(ell)[(a * d - b * c) % ell]
-    return _encode(d * di % ell, (-b * di) % ell, (-c * di) % ell, a * di % ell, ell)
-
-
-@lru_cache(maxsize=None)
-def _group_codes(ell: int):
-    """Sorted codes of every invertible matrix over F_ell."""
-    _require_prime(ell)
-    codes = np.arange(ell ** 4, dtype=np.int64)
-    a, b, c, d = _decode(codes, ell)
-    return codes[(a * d - b * c) % ell != 0]
 
 
 @lru_cache(maxsize=None)
@@ -172,6 +125,11 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self._codes)
+
+    @property
+    def codes(self):
+        """The sorted numpy array of element codes."""
+        return self._codes
 
     @property
     def elements(self) -> tuple[GL2Element, ...]:
@@ -417,41 +375,25 @@ def conjugating_element(G1: Subgroup, G2: Subgroup) -> GL2Element | None:
     return None
 
 
-def _orbit_labels(ngens, ell):
-    """The least position in the orbit of every position of GL_2 under
-    conjugation by <ngens>."""
+def _conj_perms(ngens, ell):
+    """Conjugation by each code in ngens, as a permutation of the positions
+    in _group_codes(ell)."""
     top, bottom, fold = _conj_tables(ell)
     coset = _scalar_cosets(ell)[1]
     idx = _code_index(ell)
     hi, lo = _row_codes(ell)
-    labels = np.arange(len(hi))
-    perms = []
-    for g in ngens:
-        i = coset[idx[g]]
-        p = idx[fold[top[i][hi] + bottom[i][lo]]]
-        perms.append(p)
-        perms.append(np.argsort(p))
-    while True:
-        before = labels
-        for p in perms:
-            labels = np.minimum(labels, labels[p])
-        if (labels == before).all():
-            return labels
+    return [idx[fold[top[i][hi] + bottom[i][lo]]] for i in coset[idx[ngens]]]
 
 
-def enumerate_subgroups(ell: int, expensive: bool = False) -> tuple[Subgroup, ...]:
+def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
     """All conjugacy classes of subgroups of GL_2(F_ell), one representative
     each, sorted by (order, conjugacy key).
 
-    ell in {2, 3, 5, 7} runs in under a second; ell = 11 (a few seconds)
-    only with expensive=True.
+    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in a few seconds.
     """
-    if ell in ENUMERABLE_EXPENSIVE:
-        if not expensive:
-            raise ValueError("ell = %d enumeration is expensive; pass expensive=True" % ell)
-    elif ell not in ENUMERABLE_CHEAP:
-        raise ValueError("subgroup enumeration supports ell in %s (+%s opt-in), got %d"
-                         % (ENUMERABLE_CHEAP, ENUMERABLE_EXPENSIVE, ell))
+    if ell not in ENUMERABLE:
+        raise ValueError("subgroup enumeration supports ell in %s, got %d"
+                         % (ENUMERABLE, ell))
     group = _group_codes(ell)
     n = len(group)
     inverse = _code_index(ell)[_inv_codes(group, ell)]
@@ -482,7 +424,7 @@ def enumerate_subgroups(ell: int, expensive: bool = False) -> tuple[Subgroup, ..
             if c not in perms:
                 perms[c] = _right_perm(c, ell)
             gperms.append(perms[c])
-        labels = _orbit_labels(ngens, ell)
+        labels = _orbit_minima(_conj_perms(ngens, ell), n)
         # tried[m] marks orbit minima m whose extension is a conjugate of
         # one already closed, so already in `seen`: for x' in H x H or
         # H x^-1 H, <H, x'> = <H, x>; for x' in the N(H)-orbit of such an

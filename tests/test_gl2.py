@@ -1,15 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
 from locisog.arith import legendre_kronecker, primes_up_to
 from locisog.errors import VerificationError
-from locisog.gl2 import (CartanSpec, GL2Element, ProjPoint, act, action_profile,
-                         cartan, fixed_point_count, fixed_points, nonsplit_conjugator,
-                         normalizer_of_cartan, pgl_canonical, projective_order,
-                         smallest_nonresidue, split_conjugator, standardize_cartan)
+from locisog.gl2 import (CartanSpec, GL2Element, _cartan_masks, _fixed_line_counts,
+                         _group_codes, _line_perm, _mul_codes, _projective_orders,
+                         action_profile, cartan, fixed_point_count, nonsplit_conjugator,
+                         projective_order, smallest_nonresidue, split_conjugator)
+from locisog.subgroups import from_elements, normalizer
 
 PRIMES = [p for p in primes_up_to(97)]
+EXHAUSTIVE = (2, 3, 5, 7)
 
 
 def _random_gl2(rng, ell):
@@ -40,25 +43,48 @@ def test_singular_matrix_rejected():
         GL2Element(0, 0, 0, 0, 3)
 
 
+def _line_vector(t, ell):
+    return (1, t) if t < ell else (0, 1)
+
+
 def test_projective_action_is_action():
+    """Exhaustively at small ell: the line permutation sends each line to
+    the line through the image vector, and perm(g h) = perm(g) o perm(h)."""
+    for ell in EXHAUSTIVE:
+        group = _group_codes(ell)
+        perms = _line_perm(group, ell)
+        assert perms.shape == (len(group), ell + 1)
+        for g, row in zip(group.tolist(), perms.tolist()):
+            a, b, c, d = GL2Element.from_code(g, ell).entries()
+            for t in range(ell + 1):
+                x, y = _line_vector(t, ell)
+                u, v = _line_vector(row[t], ell)
+                assert ((a * x + b * y) * v - (c * x + d * y) * u) % ell == 0
+            assert sorted(row) == list(range(ell + 1))
+        for h, ph in zip(group, perms):
+            assert (_line_perm(_mul_codes(group, h, ell), ell) == perms[:, ph]).all()
     rng = random.Random(4)
     for _ in range(200):
-        ell = rng.choice([2, 3, 5, 7, 11, 13])
+        ell = rng.choice(PRIMES)
         g = _random_gl2(rng, ell)
         h = _random_gl2(rng, ell)
-        for p in ProjPoint.all_points(ell):
-            assert act(g * h, p) == act(g, act(h, p))
-    assert len(ProjPoint.all_points(7)) == 8
+        assert (_line_perm((g * h).code(), ell)
+                == _line_perm(g.code(), ell)[_line_perm(h.code(), ell)]).all()
 
 
 def test_fixed_points_match_action():
+    """The fixed-line formula counts the fixed points of the permutation:
+    every element at small ell, a random sample up to 97."""
+    for ell in EXHAUSTIVE:
+        group = _group_codes(ell)
+        fixed = (_line_perm(group, ell) == np.arange(ell + 1)).sum(axis=1)
+        assert (_fixed_line_counts(group, ell) == fixed).all()
     rng = random.Random(6)
     for _ in range(300):
         ell = rng.choice(PRIMES)
         g = _random_gl2(rng, ell)
-        fixed = {p for p in ProjPoint.all_points(ell) if act(g, p) == p}
-        assert set(fixed_points(g)) == fixed
-        assert fixed_point_count(g) == len(fixed)
+        fixed = int((_line_perm(g.code(), ell) == np.arange(ell + 1)).sum())
+        assert fixed_point_count(g) == fixed
 
 
 # profile constraints: k in {0, 1, 2, ell+1}, non-trivial orbits all of size r,
@@ -96,7 +122,11 @@ def test_sigma_detects_nonsquare_determinant():
         assert action_profile(g).sigma == legendre_kronecker(g.det(), ell)
 
 
-def test_projective_order_and_canonical():
+def test_projective_order():
+    for ell in EXHAUSTIVE:
+        group = _group_codes(ell)
+        assert _projective_orders(group, ell).tolist() == \
+            [projective_order(GL2Element.from_code(g, ell)) for g in group]
     rng = random.Random(14)
     for _ in range(200):
         ell = rng.choice([3, 5, 7, 11])
@@ -104,8 +134,8 @@ def test_projective_order_and_canonical():
         r = projective_order(g)
         assert (g ** r).is_scalar()
         assert all(not (g ** i).is_scalar() for i in range(1, r))
-        scaled = GL2Element(*[x * 2 % ell for x in g.entries()], ell) if ell > 2 else g
-        assert pgl_canonical(scaled) == pgl_canonical(g)
+        scaled = GL2Element(*[x * 2 % ell for x in g.entries()], ell)
+        assert projective_order(scaled) == r
 
 
 def test_cartan_sizes():
@@ -136,7 +166,7 @@ def test_cartan_is_closed_and_abelian():
 def test_normalizer_doubles_cartan():
     for kind, ell in (("split", 5), ("nonsplit", 7), ("nonsplit", 13)):
         C = cartan(kind, ell)
-        N = normalizer_of_cartan(C)
+        N = set(normalizer(from_elements(C)).elements)
         assert len(N) == 2 * len(C)
         assert C < N
         for w in sorted(N - C, key=lambda g: g.code())[:6]:
@@ -164,15 +194,24 @@ def test_conjugators_diagonalize():
             assert a == d and b == delta * c % ell
 
 
-def test_standardize_cartan_roundtrip():
-    for kind, ell in (("split", 7), ("nonsplit", 7), ("split", 11), ("nonsplit", 3)):
-        C = cartan(kind, ell)
-        spec = standardize_cartan(C)
-        assert spec.kind == kind
-        assert spec.elements() == C
-        assert normalizer_of_cartan(C) == spec.normalizer()
-    spec2 = standardize_cartan(cartan("nonsplit", 2))
-    assert spec2.kind == "nonsplit" and spec2.ell == 2
+def test_cartan_masks_match_cartan_and_normalizer():
+    """Over all of GL_2, the masks pick out cartan() and its normalizer as
+    subgroups.normalizer computes it, for each kind, and CartanSpec tests
+    the conjugate copy."""
+    for kind, ell in (("split", 3), ("split", 7), ("nonsplit", 2), ("nonsplit", 3),
+                      ("nonsplit", 7)):
+        delta = None if kind == "split" or ell == 2 else smallest_nonresidue(ell)
+        group = _group_codes(ell)
+        in_c, in_n = _cartan_masks(kind, delta, ell, group)
+        C = cartan(kind, ell, delta)
+        N = normalizer(from_elements(C))
+        assert set(group[in_c].tolist()) == {g.code() for g in C}
+        assert np.array_equal(group[in_n], N.codes)
+        w = GL2Element(1, 1, 0, 1, ell)
+        spec = CartanSpec(kind, ell, delta, w)
+        conj = np.array([(w * g * w.inverse()).code() for g in C])
+        assert all(m.all() for m in spec.masks(conj))
+        assert (spec.masks(group)[0].sum(), spec.masks(group)[1].sum()) == (len(C), N.order)
 
 
 def test_profile_validation_catches_lies():

@@ -129,8 +129,6 @@ def test_enumeration_rejects_out_of_range():
     with pytest.raises(ValueError):
         enumerate_subgroups(13)
     with pytest.raises(ValueError):
-        enumerate_subgroups(11)  # expensive=True required
-    with pytest.raises(ValueError):
         enumerate_subgroups(4)
 
 
