@@ -15,3 +15,7 @@ class DegeneratePointError(ValueError):
 
 class ModPolyFormatError(ValueError):
     """A modular polynomial or certificate file violates its wire format."""
+
+
+class DenominatorError(ValueError):
+    """A prime divides a coefficient denominator, so there is no reduction mod p."""

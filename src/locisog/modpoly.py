@@ -8,6 +8,20 @@ exhaustive: a root p/q in lowest terms of an integer polynomial divides the
 constant (p | a_0) and leading (q | a_n) coefficients, so primes are added
 until their product exceeds 2*|a_0|*|a_n| and reconstruction is unique.
 Every candidate is verified exactly before it is reported.
+
+Polynomials mod q are dense descending coefficient lists, handled by one small
+toolkit: _ptrim, _pdivmod, _pgcd and the power kernel _xpow_mod.  Every power
+taken here is (X + a)^e mod f, where d = deg f is at most 8 for the shipped
+levels: X^q for the linear part gcd(X^q - X, f), and (X + a)^((q-1)/2) for the
+Cantor-Zassenhaus split.  The kernel packs a residue r_0 + r_1 X + ... into
+one integer with r_i in slot i of S bits (Kronecker substitution), so a
+squaring is a single big-integer product.  The d - 1 top coefficients of the
+product are folded back with a table of X^(d+k) mod f, each slot is reduced
+mod q once per step, and a multiplication by X + a is a shift plus one table
+row.  A product slot holds at most d (q-1)^2 and a folded slot at most
+d (q-1)^2 + (d-1) d (q-1)^3 <= d^2 (q-1)^3, so slots of
+S >= 3 bits(q) + 2 bits(d) + 2 bits, rounded up to whole bytes, never carry
+into each other.  All arithmetic is on Python integers.
 """
 
 from __future__ import annotations
@@ -141,15 +155,6 @@ def _ptrim(f: list[int]) -> list[int]:
     return f[k:]
 
 
-def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] = (out[i + j] + u * v) % q
-    return out
-
-
 def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
     a, b = _ptrim(list(a)), _ptrim(b)
     if len(a) < len(b):
@@ -170,18 +175,63 @@ def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
     a, b = _ptrim(a), _ptrim(b)
     while b != [0]:
         a, b = b, _pdivmod(a, b, q)[1]
-    return [c * pow(a[0], -1, q) % q for c in a]
+    inv = pow(a[0], -1, q)
+    return [c * inv % q for c in a]
 
 
-def _ppowmod(base: list[int], e: int, f: list[int], q: int) -> list[int]:
-    result = [1]
-    base = _pdivmod(base, f, q)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, q), f, q)[1]
-        base = _pdivmod(_pmul(base, base, q), f, q)[1]
-        e >>= 1
-    return result
+def _slot_bits(q: int, d: int) -> int:
+    """Width of one slot of the packed residues of _xpow_mod: the bound
+    3 bits(q) + 2 bits(d) + 2 of the module docstring, in whole bytes."""
+    return 8 * -(-(3 * q.bit_length() + 2 * d.bit_length() + 2) // 8)
+
+
+def _xpow_mod(a: int, e: int, f: list[int], q: int) -> list[int]:
+    """(X + a)^e mod f over F_q, q prime, descending and trimmed; f has
+    degree at least 1 mod q and need not be monic.  See the module docstring
+    for the packed representation."""
+    f = _ptrim([c % q for c in f])
+    d = len(f) - 1
+    if e == 0:
+        return [1]
+    inv = pow(f[0], -1, q)
+    x_d = [-c * inv % q for c in reversed(f[1:])]  # X^d mod f, ascending
+    a %= q
+    if d == 1:
+        return [pow(a + x_d[0], e, q)]
+    S = _slot_bits(q, d)
+    rows = [x_d]  # X^(d+k) mod f for k = 0 .. d-2
+    for _ in range(d - 2):
+        t = rows[-1]
+        rows.append([(u + t[-1] * v) % q for u, v in zip([0] + t[:-1], x_d)])
+    table = []
+    for row in rows:
+        packed = 0
+        for c in reversed(row):
+            packed = (packed << S) | c
+        table.append(packed)
+    slot_mask = (1 << S) - 1
+    low_bits = S * d
+    low_mask = (1 << low_bits) - 1
+    top_shifts = range(low_bits, low_bits + S * (d - 1), S)
+    down_shifts = range(low_bits - S, -1, -S)
+
+    def reduce_slots(acc):
+        r = 0
+        for s in down_shifts:
+            r = (r << S) | ((acc >> s) & slot_mask) % q
+        return r
+
+    r = (1 << S) | a  # X + a, already reduced since d >= 2
+    for bit in bin(e)[3:]:
+        P = r * r
+        acc = P & low_mask
+        for s, row in zip(top_shifts, table):
+            acc += ((P >> s) & slot_mask) * row
+        r = reduce_slots(acc)
+        if bit == "1":
+            P = (r << S) + a * r
+            r = reduce_slots((P & low_mask) + (P >> low_bits) * table[0])
+    return _ptrim([(r >> s) & slot_mask for s in down_shifts])
 
 
 def _roots_mod(ints: list[int], q: int, rng: random.Random) -> list[int]:
@@ -201,8 +251,7 @@ def _roots_mod(ints: list[int], q: int, rng: random.Random) -> list[int]:
             continue
         while True:
             a = rng.randrange(q)
-            t = _ppowmod([1, a], (q - 1) // 2, h, q)
-            t = list(t)
+            t = _xpow_mod(a, (q - 1) // 2, h, q)
             t[-1] = (t[-1] - 1) % q
             d = _pgcd(t, h, q)
             if 1 < len(d) < len(h):
@@ -317,9 +366,11 @@ def _specialize_mod(M: ModularPolynomial, j: PrimeFieldElement) -> list[int]:
     return f
 
 
-def _root_part(f: list[int], p: int) -> list[int]:
-    """gcd(X^p - X, f): the squarefree product of the linear factors of f."""
-    xp = _ppowmod([1, 0], p, f, p)
+def _root_part(f: list[int], p: int, xp: list[int] | None = None) -> list[int]:
+    """gcd(X^p - X, f): the squarefree product of the linear factors of f.
+    xp is X^p mod f when the caller already has it."""
+    if xp is None:
+        xp = _xpow_mod(0, p, f, p)
     g = list(xp)
     while len(g) < 2:
         g = [0] + g
@@ -338,16 +389,20 @@ def fp_linear_factor_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
 
     Distinct roots undercount when isogenous j-invariants collide mod p
     (the specialization can even degenerate to X^(N+1) at supersingular
-    primes), so repeated root layers are stripped and summed."""
+    primes), so repeated root layers are stripped and summed.  X^p is
+    computed once: each layer divides the one before, so X^p mod the next
+    layer is the current X^p reduced mod it."""
     f = _specialize_mod(M, j)
     p = j.modulus
+    xp = _xpow_mod(0, p, f, p)
     total = 0
     while len(f) > 1:
-        g = _root_part(f, p)
+        g = _root_part(f, p, xp)
         if len(g) == 1:
             break
         total += len(g) - 1
         f = _pdivmod(f, g, p)[0]
+        xp = _pdivmod(xp, f, p)[1]
     return total
 
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from locisog import ecfp
 from locisog.arith import is_prime
 from locisog.ecfp import (LocalData, ScanReport, count_points, local_isogeny_admitted,
                           local_scan, reduce_and_count)
 from locisog.ecq import COUNTEREXAMPLE_CURVE, WeierstrassCurve
-from locisog.errors import VerificationError
+from locisog.errors import DenominatorError, VerificationError
 
 
 def _dumb_count(E, p):
@@ -151,6 +152,28 @@ def test_scan_skips_denominator_collisions():
     report = local_scan(E, 5, bound=30)
     by_p = {e.p: e for e in report.entries}
     assert by_p[13].status == "skipped" and "collide" in by_p[13].note
+
+
+def test_scan_skip_set_is_two_ell_and_denominator_primes():
+    # denominators 3 * 13, 17^2 and 19: only those primes, 2 and ell are skipped
+    E = WeierstrassCurve(Fraction(1, 39), 0, Fraction(2, 289), -1, Fraction(5, 19))
+    for ell, bound in ((5, 60), (13, 60), (7, 15), (61, 60)):
+        report = local_scan(E, ell, bound=bound)
+        want = {2, ell, 3, 13, 17, 19} & set(range(bound + 1))
+        assert set(report.skipped) == want, (ell, report.skipped)
+
+
+def test_reduction_errors_other_than_denominators_propagate(monkeypatch):
+    # the scan files only DenominatorError under "skipped"; any other
+    # ValueError from the counter is a fault and must surface
+    def broken(E, p, seed=0):
+        raise ValueError("counter fault at p = %d" % p)
+
+    with pytest.raises(DenominatorError):
+        reduce_and_count(WeierstrassCurve(0, 0, 0, Fraction(1, 13), 1), 13)
+    monkeypatch.setattr(ecfp, "reduce_and_count", broken)
+    with pytest.raises(ValueError, match="counter fault"):
+        local_scan(WeierstrassCurve(0, 0, 0, 1, 1), 5, bound=20)
 
 
 def test_reduce_and_count_roundtrip():

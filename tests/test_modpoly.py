@@ -6,7 +6,8 @@ import pytest
 from locisog.arith import PrimeFieldElement, is_prime
 from locisog.errors import ModPolyFormatError
 from locisog.modpoly import (SHIPPED_LEVELS, FactorizationCertificate,
-                             ModularPolynomial, _disc_shape, evaluate_at_j,
+                             ModularPolynomial, _disc_shape, _slot_bits, _xpow_mod,
+                             evaluate_at_j,
                              fp_linear_factor_count, fp_root_count, load_factors,
                              load_modpoly, rational_linear_factors,
                              shipped_certificate_factors, shipped_modpoly,
@@ -161,18 +162,81 @@ def _brute_counts(f, p):
     return distinct, mult
 
 
+def _seeded_j(rng, height):
+    return Fraction(rng.randrange(-height, height + 1), rng.randrange(1, height + 1))
+
+
 def test_fp_counts_match_brute_force():
-    M = shipped_modpoly(7)
-    coeffs = evaluate_at_j(M, J_TARGET)
-    for p in range(3, 500):
-        if not is_prime(p) or p in (5, 7):
-            continue
-        jp = PrimeFieldElement(2268945 * pow(128, -1, p), p)
-        f = [(c.numerator * pow(c.denominator, -1, p)) % p for c in coeffs]
-        distinct, mult = _brute_counts(f, p)
-        assert fp_root_count(M, jp) == distinct
-        assert fp_linear_factor_count(M, jp) == mult
-        assert mult >= distinct
+    # the counterexample's Phi_7 to 500, and every level at j = 0, 1728 and
+    # seeded j to 300; brute force strips each root layer by deflation
+    rng = random.Random(2024)
+    js = [Fraction(0), Fraction(1728)] + [_seeded_j(rng, 1000) for _ in range(4)]
+    cases = [(7, J_TARGET, 500)] + [(ell, j, 300) for ell in SHIPPED_LEVELS for j in js]
+    for ell, j, bound in cases:
+        M = shipped_modpoly(ell)
+        coeffs = evaluate_at_j(M, j)
+        for p in range(2, bound):
+            if not is_prime(p) or ell % p == 0 or j.denominator % p == 0:
+                continue
+            jp = PrimeFieldElement(j.numerator * pow(j.denominator, -1, p), p)
+            f = [(c.numerator * pow(c.denominator, -1, p)) % p for c in coeffs]
+            distinct, mult = _brute_counts(f, p)
+            assert fp_root_count(M, jp) == distinct, (ell, j, p)
+            assert fp_linear_factor_count(M, jp) == mult, (ell, j, p)
+            assert mult >= distinct
+
+
+def _reference_xpow(a, e, f, q):
+    """(X + a)^e mod f over F_q by schoolbook square-and-multiply."""
+    def mulmod(u, v):
+        w = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for k, y in enumerate(v):
+                w[i + k] = (w[i + k] + x * y) % q
+        while len(w) >= len(f):
+            c = w[0] * pow(f[0], -1, q) % q
+            w = [(x - c * y) % q for x, y in zip(w[1:], f[1:] + [0] * len(w))]
+        return w
+
+    result, base = [1], [1, a % q]
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        e >>= 1
+    while len(result) > 1 and result[0] == 0:
+        result = result[1:]
+    return result or [0]
+
+
+# 2^62 - 57 is the largest 62-bit prime, the top of rational_linear_factors' range
+KERNEL_MODULI = (3, 5, 499, (1 << 61) - 1, (1 << 62) - 57)
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI)
+def test_xpow_mod_matches_schoolbook(q):
+    assert is_prime(q)
+    rng = random.Random(q)
+    for d in range(1, 9):
+        for _ in range(3):
+            f = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(d)]
+            for a in (0, rng.randrange(q)):
+                for e in (0, 1, 2, q, (q - 1) // 2, rng.randrange(3, 1 << 20)):
+                    assert _xpow_mod(a, e, f, q) == _reference_xpow(a, e, f, q), (q, f, a, e)
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI)
+def test_xpow_mod_slot_worst_case(q):
+    # f = (q-1)(X^d + ... + 1): X^d mod f is -(X^(d-1) + ... + 1), so the
+    # residue X^d has every coefficient q - 1, as has the first table row;
+    # squaring it puts the product bound d (q-1)^2 in the middle slot
+    for d in range(1, 9):
+        assert _slot_bits(q, d) >= 3 * q.bit_length() + 2 * d.bit_length() + 2
+        f = [q - 1] * (d + 1)
+        assert _xpow_mod(0, d, f, q) == [q - 1] * d
+        for a in (0, q - 1):
+            for e in (2 * d, 2 * d + 1, 4 * d, q, (q - 1) // 2):
+                assert _xpow_mod(a, e, f, q) == _reference_xpow(a, e, f, q), (q, d, a, e)
 
 
 def test_collision_primes_are_pinned():
@@ -234,3 +298,45 @@ def test_load_factors_errors(tmp_path):
         load_factors(path)
     path.write_text("1, -3\n2, 1\n")
     assert load_factors(path) == ((1, -3), (2, 1))
+
+
+# j-invariants on X_0(N): E(j) has a rational N-isogeny, so Phi_N(X, j) has a
+# rational root (Fricke's parametrizations of the genus-0 curves X_0(N))
+X0_PARAMETRIZATIONS = {
+    2: lambda h: (h + 16) ** 3 / h,
+    3: lambda h: (h + 27) * (h + 3) ** 3 / h,
+    5: lambda h: (h * h + 10 * h + 5) ** 3 / h,
+    7: lambda h: (h * h + 13 * h + 49) * (h * h + 5 * h + 1) ** 3 / h,
+}
+
+
+def _sympy_rational_roots(sympy, coeffs):
+    X = sympy.Symbol("X")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], X,
+                      domain="QQ")
+    roots = []
+    for g, mult in poly.factor_list()[1]:
+        if g.degree() == 1:
+            c1, c0 = g.all_coeffs()
+            r = -sympy.Rational(c0) / sympy.Rational(c1)
+            roots += [Fraction(int(r.p), int(r.q))] * mult
+    return tuple(sorted(roots))
+
+
+@pytest.mark.parametrize("ell", SHIPPED_LEVELS)
+def test_rational_linear_factors_against_sympy(ell):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(100 + ell)
+    hs = set()
+    while len(hs) < 8:
+        h = _seeded_j(rng, 6)
+        if h != 0:
+            hs.add(h)
+    on_x0 = [X0_PARAMETRIZATIONS[ell](h) for h in sorted(hs)]
+    js = [Fraction(0), Fraction(1728)] + [_seeded_j(rng, 1000) for _ in range(15)] + on_x0
+    M = shipped_modpoly(ell)
+    for j in js:
+        coeffs = evaluate_at_j(M, j)
+        found = rational_linear_factors(coeffs)
+        assert found == _sympy_rational_roots(sympy, coeffs), (ell, j)
+        assert found or j not in on_x0, (ell, j)
