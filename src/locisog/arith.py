@@ -1,18 +1,17 @@
-"""Exact arithmetic: primality, prime fields, quadratic field elements,
-quadratic characters, primitive roots, and quadratic Gauss sums.
+"""Exact arithmetic: primality, prime-field values, quadratic field
+elements, quadratic characters, primitive roots, and quadratic Gauss sums.
 
-Rational arithmetic rides on fractions.Fraction (exported as BigRational),
-which already keeps every value in lowest terms with a positive denominator.
+Rational arithmetic rides on fractions.Fraction, which already keeps every
+value in lowest terms with a positive denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import mpmath
-
-BigRational = Fraction
 
 # deterministic Miller-Rabin witnesses for n < 2^64 (Sinclair / Jaeschke)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -147,7 +146,8 @@ def _require_prime(m: int) -> None:
 
 
 class PrimeFieldElement:
-    """An element of F_m for prime m, stored as the canonical residue in [0, m)."""
+    """A value in F_m for prime m: the canonical residue in [0, m) together
+    with its validated modulus."""
 
     __slots__ = ("value", "modulus")
 
@@ -159,76 +159,18 @@ class PrimeFieldElement:
     def __setattr__(self, *args):
         raise AttributeError("PrimeFieldElement is immutable")
 
-    def _lift(self, other) -> "PrimeFieldElement":
-        if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli %d and %d" % (self.modulus, other.modulus))
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else PrimeFieldElement(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else PrimeFieldElement(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else PrimeFieldElement(o.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else PrimeFieldElement(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else o * self.inverse()
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.modulus)
-
-    def __pow__(self, e: int):
-        return PrimeFieldElement(pow(self.value, e, self.modulus), self.modulus)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F_%d" % self.modulus)
-        return PrimeFieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def is_square(self) -> bool:
-        if self.modulus == 2 or self.value == 0:
-            return True
-        return legendre_kronecker(self.value, self.modulus) == 1
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
         return (isinstance(other, PrimeFieldElement)
                 and self.modulus == other.modulus and self.value == other.value)
 
     def __hash__(self):
         return hash((self.value, self.modulus))
 
-    def __int__(self):
-        return self.value
-
     def __repr__(self):
         return "PrimeFieldElement(%d, %d)" % (self.value, self.modulus)
 
 
-def primitive_root(m: int) -> PrimeFieldElement:
+def primitive_root(m: int) -> int:
     """Smallest generator of F_m^* for an odd prime m."""
     if m == 2:
         raise TrivialGroupError("F_2^* is trivial and has no generator to pick")
@@ -236,7 +178,7 @@ def primitive_root(m: int) -> PrimeFieldElement:
     qs = list(factorize(m - 1))
     for g in range(2, m):
         if all(pow(g, (m - 1) // q, m) != 1 for q in qs):
-            return PrimeFieldElement(g, m)
+            return g
     raise AssertionError("unreachable: no primitive root found for prime %d" % m)
 
 
@@ -257,6 +199,7 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(isqrt(q.numerator), isqrt(q.denominator))
 
 
+@lru_cache(maxsize=None)  # every QuadFieldElement result checks its d again
 def _squarefree(d: int) -> bool:
     if d in (0, 1):
         return False

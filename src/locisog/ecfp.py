@@ -303,7 +303,7 @@ def local_scan(E: WeierstrassCurve, ell: int, bound: int, seed: int = 0) -> Scan
         try:
             data = reduce_and_count(E, p, seed=seed)
         except DenominatorError:
-            entries.append(ScanEntry(p, "skipped", note="coefficients collide mod p"))
+            entries.append(ScanEntry(p, "skipped", note="p divides a coefficient denominator"))
             continue
         if not data.good:
             entries.append(ScanEntry(p, "bad_reduction"))

@@ -1,7 +1,7 @@
 """Elliptic curves over Q: Weierstrass invariants, bad primes, rational
 two-torsion, the degree-7 twist quartic -7y^2 = x^4 + 2x^3 - 9x^2 - 10x - 3,
-and the exact rational maps tying its points to j-invariants, with quadratic
-field support for the Q(i) point checks.
+and the exact maps tying its points to j-invariants, with quadratic field
+support for the Q(i) point checks.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class WeierstrassCurve:
     def discriminant(self) -> Fraction:
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    def j_invariant(self) -> Fraction:
-        c4, _ = self.c_invariants()
-        return c4 ** 3 / self.discriminant()
 
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.coefficients())
@@ -128,88 +124,45 @@ def _coerce_pair(x, y):
     return _frac(x), _frac(y)
 
 
-class QuarticModel:
-    """The fixed genus-1 quartic -7 y^2 = x^4 + 2x^3 - 9x^2 - 10x - 3."""
+# -7 y^2 = x^4 + 2x^3 - 9x^2 - 10x - 3
+_QUARTIC = (1, 2, -9, -10, -3)
 
-    coeffs = (1, 2, -9, -10, -3)
-    scalar = -7
-
-    def rhs(self, x):
-        acc = x * 0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
-
-    def is_point(self, x, y) -> bool:
-        x, y = _coerce_pair(x, y)
-        return y * y * self.scalar == self.rhs(x)
+# x-coordinate on the quartic -> j-invariant of the isogeny-ambiguous curve:
+# f = -(x - 3)^3 (x - 2) (x^2 + x - 5)^3 (x^2 + x + 2)^3
+#     (x^4 - 3x^3 + 2x^2 + 3x + 1)^3 / (x^3 - 2x^2 - x + 1)^7.
+# The denominator is a power of an irreducible cubic, so f has no pole in Q
+# or in any quadratic field.
+_F_NUMERATOR = (((1, -3), 3), ((1, -2), 1), ((1, 1, -5), 3), ((1, 1, 2), 3),
+                ((1, -3, 2, 3, 1), 3))
+_F_DENOMINATOR = (((1, -2, -1, 1), 7),)
 
 
-TWIST_QUARTIC = QuarticModel()
+def _horner(coeffs, x):
+    """The integer polynomial with coefficients `coeffs`, highest first, at x."""
+    acc = x * 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def quartic_point_check(x, y) -> bool:
     """Exact test of -7 y^2 = x^4 + 2x^3 - 9x^2 - 10x - 3."""
-    return TWIST_QUARTIC.is_point(x, y)
-
-
-class RationalMap:
-    """A quotient of integer polynomials, evaluated exactly (Q or Q(sqrt d))."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator, denominator):
-        if not any(denominator):
-            raise ValueError("denominator is identically zero")
-        object.__setattr__(self, "numerator", tuple(numerator))
-        object.__setattr__(self, "denominator", tuple(denominator))
-
-    def __setattr__(self, *args):
-        raise AttributeError("RationalMap is immutable")
-
-    def evaluate(self, x):
-        num = x * 0
-        for c in self.numerator:
-            num = num * x + c
-        den = x * 0
-        for c in self.denominator:
-            den = den * x + c
-        if den == 0:
-            raise ZeroDivisionError("rational map has a pole at x = %s" % (x,))
-        return num / den
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return out
-
-
-def _poly_pow(a, e):
-    out = [1]
-    for _ in range(e):
-        out = _poly_mul(out, a)
-    return out
-
-
-def _build_map_f() -> RationalMap:
-    num = [-1]
-    for factor, e in (((1, -3), 3), ((1, -2), 1), ((1, 1, -5), 3),
-                      ((1, 1, 2), 3), ((1, -3, 2, 3, 1), 3)):
-        num = _poly_mul(num, _poly_pow(list(factor), e))
-    den = _poly_pow([1, -2, -1, 1], 7)
-    return RationalMap(num, den)
-
-
-# x-coordinate on the quartic -> j-invariant of the isogeny-ambiguous curve
-MAP_F = _build_map_f()
+    x, y = _coerce_pair(x, y)
+    return y * y * -7 == _horner(_QUARTIC, x)
 
 
 def eval_map_f(x):
     """j-invariant attached to a point of the twist quartic with abscissa x."""
-    return MAP_F.evaluate(_frac(x) if not isinstance(x, QuadFieldElement) else x)
+    x = x if isinstance(x, QuadFieldElement) else _frac(x)
+    parts = []
+    for factors in (_F_NUMERATOR, _F_DENOMINATOR):
+        acc = 1
+        for coeffs, e in factors:
+            v = _horner(coeffs, x)
+            for _ in range(e):
+                acc = v * acc
+        parts.append(acc)
+    return -parts[0] / parts[1]
 
 
 def map_49a3_to_quartic_x(u, v):
@@ -229,7 +182,7 @@ def map_49a3_to_quartic_x(u, v):
         raise DegeneratePointError("u + 2v = 0: the map is undefined at (%s, %s)"
                                    % (u, v))
     x = (3 * u - v + 42) / den
-    target = TWIST_QUARTIC.rhs(x) / TWIST_QUARTIC.scalar
+    target = _horner(_QUARTIC, x) / -7
     if isinstance(target, QuadFieldElement):
         flag = target.is_square()
     else:

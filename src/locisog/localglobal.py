@@ -81,7 +81,6 @@ class ClassificationResult:
     projective_image_structure: str
     witness: CartanSpec | None
     proj_order: int
-    exceptional_type: str | None = None
 
 
 def _torus_witness(g0: GL2Element) -> CartanSpec:
@@ -177,8 +176,7 @@ def classify(G: Subgroup) -> ClassificationResult:
     if shape is None:
         raise VerificationError(
             "%r fits no branch of the semisimple trichotomy" % (G,))
-    return ClassificationResult(CASE_EXCEPTIONAL, shape, None, proj,
-                                exceptional_type=shape)
+    return ClassificationResult(CASE_EXCEPTIONAL, shape, None, proj)
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,7 @@ def construct_prop3_group(ell: int, n: int) -> Subgroup:
     if ((ell - 1) // 2) % n:
         raise ValueError("n = %d does not divide (ell-1)/2 = %d" % (n, (ell - 1) // 2))
     d = (ell - 1) // n
-    alpha = int(primitive_root(ell))
+    alpha = primitive_root(ell)
     pw = [pow(alpha, e, ell) for e in range(ell - 1)]
     els = []
     for i in range(ell - 1):

@@ -1,6 +1,6 @@
 """Subgroups of GL_2(F_ell) as explicit element sets: generated closures,
-conjugacy testing, and exhaustive enumeration of conjugacy classes for small
-ell.
+conjugacy keys and normalizers, and exhaustive enumeration of conjugacy
+classes for small ell.
 
 A Subgroup holds the sorted numpy array of its elements' codes (the packed
 integers of gl2).  Closure works on positions in the sorted code list of
@@ -8,7 +8,9 @@ GL_2 (_group_codes): each generator becomes its right-multiplication
 permutation of those positions, and a BFS marks new elements in a boolean
 mask over the group.  Adding one element x to a
 subgroup H that is already closed starts the BFS from H*x, not from the
-identity.
+identity.  Checking that an explicit element set is a subgroup runs the same
+BFS on positions in the set's own sorted codes, so its cost follows the
+size of the set, not of GL_2.
 
 Enumeration is the cyclic-extension method: extend each known class
 representative H by one element x at a time until a fixpoint.  Candidates
@@ -68,7 +70,8 @@ def _right_perm(code: int, ell: int):
 
 
 def _close(member, seeds, perms):
-    """Close the boolean mask `member` (over _group_codes positions) in place.
+    """Close the boolean mask `member` (over the positions of a sorted code
+    array, which the permutations `perms` act on) in place.
 
     `member` must already be closed under right multiplication by `perms`
     except for the products listed in `seeds` (positions, marked or not); the
@@ -142,50 +145,9 @@ class Subgroup:
     def generators(self) -> tuple[GL2Element, ...]:
         return tuple(GL2Element.from_code(c, self.ell) for c in self._gen_codes)
 
-    @property
-    def element_codes(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self._codes)
-
-    def contains(self, g: GL2Element) -> bool:
-        if g.ell != self.ell:
-            raise ValueError("mixed moduli %d and %d" % (self.ell, g.ell))
-        i = int(np.searchsorted(self._codes, g.code()))
-        return i < len(self._codes) and int(self._codes[i]) == g.code()
-
-    def contains_code(self, code: int) -> bool:
-        i = int(np.searchsorted(self._codes, code))
-        return i < len(self._codes) and int(self._codes[i]) == code
-
-    def is_abelian(self) -> bool:
-        gens = self._gen_codes
-        for i, u in enumerate(gens):
-            for v in gens[i + 1:]:
-                if _mul_codes(np.int64(u), np.int64(v), self.ell) != \
-                        _mul_codes(np.int64(v), np.int64(u), self.ell):
-                    return False
-        return True
-
     def det_image_size(self) -> int:
         a, b, c, d = _decode(self._codes, self.ell)
         return len(np.unique((a * d - b * c) % self.ell))
-
-    def element_order_multiset(self) -> tuple[int, ...]:
-        ell, codes = self.ell, self._codes
-        cur = codes.copy()
-        orders = np.zeros(len(codes), dtype=np.int64)
-        ident = _id_code(ell)
-        k = 1
-        while True:
-            fresh = (cur == ident) & (orders == 0)
-            orders[fresh] = k
-            live = orders == 0
-            if not live.any():
-                break
-            cur[live] = _mul_codes(cur[live], codes[live], ell)
-            k += 1
-            if k > 4 * ell * ell * ell:
-                raise AssertionError("element order runaway; subgroup not closed?")
-        return tuple(sorted(int(o) for o in orders))
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.ell == other.ell
@@ -217,52 +179,65 @@ def closure(generators, ell: int | None = None) -> Subgroup:
     return Subgroup(m, _generated(codes, m), tuple(codes))
 
 
+def _set_perm(codes, g: int, ell: int):
+    """Right multiplication by g as a permutation of the positions in the
+    sorted code array `codes`, or None when a product falls outside it."""
+    prod = _mul_codes(codes, g, ell)
+    pos = np.searchsorted(codes, prod)
+    pos[pos == len(codes)] = 0
+    return pos if (codes[pos] == prod).all() else None
+
+
 def from_elements(elements, generators=None) -> Subgroup:
-    """Wrap an explicit element set, verifying it really is a subgroup."""
-    els = sorted({g for g in elements}, key=lambda g: g.code())
+    """Wrap an explicit element set, verifying it really is a subgroup.
+
+    The check works on the set's own sorted codes: each generator must map
+    the set into itself, and the generators must reach every element from
+    the identity."""
+    els = set(elements)
     if not els:
         raise ValueError("a subgroup needs at least the identity")
-    ell = els[0].ell
+    ell = next(iter(els)).ell
     if any(g.ell != ell for g in els):
         raise ValueError("mixed moduli in element set")
     codes = np.array(sorted(g.code() for g in els), dtype=np.int64)
-    member = np.zeros(ell ** 4, dtype=bool)
-    member[codes] = True
-    if not member[_id_code(ell)]:
+    ident = codes == _id_code(ell)
+    if not ident.any():
         raise ValueError("element set lacks the identity")
-    prods = _mul_codes(codes[:, None], codes[None, :], ell)
-    if not member[prods].all():
-        raise ValueError("element set is not closed under multiplication")
-    if generators is not None:
-        gen_codes = tuple(g.code() for g in generators)
-        gen = _generated(gen_codes, ell)
-        if len(gen) != len(codes) or (gen != codes).any():
-            raise ValueError("stated generators do not generate the element set")
+    if generators is None:
+        gen_codes = _greedy_generators(codes, ell)
+        if gen_codes is None:
+            raise ValueError("element set is not closed under multiplication")
     else:
-        gen_codes = tuple(int(c) for c in _greedy_generators(codes, ell))
+        gen_codes = tuple(g.code() for g in generators)
+        perms = [_set_perm(codes, c, ell) for c in set(gen_codes)]
+        if any(p is None for p in perms):
+            raise ValueError("element set is not closed under the stated generators")
+        if not _close(np.zeros_like(ident), np.flatnonzero(ident), perms).all():
+            raise ValueError("stated generators do not generate the element set")
     return Subgroup(ell, codes, gen_codes)
 
 
 def _greedy_generators(codes, ell):
-    """Generators of the subgroup with sorted codes `codes`: each code, in
-    order, that the earlier ones do not already generate."""
-    pos = _code_index(ell)
-    member = np.zeros(len(_group_codes(ell)), dtype=bool)
-    member[pos[_id_code(ell)]] = True
+    """Generators of the element set with sorted codes `codes`, which holds
+    the identity: each code, in order, that the earlier ones do not already
+    generate.  None when the set is not closed under multiplication."""
+    member = codes == _id_code(ell)
     size = 1
     gens: list[int] = []
     perms = []
-    for c in codes:
+    for i, c in enumerate(codes.tolist()):
         if size == len(codes):
             break
-        if member[pos[c]]:
+        if member[i]:
             continue
-        gens.append(int(c))
-        perms.append(_right_perm(c, ell))
-        _close(member, perms[-1][np.flatnonzero(member)], perms)
+        perm = _set_perm(codes, c, ell)
+        if perm is None:
+            return None
+        gens.append(c)
+        perms.append(perm)
+        _close(member, perm[np.flatnonzero(member)], perms)
         size = int(member.sum())
-    if size != len(codes):
-        raise AssertionError("generator search failed; set not closed?")
     return gens
 
 
@@ -311,27 +286,20 @@ def _conj_tables(ell: int):
     return top, bottom, fold
 
 
-def _conjugate_slabs(els, ell):
-    """Yield (slice, sorted-conjugate-rows) over chunks of the _scalar_cosets
-    representatives."""
+def _conjugates(els, ell):
+    """One pass of conjugation slabs over the sorted code array els: the
+    _sorted_key of every conjugate, and the normalizer as a mask over
+    _group_codes(ell)."""
     top, bottom, fold = _conj_tables(ell)
+    reps, coset = _scalar_cosets(ell)
+    normal = np.empty(len(reps), dtype=bool)
+    keys: set[bytes] = set()
     hi, lo = np.divmod(els, ell * ell)
     step = max(1, _CHUNK // max(1, len(els)))
     for i in range(0, len(top), step):
         sl = slice(i, i + step)
         rows = fold[top[sl][:, hi] + bottom[sl][:, lo]]
         rows.sort(axis=1)
-        yield sl, rows
-
-
-def _conjugates(els, ell):
-    """One pass of conjugation slabs over the sorted code array els: the
-    _sorted_key of every conjugate, and the normalizer as a mask over
-    _group_codes(ell)."""
-    reps, coset = _scalar_cosets(ell)
-    normal = np.empty(len(reps), dtype=bool)
-    keys: set[bytes] = set()
-    for sl, rows in _conjugate_slabs(els, ell):
         normal[sl] = (rows == els[None, :]).all(axis=1)
         keys.update(_row_keys(rows))
     return keys, normal[coset]
@@ -341,38 +309,6 @@ def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
     """The lexicographically least element-code tuple among all conjugates."""
     best = min(_conjugates(G._codes, G.ell)[0])
     return tuple(int(v) for v in np.frombuffer(best, dtype=">i4"))
-
-
-def are_conjugate(G1: Subgroup, G2: Subgroup) -> bool:
-    """Conjugacy in GL_2(F_ell), with cheap invariant rejections first."""
-    if G1.ell != G2.ell:
-        raise ValueError("mixed moduli %d and %d" % (G1.ell, G2.ell))
-    if G1.order != G2.order:
-        return False
-    if G1.is_abelian() != G2.is_abelian():
-        return False
-    if G1.det_image_size() != G2.det_image_size():
-        return False
-    if G1.element_order_multiset() != G2.element_order_multiset():
-        return False
-    target = G2._codes
-    for _, rows in _conjugate_slabs(G1._codes, G1.ell):
-        if (rows == target[None, :]).all(axis=1).any():
-            return True
-    return False
-
-
-def conjugating_element(G1: Subgroup, G2: Subgroup) -> GL2Element | None:
-    """Some w with w G1 w^-1 = G2, or None."""
-    if G1.ell != G2.ell or G1.order != G2.order:
-        return None
-    reps = _group_codes(G1.ell)[_scalar_cosets(G1.ell)[0]]
-    target = G2._codes
-    for sl, rows in _conjugate_slabs(G1._codes, G1.ell):
-        hit = np.flatnonzero((rows == target[None, :]).all(axis=1))
-        if len(hit):
-            return GL2Element.from_code(int(reps[sl][hit[0]]), G1.ell)
-    return None
 
 
 def _conj_perms(ngens, ell):
@@ -454,4 +390,4 @@ def normalizer(G: Subgroup) -> Subgroup:
     """N_{GL_2}(G) as a subgroup (explicit scan; small ell only)."""
     mask = _conjugates(G._codes, G.ell)[1]
     codes = _group_codes(G.ell)[mask]
-    return Subgroup(G.ell, codes, tuple(int(c) for c in _greedy_generators(codes, G.ell)))
+    return Subgroup(G.ell, codes, _greedy_generators(codes, G.ell))

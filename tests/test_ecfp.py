@@ -151,7 +151,7 @@ def test_scan_skips_denominator_collisions():
     E = WeierstrassCurve(0, 0, 0, Fraction(1, 13), 1)
     report = local_scan(E, 5, bound=30)
     by_p = {e.p: e for e in report.entries}
-    assert by_p[13].status == "skipped" and "collide" in by_p[13].note
+    assert by_p[13].status == "skipped" and "denominator" in by_p[13].note
 
 
 def test_scan_skip_set_is_two_ell_and_denominator_primes():

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from locisog import arith
 from locisog.arith import QuadFieldElement, is_prime
-from locisog.ecq import (COUNTEREXAMPLE_CURVE, CURVE_49A3, MAP_F, TWIST_QUARTIC,
-                         RationalMap, WeierstrassCurve, bad_primes, eval_map_f,
-                         invariants, map_49a3_to_quartic_x, parse_curve,
+from locisog.ecq import (COUNTEREXAMPLE_CURVE, CURVE_49A3, WeierstrassCurve, bad_primes,
+                         eval_map_f, invariants, map_49a3_to_quartic_x, parse_curve,
                          quartic_point_check, two_torsion_x)
 from locisog.errors import DegeneratePointError
 
@@ -48,13 +48,13 @@ def test_counterexample_curve_anchors():
     E = COUNTEREXAMPLE_CURVE
     assert E.coefficients() == (1, -1, 0, -107, -379)
     assert E.is_integral()
-    assert E.j_invariant() == J_TARGET
+    assert invariants(E).j == J_TARGET
     assert bad_primes(E) == {2, 5, 7}
 
 
 def test_isogenous_curve_anchors():
     E = CURVE_49A3
-    assert E.j_invariant() == (-15) ** 3  # CM by the order of discriminant -7
+    assert invariants(E).j == (-15) ** 3  # CM by the order of discriminant -7
     assert bad_primes(E) == {7}
     assert two_torsion_x(E) == (-12,)
 
@@ -116,35 +116,41 @@ def test_quartic_anchors():
     assert quartic_point_check(Fraction(-1, 2), Fraction(1, 4))
     assert quartic_point_check(Fraction(-1, 2), Fraction(-1, 4))
     assert not quartic_point_check(0, 1)
-    assert TWIST_QUARTIC.rhs(Fraction(-1, 2)) == Fraction(-7, 16)
 
 
 def test_quartic_accepts_quadratic_points():
-    # x = i: rhs = 1 - 2i + 9 - 10i - 3 = 7 - 12i, need -7 y^2 = 7 - 12i
-    x = QuadFieldElement(0, 1, -1)
-    target = TWIST_QUARTIC.rhs(x) / TWIST_QUARTIC.scalar
-    assert target == QuadFieldElement(-1, Fraction(12, 7), -1)
-    assert TWIST_QUARTIC.is_point(x, 1) == (target == 1)
+    # x = i: rhs = 1 - 2i + 9 - 10i - 3 = 7 - 12i, and -7 * 1 != 7 - 12i
+    assert not quartic_point_check(QuadFieldElement(0, 1, -1), 1)
+    # the image of the Gaussian point of 49a3 has a rational ordinate
+    x = QuadFieldElement(Fraction(-1, 2), Fraction(7, 58), -1)
+    assert quartic_point_check(x, Fraction(339, 1682))
+    assert quartic_point_check(x, QuadFieldElement(Fraction(-339, 1682), 0, -1))
+    assert not quartic_point_check(x, Fraction(1, 4))
 
 
 def test_map_f_values():
     assert eval_map_f(Fraction(-1, 2)) == J_TARGET
     assert eval_map_f(3) == 0
     assert eval_map_f(2) == 0
-    # integer polynomials of degrees 28 and 21
-    assert len(MAP_F.numerator) == 29
-    assert len(MAP_F.denominator) == 22
+    # numerator degree 28 over denominator degree 21, leading coefficients
+    # -1 and 1, and equal x^27 / x^20 coefficients: f(x) = -x^7 (1 + O(1/x^2))
+    big = 10 ** 6
+    assert abs(eval_map_f(big) / big ** 7 + 1) < Fraction(1, 10 ** 10)
 
 
-def test_rational_map_validation_and_poles():
-    with pytest.raises(ValueError):
-        RationalMap((1, 2), (0, 0))
-    f = RationalMap((1, 0, 0), (1, -1))  # x^2 / (x - 1)
-    assert f.evaluate(3) == Fraction(9, 2)
-    with pytest.raises(ZeroDivisionError):
-        f.evaluate(1)
-    with pytest.raises(AttributeError):
-        f.numerator = (5,)
+def test_map_f_factors_d_once(monkeypatch):
+    """Squarefreeness of d is settled once per d, not on every Q(i) result."""
+    calls = []
+    factorize = arith.factorize
+
+    def counting(n, *args):
+        calls.append(n)
+        return factorize(n, *args)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    value = eval_map_f(QuadFieldElement(Fraction(-1, 2), Fraction(7, 58), -1))
+    assert value.d == -1 and value.b != 0
+    assert len(calls) <= 1
 
 
 def test_map_point_to_quartic():

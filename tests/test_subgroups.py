@@ -6,10 +6,11 @@ from math import gcd
 
 import pytest
 
+from locisog import subgroups
 from locisog.gl2 import GL2Element
-from locisog.subgroups import (Subgroup, are_conjugate, closure, conjugacy_key,
-                               conjugating_element, enumerate_subgroups, from_elements,
-                               normalizer)
+from locisog.localglobal import construct_prop3_group
+from locisog.subgroups import (Subgroup, closure, conjugacy_key, enumerate_subgroups,
+                               from_elements, normalizer)
 
 
 def _all_elements(ell):
@@ -94,7 +95,7 @@ _CLASS_DIGESTS = {
 def test_enumeration_regression_pin(ell):
     h = hashlib.sha256()
     for G in enumerate_subgroups(ell):
-        h.update(repr((G.order, G._gen_codes, G.element_codes)).encode())
+        h.update(repr((G.order, G._gen_codes, tuple(G.codes.tolist()))).encode())
     assert h.hexdigest() == _CLASS_DIGESTS[ell]
 
 
@@ -109,18 +110,19 @@ def test_cyclic_subgroup_count_oracle(ell):
     classes must account for exactly these, each with |GL2| / |N(H)|
     conjugates."""
     ident = GL2Element.identity(ell)
-    by_order = Counter()
+    order_of = {}
     for g in _all_elements(ell):
         x, k = g, 1
         while x != ident:
             x, k = x * g, k + 1
-        by_order[k] += 1
+        order_of[g.code()] = k
+    by_order = Counter(order_of.values())
     expected = {k: n // _phi(k) for k, n in by_order.items()}
     assert all(n % _phi(k) == 0 for k, n in by_order.items())
-    size = len(_all_elements(ell))
+    size = len(order_of)
     found = Counter()
     for G in enumerate_subgroups(ell):
-        if max(G.element_order_multiset()) == G.order:
+        if max(order_of[c] for c in G.codes.tolist()) == G.order:
             found[G.order] += size // normalizer(G).order
     assert dict(found) == expected
 
@@ -167,47 +169,58 @@ def test_closure_edge_cases():
 
 
 def test_subgroup_queries():
-    rng = random.Random(21)
     G = closure((GL2Element(3, 0, 0, 3, 7), GL2Element(1, 0, 0, 2, 7),
                  GL2Element(0, 1, 1, 0, 7)))
-    for g in G.elements:
-        assert G.contains(g)
-        assert G.contains(g.inverse())
-    assert not G.contains(GL2Element(1, 1, 0, 1, 7))
-    assert not G.is_abelian()
+    els = set(G.elements)
+    assert len(els) == G.order == 36
+    assert G.codes.tolist() == sorted(g.code() for g in els)
+    assert all(g.inverse() in els for g in els)
+    assert GL2Element(1, 1, 0, 1, 7) not in els
+    assert any(g * h != h * g for g in els for h in els)
     assert G.det_image_size() == 6
-    orders = G.element_order_multiset()
-    assert len(orders) == 36
-    assert orders.count(1) == 1
     # element orders divide the group order
-    assert all(36 % k == 0 for k in set(orders))
+    assert all(g ** 36 == GL2Element.identity(7) for g in els)
 
 
 def test_from_elements_validation():
     C = closure((GL2Element(1, 0, 0, 2, 7),))
     G = from_elements(C.elements)
     assert G.order == C.order and G.ell == 7
+    assert closure(G.generators).order == C.order
     with pytest.raises(ValueError):
         from_elements([GL2Element(1, 0, 0, 2, 7)])  # not closed, no identity
+    with pytest.raises(ValueError):
+        from_elements([GL2Element.identity(7), GL2Element(1, 0, 0, 2, 7)])  # not closed
     with pytest.raises(ValueError):
         from_elements(C.elements, generators=(GL2Element.identity(7),))
 
 
+def test_from_elements_needs_no_group_wide_tables(monkeypatch):
+    """Validating a set touches only the set: order 1,764 at ell = 43, where
+    tables over all of GL_2 or all ell^4 codes would take hundreds of MB."""
+    def forbidden(ell):
+        raise AssertionError("group-wide table requested for ell = %d" % ell)
+
+    monkeypatch.setattr(subgroups, "_group_codes", forbidden)
+    monkeypatch.setattr(subgroups, "_code_index", forbidden)
+    assert construct_prop3_group(43, 21).order == 1764
+
+
 def test_conjugacy_detection():
+    """conjugacy_key decides conjugacy: equal keys exactly when some element
+    of GL_2(F_5) carries one cyclic subgroup onto the other, by brute force."""
     rng = random.Random(23)
     els5 = _all_elements(5)
     for _ in range(40):
-        g = rng.choice(els5)
-        h = rng.choice(els5)
-        G = closure((g,))
-        H = from_elements(tuple(x.conjugate_by(h) for x in G.elements))
-        assert are_conjugate(G, H)
-        w = conjugating_element(G, H)
-        assert {x.conjugate_by(w) for x in G.elements} == set(H.elements)
+        G = closure((rng.choice(els5),))
+        H = closure((rng.choice(els5),))
+        hset = set(H.elements)
+        witness = any({x.conjugate_by(w) for x in G.elements} == hset for w in els5)
+        assert (conjugacy_key(G) == conjugacy_key(H)) == witness
     A = closure((GL2Element(1, 0, 0, 2, 7),))   # split torus piece, order 3
-    B = closure((GL2Element(2, 0, 0, 4, 7),))
-    if are_conjugate(A, B):
-        assert A.element_order_multiset() == B.element_order_multiset()
+    B = closure((GL2Element(2, 0, 0, 4, 7),))   # same order, no eigenvalue 1
+    assert A.order == B.order == 3
+    assert conjugacy_key(A) != conjugacy_key(B)
 
 
 def test_conjugacy_key_is_class_invariant():
