@@ -95,8 +95,10 @@ def factorize(n: int, limit: int = 10 ** 7) -> dict[int, int]:
 
 
 def _check_odd_prime(m: int) -> None:
-    if m == 2 or not is_prime(m):
+    # cached: every quadratic character and square root mod p lands here
+    if m == 2 or m not in _prime_cache and not is_prime(m):
         raise ValueError("modulus %d is not an odd prime" % m)
+    _prime_cache.add(m)
 
 
 def legendre_kronecker(a: int, m: int) -> int:

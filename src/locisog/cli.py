@@ -87,7 +87,7 @@ def _cmd_counterexample(args) -> tuple[str, list]:
     step("j-invariant", inv.j == Fraction(2268945, 128), "j = %s" % inv.j)
     bp = bad_primes(E)
     step("bad-primes", bp == {2, 5, 7}, sorted(bp))
-    scan = local_scan(E, 7, args.bound, seed=args.seed)
+    scan = local_scan(E, 7, args.bound)
     step("local-scan", scan.all_admitted,
          "admitted %d, rejected %s, skipped %s up to %d"
          % (len(scan.admitted), list(scan.rejected), list(scan.skipped), args.bound))
@@ -95,7 +95,7 @@ def _cmd_counterexample(args) -> tuple[str, list]:
     if phi.level != 7:
         raise ValueError("expected a level-7 modular polynomial, got level %d" % phi.level)
     target = evaluate_at_j(phi, inv.j)
-    roots = rational_linear_factors(target, seed=args.seed)
+    roots = rational_linear_factors(target)
     step("no-rational-root", roots == (), "rational roots: %s" % (list(map(str, roots)),))
     factors = load_factors(args.factors) if args.factors else shipped_certificate_factors()
     cert = verify_certificate(FactorizationCertificate(tuple(target), factors))
@@ -136,7 +136,7 @@ def _cmd_curve(args) -> tuple[str, list]:
     if args.mode == "local":
         if E is None:
             raise ValueError("local mode needs a curve (--curve or --aN flags)")
-        scan = local_scan(E, args.ell, args.bound, seed=args.seed)
+        scan = local_scan(E, args.ell, args.bound)
         findings = [{"p": e.p, "status": e.status,
                      **({"a_p": e.a_p} if e.a_p is not None else {}),
                      **({"note": e.note} if e.note else {})}
@@ -156,7 +156,7 @@ def _cmd_curve(args) -> tuple[str, list]:
     if phi.level != args.ell:
         raise ValueError("modular polynomial has level %d, --ell is %d"
                          % (phi.level, args.ell))
-    roots = rational_linear_factors(evaluate_at_j(phi, j), seed=args.seed)
+    roots = rational_linear_factors(evaluate_at_j(phi, j))
     verdict = ("rational %d-isogeny exists" % args.ell) if roots else \
         ("no rational %d-isogeny" % args.ell)
     return "pass", [{"j": str(j), "ell": args.ell,
@@ -200,8 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for rational isogenies of prime degree.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized internals (default 0)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw:
                                 argparse.ArgumentParser(parents=[common], **kw))
 

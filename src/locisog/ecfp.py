@@ -85,10 +85,7 @@ def _naive_count(coeffs: tuple[int, ...], p: int) -> int:
 
 def _short_weierstrass(coeffs: tuple[int, ...], p: int) -> tuple[int, int]:
     """(A, B) with y^2 = x^3 + Ax + B isomorphic to the reduction, p >= 5."""
-    a1, a2, a3, a4, a6 = coeffs
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
+    b2, b4, b6, _ = _b_invariants_mod(coeffs, p)
     c4 = (b2 * b2 - 24 * b4) % p
     c6 = (-b2 ** 3 + 36 * b2 * b4 - 216 * b6) % p
     return (-27 * c4) % p, (-54 * c6) % p
@@ -228,7 +225,7 @@ def count_points(E: WeierstrassCurve, p: int, method: str = "auto", seed: int = 
     raise ValueError("method must be 'auto', 'naive', or 'bsgs', got %r" % (method,))
 
 
-def reduce_and_count(E: WeierstrassCurve, p: int, seed: int = 0) -> LocalData:
+def reduce_and_count(E: WeierstrassCurve, p: int) -> LocalData:
     """Reduce E mod an odd prime and package count, trace, and flags."""
     _require_prime(p)
     if p == 2:
@@ -236,7 +233,7 @@ def reduce_and_count(E: WeierstrassCurve, p: int, seed: int = 0) -> LocalData:
     coeffs = _reduce_coefficients(E, p)
     if _disc_mod(coeffs, p) == 0:
         return LocalData(p, False)
-    n = count_points(E, p, seed=seed)
+    n = count_points(E, p)
     a_p = p + 1 - n
     return LocalData(p, True, n, a_p, a_p % p == 0)
 
@@ -286,7 +283,7 @@ class ScanReport:
         return tuple(e.p for e in self.entries if e.status == "skipped")
 
 
-def local_scan(E: WeierstrassCurve, ell: int, bound: int, seed: int = 0) -> ScanReport:
+def local_scan(E: WeierstrassCurve, ell: int, bound: int) -> ScanReport:
     """Run the local criterion at every prime up to bound, recording the
     verdict per prime and why any prime was skipped."""
     _require_prime(ell)
@@ -301,7 +298,7 @@ def local_scan(E: WeierstrassCurve, ell: int, bound: int, seed: int = 0) -> Scan
             entries.append(ScanEntry(p, "skipped", note="p = ell excluded from the criterion"))
             continue
         try:
-            data = reduce_and_count(E, p, seed=seed)
+            data = reduce_and_count(E, p)
         except DenominatorError:
             entries.append(ScanEntry(p, "skipped", note="p divides a coefficient denominator"))
             continue

@@ -2,12 +2,16 @@
 a j-invariant, certified rational root extraction, root counting over F_p,
 and verification of shipped factorization certificates.
 
-Rational roots are found by reducing mod random 62-bit primes, splitting off
-roots there, and lifting by CRT plus rational reconstruction.  The search is
-exhaustive: a root p/q in lowest terms of an integer polynomial divides the
-constant (p | a_0) and leading (q | a_n) coefficients, so primes are added
-until their product exceeds 2*|a_0|*|a_n| and reconstruction is unique.
-Every candidate is verified exactly before it is reported.
+Rational roots are lifted p-adically from one prime (Loos, SIAM J. Comput.
+12 (1983); von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
+The integer polynomial f, zero roots stripped, is cut to its squarefree part
+s = f / gcd(f, f') over Z.  A root a/b of s in lowest terms has a | s(0) and
+b | lc(s).  For the smallest odd prime q that does not divide lc(s) and
+keeps s squarefree, every rational root reduces to a simple root of s mod q,
+which Newton's iteration lifts uniquely.  So one prime suffices: each root
+mod q is lifted until q^(2^k) > 2*|s(0)|*lc(s), where rational
+reconstruction is unique, at a cost linear in the number of roots.  Exact
+deflation of f confirms each candidate and gives its multiplicity.
 
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd and the power kernel _xpow_mod.  Every power
@@ -30,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import lcm
+from math import gcd, lcm
 
 from .arith import PrimeFieldElement, _require_prime, is_prime, is_rational_square
 from .errors import ModPolyFormatError
@@ -275,77 +279,79 @@ def _rational_reconstruct(c: int, m: int, num_bound: int, den_bound: int):
     return Fraction(r1, s1) if s1 > 0 else Fraction(-r1, -s1)
 
 
-def _fresh_prime(rng: random.Random, avoid: int, seen: set) -> int:
-    while True:
-        n = rng.randrange(1 << 61, 1 << 62) | 1
-        while not is_prime(n):
-            n += 2
-        if n not in seen and avoid % n != 0:
-            seen.add(n)
-            return n
+def _primitive(f: list[int]) -> list[int]:
+    """f over its content, with a positive leading coefficient."""
+    c = gcd(*f) if f[0] > 0 else -gcd(*f)
+    return [x // c for x in f]
 
 
-def rational_linear_factors(coeffs, seed: int = 0) -> tuple[Fraction, ...]:
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(Q, R) with lc(b)^k a = Q b + R over Z, k = deg a - deg b + 1 and
+    deg R < deg b: division of integer polynomials without fractions."""
+    quo = []
+    while len(a) >= len(b):
+        c = a[0]
+        quo = [b[0] * x for x in quo] + [c]
+        a = [b[0] * x - c * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+    return quo, _ptrim(a)
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z of nonzero integer polynomials by the primitive
+    pseudo-remainder sequence, which keeps coefficients small."""
+    b = _primitive(b)
+    while len(b) > 1:
+        r = _pseudo_divmod(a, b)[1]
+        if r == [0]:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [(len(f) - 1 - k) * c for k, c in enumerate(f[:-1])]
+
+
+def rational_linear_factors(coeffs) -> tuple[Fraction, ...]:
     """All rational roots, with multiplicity, of a polynomial given by its
     descending rational coefficients; sorted ascending.  Exhaustive by the
-    divisor bound described in the module docstring."""
+    divisor bound and the one-prime lift described in the module docstring."""
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
     if not coeffs:
         raise ValueError("the zero polynomial vanishes identically")
-    mult = 1
-    for c in coeffs:
-        mult = lcm(mult, c.denominator)
+    mult = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * mult) for c in coeffs]
-    zero_mult = 0
+    found = []
     while ints[-1] == 0:
-        zero_mult += 1
+        found.append(Fraction(0))
         ints.pop()
-    found = [Fraction(0)] * zero_mult
     if len(ints) <= 1:
         return tuple(found)
-    a0, an = abs(ints[-1]), abs(ints[0])
-    rng = random.Random(seed)
-    seen: set = set()
-    primes = []
-    prod = 1
-    while prod <= 2 * a0 * an:
-        q = _fresh_prime(rng, an, seen)
-        primes.append(q)
-        prod *= q
-    residues = [_roots_mod(ints, q, rng) for q in primes]
-    combos = [(0, 1)]  # (residue mod modulus, modulus)
-    for q, roots in zip(primes, residues):
-        new = []
-        for c, m in combos:
-            inv_m = pow(m, -1, q)
-            for r in roots:
-                t = (r - c) % q * inv_m % q
-                new.append((c + m * t, m * q))
-        combos = new
-    distinct = set()
-    for c, m in combos:
-        cand = _rational_reconstruct(c, m, a0, an)
-        if cand is None or cand in distinct:
-            continue
-        acc = Fraction(0)
-        for coefficient in ints:
-            acc = acc * cand + coefficient
-        if acc == 0:
-            distinct.add(cand)
-    work = [Fraction(c) for c in ints]
-    for root in sorted(distinct):
-        while True:
-            quo = []
-            acc = Fraction(0)
-            for c in work:
-                acc = acc * root + c
-                quo.append(acc)
-            if quo.pop() != 0:
+    # f = gcd(f, f') s, and the pseudo-quotient is a multiple of s
+    s = _primitive(_pseudo_divmod(ints, _zgcd(ints, _derivative(ints)))[0])
+    q = 3
+    while s[0] % q == 0 or _pgcd([c % q for c in s], [c % q for c in _derivative(s)], q) != [1]:
+        q += 2
+        while not is_prime(q):
+            q += 2
+    work = ints
+    for r in _roots_mod(s, q, random.Random(0)):
+        m = q
+        while m <= 2 * abs(s[-1]) * s[0]:
+            m *= m
+            v = dv = 0
+            for c in s:  # s(r) and s'(r) mod m, one Horner pass
+                v, dv = (v * r + c) % m, (dv * r + v) % m
+            r = (r - v * pow(dv, -1, m)) % m
+        root = _rational_reconstruct(r, m, abs(s[-1]), s[0])
+        while root is not None:  # exact deflation: a false candidate stops at once
+            quo, rem = _pseudo_divmod(work, [root.denominator, -root.numerator])
+            if rem != [0]:
                 break
             found.append(root)
-            work = quo
+            work = _primitive(quo)
     return tuple(sorted(found))
 
 

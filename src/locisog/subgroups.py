@@ -3,14 +3,14 @@ conjugacy keys and normalizers, and exhaustive enumeration of conjugacy
 classes for small ell.
 
 A Subgroup holds the sorted numpy array of its elements' codes (the packed
-integers of gl2).  Closure works on positions in the sorted code list of
-GL_2 (_group_codes): each generator becomes its right-multiplication
-permutation of those positions, and a BFS marks new elements in a boolean
-mask over the group.  Adding one element x to a
+integers of gl2).  Enumeration closes subgroups on positions in the sorted
+code list of GL_2 (_group_codes): each generator becomes its
+right-multiplication permutation of those positions, and a BFS marks new
+elements in a boolean mask over the group.  Adding one element x to a
 subgroup H that is already closed starts the BFS from H*x, not from the
-identity.  Checking that an explicit element set is a subgroup runs the same
-BFS on positions in the set's own sorted codes, so its cost follows the
-size of the set, not of GL_2.
+identity.  The closure of explicit generators, and the check that an
+explicit element set is a subgroup, run their BFS on the set's own sorted
+codes, so their cost follows the size of the set, not of GL_2.
 
 Enumeration is the cyclic-extension method: extend each known class
 representative H by one element x at a time until a fixpoint.  Candidates
@@ -90,16 +90,6 @@ def _close(member, seeds, perms):
             fresh[p[frontier]] = True
 
 
-def _generated(gen_codes, ell):
-    """Sorted codes of the subgroup generated by gen_codes."""
-    member = np.zeros(len(_group_codes(ell)), dtype=bool)
-    member[_code_index(ell)[_id_code(ell)]] = True
-    gens = [int(c) for c in gen_codes]
-    _close(member, _code_index(ell)[np.array(gens, dtype=np.int64)],
-           [_right_perm(c, ell) for c in set(gens)])
-    return _group_codes(ell)[member]
-
-
 def _sorted_key(codes) -> bytes:
     # big-endian so byte order == numeric lexicographic order
     return codes.astype(">i4").tobytes()
@@ -164,19 +154,23 @@ class Subgroup:
 def closure(generators, ell: int | None = None) -> Subgroup:
     """The subgroup generated by the given GL2Elements (trivial when empty)."""
     gens = list(generators)
-    if not gens:
-        if ell is None:
-            raise ValueError("need ell to build the trivial subgroup from no generators")
-        _require_prime(ell)
-        return Subgroup(ell, np.array([_id_code(ell)], dtype=np.int64), ())
     mods = {g.ell for g in gens}
-    if len(mods) != 1:
+    if len(mods) > 1:
         raise ValueError("generators live over different moduli: %s" % sorted(mods))
-    m = mods.pop()
+    m = mods.pop() if mods else ell
+    if m is None:
+        raise ValueError("need ell to build the trivial subgroup from no generators")
     if ell is not None and ell != m:
         raise ValueError("generators live over F_%d, not F_%d" % (m, ell))
+    _require_prime(m)
     codes = [g.code() for g in gens]
-    return Subgroup(m, _generated(codes, m), tuple(codes))
+    gen_arr = np.unique(np.array(codes, dtype=np.int64))
+    group = frontier = np.array([_id_code(m)], dtype=np.int64)
+    while len(frontier):  # BFS on the group's own codes, from the identity
+        products = _mul_codes(frontier[:, None], gen_arr[None, :], m).ravel()
+        frontier = np.setdiff1d(products, group)
+        group = np.union1d(group, frontier)
+    return Subgroup(m, group, tuple(codes))
 
 
 def _set_perm(codes, g: int, ell: int):

@@ -124,6 +124,19 @@ def test_curve_global_verdicts(capsys):
     assert doc["findings"][0]["rational_roots"] == ["-3375"]
 
 
+# j of the Legendre curve y^2 = x(x - 1)(x - lambda), lambda = 12345678901/1000003:
+# full rational 2-torsion, so Phi_2(X, j) has three rational roots
+LEGENDRE_J = ("226550125766519481966634732347174009339419985467943880222850752/"
+              "5806737109199569144553902649495134730526054230442609")
+
+
+def test_curve_global_finds_three_large_two_isogenies(capsys):
+    code, doc = _run_json(capsys, "curve", "global", "--j", LEGENDRE_J, "--ell", "2")
+    assert code == 0
+    assert doc["findings"][0]["verdict"] == "rational 2-isogeny exists"
+    assert len(doc["findings"][0]["rational_roots"]) == 3
+
+
 def test_curve_global_level_mismatch(tmp_path, capsys):
     phi = tmp_path / "phi2.txt"
     phi.write_text("level 2\n3 0 1\n1 0 -1\n")
@@ -158,7 +171,10 @@ def test_group_shape(capsys):
     assert code == 2
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, _ = _run_json(capsys, "curve", "local", "--curve", "0,0,0,1,1",
-                        "--ell", "3", "--bound", "30", "--seed", "5")
-    assert code == 0
+def test_seed_flag_is_rejected(capsys):
+    # no verdict depends on a seed, so the CLI offers none
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "local", "--curve", "0,0,0,1,1", "--ell", "3", "--bound", "30",
+              "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from locisog import ecfp
-from locisog.arith import is_prime
+from locisog import arith, ecfp
+from locisog.arith import is_prime, primes_up_to
 from locisog.ecfp import (LocalData, ScanReport, count_points, local_isogeny_admitted,
                           local_scan, reduce_and_count)
 from locisog.ecq import COUNTEREXAMPLE_CURVE, WeierstrassCurve
@@ -166,7 +166,7 @@ def test_scan_skip_set_is_two_ell_and_denominator_primes():
 def test_reduction_errors_other_than_denominators_propagate(monkeypatch):
     # the scan files only DenominatorError under "skipped"; any other
     # ValueError from the counter is a fault and must surface
-    def broken(E, p, seed=0):
+    def broken(E, p):
         raise ValueError("counter fault at p = %d" % p)
 
     with pytest.raises(DenominatorError):
@@ -174,6 +174,23 @@ def test_reduction_errors_other_than_denominators_propagate(monkeypatch):
     monkeypatch.setattr(ecfp, "reduce_and_count", broken)
     with pytest.raises(ValueError, match="counter fault"):
         local_scan(WeierstrassCurve(0, 0, 0, 1, 1), 5, bound=20)
+
+
+def test_scan_tests_each_prime_once(monkeypatch):
+    """Primality of a modulus is tested once, not again by every quadratic
+    character and square root that the BSGS random points take mod p."""
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    bound = 2 * 10 ** 4
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.setattr(arith, "_prime_cache", set())
+    report = local_scan(COUNTEREXAMPLE_CURVE, 7, bound=bound)
+    assert report.all_admitted
+    assert len(calls) <= len(primes_up_to(bound)) + 5, len(calls)
 
 
 def test_reduce_and_count_roundtrip():

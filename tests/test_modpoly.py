@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from locisog import modpoly
 from locisog.arith import PrimeFieldElement, is_prime
 from locisog.errors import ModPolyFormatError
 from locisog.modpoly import (SHIPPED_LEVELS, FactorizationCertificate,
@@ -117,7 +118,62 @@ def test_rational_linear_factors_against_planted_roots():
     rng = random.Random(73)
     for _ in range(60):
         coeffs, roots = _planted(rng)
-        assert rational_linear_factors(coeffs, seed=rng.randrange(100)) == roots
+        assert rational_linear_factors(coeffs) == roots
+
+
+def _from_roots(roots):
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [Fraction(0)], [Fraction(0)] + coeffs)]
+    return coeffs
+
+
+def _legendre_j(lam):
+    """j of y^2 = x(x - 1)(x - lam): full rational 2-torsion, so Phi_2(X, j)
+    has three rational roots."""
+    return 256 * (lam * lam - lam + 1) ** 3 / (lam * lam * (lam - 1) ** 2)
+
+
+LEGENDRE_LAMBDAS = (Fraction(123457, 1000), Fraction(12345678901, 1000003))
+
+
+def test_rational_linear_factors_large_roots():
+    rng = random.Random(80)
+    roots = tuple(sorted(Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** 79, 10 ** 80))
+                         for _ in range(3)))
+    assert rational_linear_factors(_from_roots(roots)) == roots
+    for lam in LEGENDRE_LAMBDAS:
+        found = rational_linear_factors(evaluate_at_j(shipped_modpoly(2), _legendre_j(lam)))
+        assert len(found) == len(set(found)) == 3, lam
+
+
+def test_rational_linear_factors_lifts_from_one_prime(monkeypatch):
+    """One prime, one lift per root mod that prime: the roots mod q are
+    found once per call and each is reconstructed once, so the work is
+    linear in the number of roots."""
+    calls = {"roots": 0, "reconstruct": 0}
+    roots_mod, reconstruct = modpoly._roots_mod, modpoly._rational_reconstruct
+
+    def counting_roots(*args):
+        calls["roots"] += 1
+        return roots_mod(*args)
+
+    def counting_reconstruct(*args):
+        calls["reconstruct"] += 1
+        return reconstruct(*args)
+
+    monkeypatch.setattr(modpoly, "_roots_mod", counting_roots)
+    monkeypatch.setattr(modpoly, "_rational_reconstruct", counting_reconstruct)
+    rng = random.Random(7)
+    cases = [evaluate_at_j(shipped_modpoly(7), J_TARGET)]
+    cases += [evaluate_at_j(shipped_modpoly(2), _legendre_j(lam)) for lam in LEGENDRE_LAMBDAS]
+    cases.append(_from_roots([Fraction(k * 10 ** 40 + 1, 3 ** k) for k in range(1, 7)]))
+    cases += [_planted(rng)[0] for _ in range(20)]
+    for coeffs in cases:
+        calls.update(roots=0, reconstruct=0)
+        rational_linear_factors(coeffs)
+        assert calls["roots"] == 1
+        assert calls["reconstruct"] <= len(coeffs) - 1
 
 
 def test_rational_linear_factors_edge_cases():
@@ -209,7 +265,7 @@ def _reference_xpow(a, e, f, q):
     return result or [0]
 
 
-# 2^62 - 57 is the largest 62-bit prime, the top of rational_linear_factors' range
+# 2^62 - 57 is the largest 62-bit prime; the kernel must hold at any modulus
 KERNEL_MODULI = (3, 5, 499, (1 << 61) - 1, (1 << 62) - 57)
 
 
@@ -334,6 +390,7 @@ def test_rational_linear_factors_against_sympy(ell):
             hs.add(h)
     on_x0 = [X0_PARAMETRIZATIONS[ell](h) for h in sorted(hs)]
     js = [Fraction(0), Fraction(1728)] + [_seeded_j(rng, 1000) for _ in range(15)] + on_x0
+    js += [_legendre_j(lam) for lam in LEGENDRE_LAMBDAS]
     M = shipped_modpoly(ell)
     for j in js:
         coeffs = evaluate_at_j(M, j)

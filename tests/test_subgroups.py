@@ -196,14 +196,17 @@ def test_from_elements_validation():
 
 
 def test_from_elements_needs_no_group_wide_tables(monkeypatch):
-    """Validating a set touches only the set: order 1,764 at ell = 43, where
-    tables over all of GL_2 or all ell^4 codes would take hundreds of MB."""
+    """Validating a set, or closing generators, touches only the set: orders
+    1,764 and 3,528 at ell = 43, where tables over all of GL_2 or all ell^4
+    codes would take hundreds of MB."""
     def forbidden(ell):
         raise AssertionError("group-wide table requested for ell = %d" % ell)
 
     monkeypatch.setattr(subgroups, "_group_codes", forbidden)
     monkeypatch.setattr(subgroups, "_code_index", forbidden)
     assert construct_prop3_group(43, 21).order == 1764
+    G = closure((GL2Element(1, 0, 0, 3, 43), GL2Element(0, 1, 1, 0, 43)))
+    assert G.order == 3528
 
 
 def test_conjugacy_detection():
