@@ -18,7 +18,7 @@ from .ecq import (COUNTEREXAMPLE_CURVE, WeierstrassCurve, bad_primes, eval_map_f
                   invariants, map_49a3_to_quartic_x, parse_curve, quartic_point_check)
 from .ecfp import local_scan
 from .errors import VerificationError
-from .gl2 import fixed_point_count
+from .gl2 import _fixed_line_counts
 from .localglobal import (CASE_NORMALIZER, classify, common_fixed_count,
                           construct_prop3_group, lemma1_verify, omega_orbit_sizes,
                           projective_image_order)
@@ -65,7 +65,7 @@ def _cmd_lemma(args) -> tuple[str, list]:
 def _prop3_shape(ell: int, n: int) -> tuple[bool, dict]:
     G = construct_prop3_group(ell, n)
     det_surjective = G.det_image_size() == ell - 1
-    min_fixed = min(fixed_point_count(g) for g in G.elements)
+    min_fixed = int(_fixed_line_counts(G.codes, ell).min())
     nothing_fixed = common_fixed_count(G) == 0
     res = classify(G)
     dihedral = res.case == CASE_NORMALIZER and projective_image_order(G) == 2 * n

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _require_prime, legendre_kronecker, sqrt_mod
+from .arith import _require_prime, legendre_kronecker
 from .errors import VerificationError
 
 
@@ -274,17 +274,17 @@ def smallest_nonresidue(ell: int) -> int:
     raise ValueError("no quadratic non-residue mod %d" % ell)
 
 
-def _cartan_theta(kind: str, delta: int | None, ell: int) -> int:
-    """The code of a matrix theta whose centralizer is the standard Cartan
-    of this kind: diag(1, 0) for split, [[0, delta], [1, 0]] for nonsplit,
-    and [[0, 1], [1, 1]] for the nonsplit Cartan at ell = 2, where
-    x^2 + x + 1 is the irreducible quadratic.  The Cartan is then the unit
-    group of F_ell[theta]."""
+def _cartan_theta(kind: str, ell: int, delta: int | None = None) -> GL2Element:
+    """The element theta whose centralizer is the standard Cartan of this
+    kind: diag(1, -1) for split, [[0, delta], [1, 0]] for nonsplit (delta
+    defaults to the least non-residue), and [[0, 1], [1, 1]] for the
+    nonsplit Cartan at ell = 2, where x^2 + x + 1 is the irreducible
+    quadratic.  The Cartan is then the unit group of F_ell[theta]."""
     if kind == "split":
-        return _encode(1, 0, 0, 0, ell)
+        return GL2Element(1, 0, 0, -1, ell)
     if ell == 2:
-        return _encode(0, 1, 1, 1, 2)
-    return _encode(0, delta, 1, 0, ell)
+        return GL2Element(0, 1, 1, 1, 2)
+    return GL2Element(0, smallest_nonresidue(ell) if delta is None else delta, 1, 0, ell)
 
 
 def _centralizer_masks(theta, codes, ell):
@@ -298,11 +298,6 @@ def _centralizer_masks(theta, codes, ell):
 
     return commutes(codes), commutes(_mul_codes(_mul_codes(codes, theta, ell),
                                                 _inv_codes(codes, ell), ell))
-
-
-def _cartan_masks(kind: str, delta: int | None, ell: int, codes):
-    """(in the standard Cartan, in its normalizer) for every code."""
-    return _centralizer_masks(np.int64(_cartan_theta(kind, delta, ell)), codes, ell)
 
 
 def cartan(kind: str, ell: int, delta: int | None = None) -> frozenset[GL2Element]:
@@ -322,65 +317,24 @@ def cartan(kind: str, ell: int, delta: int | None = None) -> frozenset[GL2Elemen
     elif ell == 2:
         if delta is not None:
             raise ValueError("no usable non-residue mod 2; omit delta for ell = 2")
-    elif delta is None:
-        delta = smallest_nonresidue(ell)
-    elif legendre_kronecker(delta, ell) != -1:
+    elif delta is not None and legendre_kronecker(delta, ell) != -1:
         raise ValueError("delta = %d is not a non-residue mod %d" % (delta, ell))
-    ta, tb, tc, td = _decode(_cartan_theta(kind, delta, ell), ell)
+    ta, tb, tc, td = _cartan_theta(kind, ell, delta).entries()
     span = ((x + y * ta, y * tb, y * tc, x + y * td) for x in range(ell) for y in range(ell))
     return frozenset(GL2Element(*m, ell) for m in span if (m[0] * m[3] - m[1] * m[2]) % ell)
 
 
 @dataclass(frozen=True)
 class CartanSpec:
-    """A Cartan subgroup given by kind and the conjugator from the standard
-    copy: the subgroup is w * C_standard * w^-1 for w the conjugator."""
+    """A Cartan subgroup named by an element theta with distinct
+    eigenvalues that it centralizes: the subgroup is theta's centralizer
+    F_ell[theta]^*, split when theta's eigenvalues lie in F_ell and
+    nonsplit when they do not."""
 
     kind: str
     ell: int
-    delta: int | None
-    conjugator: GL2Element
+    theta: GL2Element
 
     def masks(self, codes):
         """(in this Cartan, in its normalizer) for every code in an array."""
-        ell, w = self.ell, self.conjugator
-        std = _mul_codes(_mul_codes(np.int64(w.inverse().code()), codes, ell),
-                         np.int64(w.code()), ell)
-        return _cartan_masks(self.kind, self.delta, ell, std)
-
-
-def _eigenvector(g: GL2Element, lam: int) -> tuple[int, int]:
-    """A nonzero vector with g*v = lam*v."""
-    m = g.ell
-    b, am = g.b % m, (lam - g.a) % m
-    if b or am:
-        return (b, am)
-    return ((lam - g.d) % m, g.c % m)
-
-
-def split_conjugator(g: GL2Element) -> GL2Element:
-    """A matrix whose columns are eigenvectors of g (needs two rational eigenlines)."""
-    m = g.ell
-    disc = (g.trace() ** 2 - 4 * g.det()) % m
-    s = sqrt_mod(disc, m)
-    if s is None or s == 0:
-        raise ValueError("matrix %r has no pair of distinct rational eigenvalues" % (g,))
-    inv2 = pow(2, -1, m)
-    l1 = (g.trace() + s) * inv2 % m
-    l2 = (g.trace() - s) * inv2 % m
-    v1, v2 = _eigenvector(g, l1), _eigenvector(g, l2)
-    return GL2Element(v1[0], v2[0], v1[1], v2[1], m)
-
-
-def nonsplit_conjugator(g: GL2Element, delta: int) -> GL2Element:
-    """A matrix w with w^-1 g w in the standard nonsplit Cartan for this delta."""
-    m = g.ell
-    disc = (g.trace() ** 2 - 4 * g.det()) % m
-    if disc == 0 or legendre_kronecker(disc, m) != -1:
-        raise ValueError("matrix %r does not have conjugate irrational eigenvalues" % (g,))
-    s = sqrt_mod(disc * pow(delta, -1, m), m)
-    inv2 = pow(2, -1, m)
-    # eigenvector (b, (d-a)/2 + (s/2) sqrt(delta)) = P + sqrt(delta) Q
-    p_vec = (g.b % m, (g.d - g.a) * inv2 % m)
-    q_vec = (0, s * inv2 % m)
-    return GL2Element(q_vec[0], p_vec[0], q_vec[1], p_vec[1], m)
+        return _centralizer_masks(np.int64(self.theta.code()), codes, self.ell)

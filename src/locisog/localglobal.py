@@ -13,10 +13,9 @@ import numpy as np
 
 from .arith import _require_prime, primitive_root
 from .errors import NotSemisimpleError, VerificationError
-from .gl2 import (CartanSpec, GL2Element, _cartan_masks, _centralizer_masks,
+from .gl2 import (CartanSpec, GL2Element, _cartan_theta, _centralizer_masks,
                   _fixed_line_counts, _group_codes, _inv_codes, _is_scalar, _line_perm,
-                  _mul_codes, _orbit_sizes, _projective_orders, fixed_point_count,
-                  nonsplit_conjugator, smallest_nonresidue, split_conjugator)
+                  _mul_codes, _orbit_sizes, _projective_orders, fixed_point_count)
 from .subgroups import Subgroup, enumerate_subgroups, from_elements
 
 CASE_CARTAN = "CartanContained"
@@ -83,39 +82,26 @@ class ClassificationResult:
     proj_order: int
 
 
-def _torus_witness(g0: GL2Element) -> CartanSpec:
-    """The Cartan subgroup through a non-scalar semisimple g0, as a spec."""
-    ell = g0.ell
-    k = fixed_point_count(g0)
-    if k == 1:
-        raise ValueError("%r has a repeated eigenvalue; not in any Cartan" % (g0,))
-    if k == 2:
-        return CartanSpec("split", ell, None, split_conjugator(g0))
-    if ell == 2:
-        # the nonsplit Cartan of GL2(F_2) is normal, so it is the only one
-        return CartanSpec("nonsplit", 2, None, GL2Element.identity(2))
-    delta = smallest_nonresidue(ell)
-    return CartanSpec("nonsplit", ell, delta, nonsplit_conjugator(g0, delta))
-
-
 def brute_cartan_witness(G: Subgroup, normalizer: bool = False) -> CartanSpec | None:
     """Exhaustive conjugator scan against the standard Cartan subgroups.
 
     A test oracle for small ell: tries every w in GL_2(F_ell) and every
-    kind, returns the first spec whose Cartan (or its normalizer, with
-    normalizer=True) contains w^-1 G w, or None.
+    kind, and returns the first Cartan w C w^-1, for C standard, that (or
+    whose normalizer, with normalizer=True) contains G, named by
+    w theta w^-1 for the theta that C centralizes; or None.
     """
     ell = G.ell
     group = _group_codes(ell)
     # rows of w^-1 * g * w for every candidate w
     rows = _mul_codes(_mul_codes(_inv_codes(group, ell)[:, None], G.codes[None, :], ell),
                       group[:, None], ell)
-    kinds = [("nonsplit", None)] if ell == 2 else \
-        [("split", None), ("nonsplit", smallest_nonresidue(ell))]
-    for kind, delta in kinds:
-        hit = np.flatnonzero(_cartan_masks(kind, delta, ell, rows)[normalizer].all(axis=1))
+    for kind in ("nonsplit",) if ell == 2 else ("split", "nonsplit"):
+        theta = _cartan_theta(kind, ell)
+        hit = np.flatnonzero(
+            _centralizer_masks(np.int64(theta.code()), rows, ell)[normalizer].all(axis=1))
         if len(hit):
-            return CartanSpec(kind, ell, delta, GL2Element.from_code(group[hit[0]], ell))
+            w = GL2Element.from_code(group[hit[0]], ell)
+            return CartanSpec(kind, ell, theta.conjugate_by(w))
     return None
 
 
@@ -139,31 +125,34 @@ def classify(G: Subgroup) -> ClassificationResult:
     projective image), inside a Cartan normalizer but not the Cartan
     (dihedral image), or exceptional (A4, S4, A5).
 
-    The Cartan through a non-scalar g0 is g0's centralizer, so G lies in it,
-    or in its normalizer, when each generator h commutes with g0, or
-    h g0 h^-1 does; the witness conjugates g0's eigenbasis into standard
-    position.  Searching every g0 is exhaustive: an abelian G lies in the
-    Cartan of any of its elements; and a non-abelian G inside a normalizer
-    N(C) meets C in a non-scalar element, whose Cartan is C (were G cap C
-    all scalars, it would be a central subgroup of index at most 2 and G
-    would be abelian).
+    The Cartan through a non-scalar semisimple theta is theta's
+    centralizer, so G lies in it, or in its normalizer, when each generator
+    h commutes with theta, or h theta h^-1 does; the witness is named by
+    that theta, an element of G.  Searching every theta in G is exhaustive:
+    an abelian G lies in the Cartan of any of its elements; and a
+    non-abelian G inside a normalizer N(C) meets C in a non-scalar element,
+    whose Cartan is C (were G cap C all scalars, it would be a central
+    subgroup of index at most 2 and G would be abelian).
     """
     ell = G.ell
     if G.order % ell == 0:
         raise NotSemisimpleError(
             "|G| = %d is divisible by ell = %d; classification needs order prime to ell"
             % (G.order, ell))
-    scalar = _is_scalar(G.codes, ell)
-    proj = G.order // int(scalar.sum())
-    nonscalar = G.codes[~scalar]
+    proj = projective_image_order(G)
+    nonscalar = G.codes[~_is_scalar(G.codes, ell)]
     if not len(nonscalar):
         kind = "nonsplit" if ell == 2 else "split"
-        spec = CartanSpec(kind, ell, None, GL2Element.identity(ell))
+        spec = CartanSpec(kind, ell, _cartan_theta(kind, ell))
         return ClassificationResult(CASE_CARTAN, "cyclic(1)", spec, 1)
     in_c, in_n = _centralizer_masks(nonscalar[:, None], _generator_codes(G)[None, :], ell)
     hit = np.flatnonzero((in_c | in_n).all(axis=1))
     if len(hit):
-        spec = _torus_witness(GL2Element.from_code(nonscalar[hit[0]], ell))
+        theta = GL2Element.from_code(nonscalar[hit[0]], ell)
+        kind = {2: "split", 0: "nonsplit"}.get(fixed_point_count(theta))
+        if kind is None:
+            raise VerificationError("%r has a repeated eigenvalue; not in any Cartan" % (theta,))
+        spec = CartanSpec(kind, ell, theta)
         in_c, in_n = spec.masks(G.codes)
         if in_c.all():
             return ClassificationResult(CASE_CARTAN, "cyclic(%d)" % proj, spec, proj)
@@ -185,19 +174,15 @@ class LemmaReport:
 
     ell: int
     order: int
-    hypothesis_met: bool
     n: int
     cartan_kind: str
     proper_containment: bool
-    ell_mod_4: int
     has_orbit_of_size_2: bool
     orbit_sizes: tuple[int, ...]
     generator_entries: tuple[tuple[int, int, int, int], ...]
 
     def validate(self) -> None:
         """Raise VerificationError unless all four conclusions hold."""
-        if not self.hypothesis_met:
-            return
         problems = []
         if self.n <= 1 or self.n % 2 == 0:
             problems.append("projective image is not dihedral of twice-odd order (n=%d)" % self.n)
@@ -209,7 +194,7 @@ class LemmaReport:
                             % self.cartan_kind)
         if not self.proper_containment:
             problems.append("containment in the normalizer is not proper")
-        if self.ell_mod_4 != 3:
+        if self.ell % 4 != 3:
             problems.append("ell = %d is not 3 mod 4" % self.ell)
         if not self.has_orbit_of_size_2:
             problems.append("no orbit of size 2 (orbit sizes %r)" % (self.orbit_sizes,))
@@ -228,8 +213,7 @@ def lemma_report(G: Subgroup) -> LemmaReport:
     try:
         res = classify(G)
     except NotSemisimpleError:
-        return LemmaReport(G.ell, G.order, True, 0, "none", False, G.ell % 4,
-                           2 in sizes, sizes, gens)
+        return LemmaReport(G.ell, G.order, 0, "none", False, 2 in sizes, sizes, gens)
     if res.case == CASE_NORMALIZER:
         kind = res.witness.kind
         nsize = 2 * (G.ell - 1) ** 2 if kind == "split" else 2 * (G.ell ** 2 - 1)
@@ -237,8 +221,7 @@ def lemma_report(G: Subgroup) -> LemmaReport:
         proper = G.order < nsize
     else:
         kind, n, proper = "none", 0, False
-    return LemmaReport(G.ell, G.order, True, n, kind, proper, G.ell % 4,
-                       2 in sizes, sizes, gens)
+    return LemmaReport(G.ell, G.order, n, kind, proper, 2 in sizes, sizes, gens)
 
 
 def lemma1_verify(ell: int) -> tuple[LemmaReport, ...]:

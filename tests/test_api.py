@@ -20,8 +20,8 @@ PUBLIC = {
         "primitive_root", "rational_sqrt", "sqrt_mod",
     ],
     "gl2": [
-        "CartanSpec", "CartanSpec.conjugator", "CartanSpec.delta", "CartanSpec.ell",
-        "CartanSpec.kind", "CartanSpec.masks", "ElementActionProfile",
+        "CartanSpec", "CartanSpec.ell", "CartanSpec.kind", "CartanSpec.masks",
+        "CartanSpec.theta", "ElementActionProfile",
         "ElementActionProfile.ell", "ElementActionProfile.k",
         "ElementActionProfile.orbit_sizes", "ElementActionProfile.r",
         "ElementActionProfile.s", "ElementActionProfile.sigma",
@@ -29,8 +29,7 @@ PUBLIC = {
         "GL2Element.conjugate_by", "GL2Element.det", "GL2Element.entries",
         "GL2Element.from_code", "GL2Element.identity", "GL2Element.inverse",
         "GL2Element.is_scalar", "GL2Element.trace", "action_profile", "cartan",
-        "fixed_point_count", "nonsplit_conjugator", "projective_order",
-        "smallest_nonresidue", "split_conjugator",
+        "fixed_point_count", "projective_order", "smallest_nonresidue",
     ],
     "subgroups": [
         "ENUMERABLE", "Subgroup", "Subgroup.codes", "Subgroup.det_image_size",
@@ -42,10 +41,9 @@ PUBLIC = {
         "ClassificationResult.case", "ClassificationResult.proj_order",
         "ClassificationResult.projective_image_structure",
         "ClassificationResult.witness", "LemmaReport", "LemmaReport.cartan_kind",
-        "LemmaReport.ell", "LemmaReport.ell_mod_4", "LemmaReport.generator_entries",
-        "LemmaReport.has_orbit_of_size_2", "LemmaReport.hypothesis_met",
-        "LemmaReport.n", "LemmaReport.orbit_sizes", "LemmaReport.order",
-        "LemmaReport.proper_containment", "LemmaReport.validate",
+        "LemmaReport.ell", "LemmaReport.generator_entries",
+        "LemmaReport.has_orbit_of_size_2", "LemmaReport.n", "LemmaReport.orbit_sizes",
+        "LemmaReport.order", "LemmaReport.proper_containment", "LemmaReport.validate",
         "brute_cartan_witness", "classify", "common_fixed_count",
         "construct_prop3_group", "lemma1_hypothesis", "lemma1_verify", "lemma_report",
         "omega_orbit_sizes", "projective_image_order", "sigma_nontrivial",

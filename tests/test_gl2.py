@@ -5,10 +5,9 @@ import pytest
 
 from locisog.arith import legendre_kronecker, primes_up_to
 from locisog.errors import VerificationError
-from locisog.gl2 import (CartanSpec, GL2Element, _cartan_masks, _fixed_line_counts,
+from locisog.gl2 import (CartanSpec, GL2Element, _cartan_theta, _fixed_line_counts,
                          _group_codes, _line_perm, _mul_codes, _projective_orders,
-                         action_profile, cartan, fixed_point_count, nonsplit_conjugator,
-                         projective_order, smallest_nonresidue, split_conjugator)
+                         action_profile, cartan, fixed_point_count, projective_order)
 from locisog.subgroups import from_elements, normalizer
 
 PRIMES = [p for p in primes_up_to(97)]
@@ -174,44 +173,25 @@ def test_normalizer_doubles_cartan():
                 assert w * g * w.inverse() in C
 
 
-def test_conjugators_diagonalize():
-    rng = random.Random(16)
-    for _ in range(300):
-        ell = rng.choice([3, 5, 7, 11, 13])
-        g = _random_gl2(rng, ell)
-        if g.is_scalar():
-            continue
-        disc = (g.trace() ** 2 - 4 * g.det()) % ell
-        chi = legendre_kronecker(disc, ell)
-        if chi == 1:
-            w = split_conjugator(g)
-            m = g.conjugate_by(w.inverse())
-            assert m.entries()[1] == m.entries()[2] == 0
-        elif chi == -1:
-            delta = smallest_nonresidue(ell)
-            w = nonsplit_conjugator(g, delta)
-            a, b, c, d = g.conjugate_by(w.inverse()).entries()
-            assert a == d and b == delta * c % ell
-
-
 def test_cartan_masks_match_cartan_and_normalizer():
-    """Over all of GL_2, the masks pick out cartan() and its normalizer as
-    subgroups.normalizer computes it, for each kind, and CartanSpec tests
-    the conjugate copy."""
+    """Over all of GL_2, the spec named by the standard theta picks out
+    cartan() and its normalizer as subgroups.normalizer computes it, for
+    each kind, and the spec named by theta' = w theta w^-1 picks out the
+    conjugate copies w C w^-1 and w N w^-1."""
     for kind, ell in (("split", 3), ("split", 7), ("nonsplit", 2), ("nonsplit", 3),
                       ("nonsplit", 7)):
-        delta = None if kind == "split" or ell == 2 else smallest_nonresidue(ell)
         group = _group_codes(ell)
-        in_c, in_n = _cartan_masks(kind, delta, ell, group)
-        C = cartan(kind, ell, delta)
+        theta = _cartan_theta(kind, ell)
+        assert fixed_point_count(theta) == (2 if kind == "split" else 0)
+        in_c, in_n = CartanSpec(kind, ell, theta).masks(group)
+        C = cartan(kind, ell)
         N = normalizer(from_elements(C))
         assert set(group[in_c].tolist()) == {g.code() for g in C}
         assert np.array_equal(group[in_n], N.codes)
         w = GL2Element(1, 1, 0, 1, ell)
-        spec = CartanSpec(kind, ell, delta, w)
-        conj = np.array([(w * g * w.inverse()).code() for g in C])
-        assert all(m.all() for m in spec.masks(conj))
-        assert (spec.masks(group)[0].sum(), spec.masks(group)[1].sum()) == (len(C), N.order)
+        in_c, in_n = CartanSpec(kind, ell, theta.conjugate_by(w)).masks(group)
+        assert set(group[in_c].tolist()) == {g.conjugate_by(w).code() for g in C}
+        assert set(group[in_n].tolist()) == {g.conjugate_by(w).code() for g in N.elements}
 
 
 def test_profile_validation_catches_lies():

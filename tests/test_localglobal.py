@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -68,12 +69,19 @@ def test_hypothesis_requires_all_three_parts():
     assert not lemma1_hypothesis(N)
 
 
+def _gl2(ell):
+    return [GL2Element(a, b, c, d, ell) for a in range(ell) for b in range(ell)
+            for c in range(ell) for d in range(ell) if (a * d - b * c) % ell]
+
+
 def test_classify_trichotomy_is_total_and_exclusive():
-    """The witness is checked by GL2Element conjugation into cartan() and
-    into its normalizer as subgroups.normalizer computes it."""
+    """The witness theta is checked with GL2Element arithmetic alone: its
+    centralizer C = {g : g theta = theta g} has the order of a Cartan of
+    its kind, G lies in C's normalizer as subgroups.normalizer computes it,
+    and G lies in C exactly in the Cartan case."""
     rng = random.Random(35)
     seen = set()
-    standard = {}
+    by_theta = {}
     for _ in range(150):
         ell = rng.choice([3, 5, 7])
         G = closure((_random_gl2(rng, ell), _random_gl2(rng, ell)))
@@ -86,16 +94,29 @@ def test_classify_trichotomy_is_total_and_exclusive():
         seen.add(res.case)
         if res.case == CASE_EXCEPTIONAL:
             continue
-        w = res.witness
-        key = (w.kind, ell, w.delta)
-        if key not in standard:
-            C = cartan(w.kind, ell, w.delta)
-            standard[key] = (C, set(normalizer(from_elements(C)).elements))
-        C, N = standard[key]
-        conj = {w.conjugator.inverse() * g * w.conjugator for g in G.elements}
-        assert conj <= N
-        assert (conj <= C) == (res.case == CASE_CARTAN)
+        theta = res.witness.theta
+        key = (ell, theta.code())
+        if key not in by_theta:
+            C = {g for g in _gl2(ell) if g * theta == theta * g}
+            by_theta[key] = (C, set(normalizer(from_elements(C)).elements))
+        C, N = by_theta[key]
+        assert len(C) == ((ell - 1) ** 2 if res.witness.kind == "split" else ell * ell - 1)
+        elements = set(G.elements)
+        assert elements <= N
+        assert (elements <= C) == (res.case == CASE_CARTAN)
     assert CASE_CARTAN in seen and CASE_NORMALIZER in seen
+
+
+def test_witness_theta_lies_in_the_group():
+    """G certifies its own Cartan: on every non-scalar semisimple class
+    outside the exceptional branch, the witness theta is an element of G."""
+    for ell in (3, 5, 7, 11):
+        for G in enumerate_subgroups(ell):
+            if G.order % ell == 0:
+                continue
+            res = classify(G)
+            if res.case != CASE_EXCEPTIONAL and res.proj_order > 1:
+                assert res.witness.theta.code() in G.codes
 
 
 def test_exceptional_classes_show_up_at_five():
@@ -113,7 +134,9 @@ def test_exceptional_classes_show_up_at_five():
 def test_classify_agrees_with_brute_witness():
     """On every semisimple class at ell in {3, 5, 7}, the exhaustive
     conjugator scan finds no Cartan normalizer exactly for the exceptional
-    classes, and a Cartan for each class that classify puts in one."""
+    classes, and a Cartan for each class that classify puts in one; that
+    Cartan has classify's kind when G is not all scalars, since it is then
+    the centralizer of a non-scalar element of G."""
     for ell in (3, 5, 7):
         for G in enumerate_subgroups(ell):
             if G.order % ell == 0:
@@ -122,7 +145,10 @@ def test_classify_agrees_with_brute_witness():
             in_normalizer = brute_cartan_witness(G, normalizer=True) is not None
             assert in_normalizer == (res.case != CASE_EXCEPTIONAL)
             if res.case == CASE_CARTAN:
-                assert brute_cartan_witness(G) is not None
+                brute = brute_cartan_witness(G)
+                assert brute is not None
+                if res.proj_order > 1:
+                    assert brute.kind == res.witness.kind
 
 
 def test_scalar_group_is_cartan_contained():
@@ -188,8 +214,6 @@ def test_lemma_report_requires_hypothesis():
 
 def test_lemma_report_validation_catches_corruption():
     rep = lemma_report(construct_prop3_group(7, 3))
-    bad = type(rep)(rep.ell, rep.order, rep.hypothesis_met, 4, rep.cartan_kind,
-                    rep.proper_containment, rep.ell_mod_4, rep.has_orbit_of_size_2,
-                    rep.orbit_sizes, rep.generator_entries)
-    with pytest.raises(VerificationError):
-        bad.validate()
+    for bad in (dataclasses.replace(rep, n=4), dataclasses.replace(rep, ell=13)):
+        with pytest.raises(VerificationError):
+            bad.validate()
