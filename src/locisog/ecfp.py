@@ -1,6 +1,14 @@
-"""Reductions of a rational elliptic curve mod p: point counts by exhaustive
-character sums (small p) or baby-step giant-step order finding (large p), the
+"""Reductions of a rational elliptic curve mod p: point counts, the
 trace-based test for a locally defined ell-isogeny, and prime-by-prime scans.
+
+Up to NAIVE_LIMIT (see modpoly for the measured crossover), #E(F_p) is p + 1
+plus a quadratic character sum over the cubic's values at every x in F_p.
+Above it, counting is by annihilator sets (the Shanks-Mestre method; Cohen,
+A Course in Computational Algebraic Number Theory, 7.4.3): baby and giant
+steps find, for a random point P, every n in the Hasse interval with nP = O.
+Intersecting these sets over random points leaves the group order, and the
+quadratic twist, whose order is 2p + 2 - n, breaks ties.  No point order is
+computed, so nothing is factored.
 
 Odd p only: the character-sum counter completes the square in y, which needs
 2 invertible, and nothing downstream ever requires counts at p = 2.
@@ -10,18 +18,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
-from .arith import _require_prime, factorize, legendre_kronecker, primes_up_to, sqrt_mod
+from .arith import _require_prime, legendre_kronecker, primes_up_to, sqrt_mod
 from .ecq import WeierstrassCurve
 from .errors import DenominatorError, VerificationError
-
-# above this, quadratic-character summation loses to O(p^(1/4)) group order
-# search: per prime, the two cost the same near 7,000-8,000 (0.2 ms each on a
-# 2-vCPU VM, CPython 3.11) and BSGS is 8x faster near 2^16
-NAIVE_LIMIT = 1 << 13
+from .modpoly import NAIVE_LIMIT, _values_mod
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,10 @@ def _naive_count(coeffs: tuple[int, ...], p: int) -> int:
     """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p."""
     b2, b4, b6, _ = _b_invariants_mod(coeffs, p)
     x = np.arange(p, dtype=np.int64)
-    g = ((4 * x + b2) % p * x + 2 * b4) % p
-    g = (g * x + b6) % p
     chi = np.full(p, -1, dtype=np.int64)
     chi[x * x % p] = 1
     chi[0] = 0
-    return p + 1 + int(chi[g].sum())
+    return p + 1 + int(chi[_values_mod([4, b2, 2 * b4, b6], p)].sum())
 
 
 def _short_weierstrass(coeffs: tuple[int, ...], p: int) -> tuple[int, int]:
@@ -133,78 +135,63 @@ def _random_point(A: int, B: int, p: int, rng: random.Random):
             return x, y
 
 
-def _strip_to_order(g: int, P, A: int, p: int) -> int:
-    for q in factorize(g):
-        while g % q == 0 and _ec_mul(g // q, P, A, p) is None:
-            g //= q
-    return g
-
-
-def _point_order(P, A: int, p: int) -> int:
-    """Exact order of P: gcd of every annihilator p + 1 + t with |t| in the
-    Hasse window, found by baby steps jP against giant strides of (p+1)P,
-    then stripped prime by prime."""
+def _annihilators(P, A: int, p: int) -> set[int]:
+    """Every n in the Hasse interval with nP = O: baby steps jP, j <= s,
+    against giant strides n0 P, n0 = p + 1 + i (2s + 1), which cover every
+    n = n0 +- j.  A point of order at most s gives its multiples directly."""
+    lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
     s = isqrt(isqrt(p)) + 1
     stride = 2 * s + 1
     baby = {}  # x-coordinate -> [(j, y) for jP = (x, y)]
     Q = P
     for j in range(1, s + 1):
         if Q is None:
-            return _strip_to_order(j, P, A, p)
+            return set(range(-(-lo // j) * j, hi + 1, j))
         baby.setdefault(Q[0], []).append((j, Q[1]))
         Q = _ec_add(Q, P, A, p)
     step = _ec_mul(stride, P, A, p)
     R = _ec_mul(p + 1 - s * stride, P, A, p)
-    g = 0
+    found = set()
     for i in range(-s, s + 1):
         n0 = p + 1 + i * stride
         if R is None:
-            g = gcd(g, abs(n0))
+            found.add(n0)
         else:
             for j, y in baby.get(R[0], ()):
                 if R[1] == y:
-                    g = gcd(g, abs(n0 - j))
+                    found.add(n0 - j)
                 if R[1] == (p - y) % p:
-                    g = gcd(g, abs(n0 + j))
+                    found.add(n0 + j)
         R = _ec_add(R, step, A, p)
-    if g == 0:
+    found = {n for n in found if lo <= n <= hi}
+    if not found:
         raise VerificationError("no annihilator of a point found in the Hasse window")
-    return _strip_to_order(g, P, A, p)
-
-
-def _hasse_multiples(L: int, p: int) -> list[int]:
-    lo = p + 1 - isqrt(4 * p)
-    hi = p + 1 + isqrt(4 * p)
-    first = -(-lo // L) * L
-    return list(range(first, hi + 1, L))
+    return found
 
 
 def _bsgs_count(coeffs: tuple[int, ...], p: int, seed: int) -> int:
-    """Group order as the unique Hasse-interval multiple of the exponent
-    gathered from random points, with the quadratic twist as a tiebreaker."""
+    """Group order by the Shanks-Mestre method: the Hasse-interval values n
+    with nP = O for every random point P tried, intersected until one is
+    left; the quadratic twist, whose order is 2p + 2 - n, breaks ties."""
     if p < 5:
         raise ValueError("baby-step giant-step counting needs p >= 5")
     A, B = _short_weierstrass(coeffs, p)
     rng = random.Random((seed << 32) ^ p)
-    L = 1
+    cands = None
     for _ in range(60):
-        o = _point_order(_random_point(A, B, p, rng), A, p)
-        L = lcm(L, o)
-        cands = _hasse_multiples(L, p)
+        found = _annihilators(_random_point(A, B, p, rng), A, p)
+        cands = found if cands is None else cands & found
         if len(cands) == 1:
-            return cands[0]
+            return cands.pop()
     c = 2
     while legendre_kronecker(c, p) != -1:
         c += 1
     At, Bt = A * c * c % p, B * c * c % p * c % p
-    Lt = 1
     for _ in range(60):
-        o = _point_order(_random_point(At, Bt, p, rng), At, p)
-        Lt = lcm(Lt, o)
-        pairs = [n for n in _hasse_multiples(L, p)
-                 if (2 * p + 2 - n) % Lt == 0]
-        if len(pairs) == 1:
-            return pairs[0]
+        found = _annihilators(_random_point(At, Bt, p, rng), At, p)
+        cands = {n for n in cands if 2 * p + 2 - n in found}
+        if len(cands) == 1:
+            return cands.pop()
     if p <= NAIVE_LIMIT:
         return _naive_count(coeffs, p)
     raise ArithmeticError("group order ambiguous at p = %d" % p)

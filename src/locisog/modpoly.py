@@ -14,18 +14,19 @@ reconstruction is unique, at a cost linear in the number of roots.  Exact
 deflation of f confirms each candidate and gives its multiplicity.
 
 Polynomials mod q are dense descending coefficient lists, handled by one small
-toolkit: _ptrim, _pdivmod, _pgcd and the power kernel _xpow_mod.  Every power
-taken here is (X + a)^e mod f, where d = deg f is at most 8 for the shipped
-levels: X^q for the linear part gcd(X^q - X, f), and (X + a)^((q-1)/2) for the
-Cantor-Zassenhaus split.  The kernel packs a residue r_0 + r_1 X + ... into
-one integer with r_i in slot i of S bits (Kronecker substitution), so a
-squaring is a single big-integer product.  The d - 1 top coefficients of the
-product are folded back with a table of X^(d+k) mod f, each slot is reduced
-mod q once per step, and a multiplication by X + a is a shift plus one table
-row.  A product slot holds at most d (q-1)^2 and a folded slot at most
-d (q-1)^2 + (d-1) d (q-1)^3 <= d^2 (q-1)^3, so slots of
-S >= 3 bits(q) + 2 bits(d) + 2 bits, rounded up to whole bytes, never carry
-into each other.  All arithmetic is on Python integers.
+toolkit: _ptrim, _pdivmod, _pgcd, the evaluator _values_mod (f at every point
+of F_q, which counts roots up to NAIVE_LIMIT) and the power kernel _xpow_mod.
+Every power taken here is (X + a)^e mod f, where d = deg f is at most 8 for
+the shipped levels: X^q for the linear part gcd(X^q - X, f), and
+(X + a)^((q-1)/2) for the Cantor-Zassenhaus split.  The kernel packs a
+residue r_0 + r_1 X + ... into one integer with r_i in slot i of S bits
+(Kronecker substitution), so a squaring is a single big-integer product.  The
+d - 1 top coefficients of the product are folded back with a table of
+X^(d+k) mod f, each slot is reduced mod q once per step, and a multiplication
+by X + a is a shift plus one table row.  A product slot holds at most
+d (q-1)^2 and a folded slot at most d (q-1)^2 + (d-1) d (q-1)^3 <= d^2 (q-1)^3,
+so slots of S >= 3 bits(q) + 2 bits(d) + 2 bits, rounded up to whole bytes,
+never carry into each other.  The kernel's arithmetic is on Python integers.
 """
 
 from __future__ import annotations
@@ -36,10 +37,30 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd, lcm
 
+import numpy as np
+
 from .arith import PrimeFieldElement, _require_prime, is_prime, is_rational_square
 from .errors import ModPolyFormatError
 
 SHIPPED_LEVELS = (2, 3, 5, 7)
+
+# At or below this prime, a per-prime question is answered from a
+# polynomial's values at every x in F_p (_values_mod): #E(F_p) from the
+# cubic's, the F_p-roots of Phi_N(X, j) as its zeros.  Above it, BSGS point
+# counts (ecfp) and deg gcd(X^p - X, f) win.  Median microseconds per prime,
+# 6 curves or j at each of 8 primes near p, on a 2-vCPU VM (CPython 3.11,
+# numpy 2.4):
+#
+#   p                          1k     2k     4k     8k    16k
+#   #E(F_p) naive              18     27     45     84    156
+#   #E(F_p) BSGS               34     38     41     50     57
+#   roots of Phi_2, values      9     13     22     38     71
+#   roots of Phi_2, X^p        22     25     26     28     29
+#   roots of Phi_7, values     18     26     44     95    183
+#   roots of Phi_7, X^p        60     65     67     74     75
+#
+# Point counts cross near 4,000 and root counts near 5,000-6,000.
+NAIVE_LIMIT = 1 << 12
 
 
 class ModularPolynomial:
@@ -181,6 +202,25 @@ def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
         a, b = b, _pdivmod(a, b, q)[1]
     inv = pow(a[0], -1, q)
     return [c * inv % q for c in a]
+
+
+def _values_mod(f: list[int], q: int) -> np.ndarray:
+    """f(x) mod q at every x in F_q, by Horner's rule on one int64 array;
+    f is descending with integer coefficients, and q^2 must fit in int64.
+    A step takes entries at most t to at most (t + 1)(q - 1) <= t q, so the
+    array is reduced only where the next step could overflow."""
+    x = np.arange(q, dtype=np.int64)
+    v = np.full(q, f[0] % q, dtype=np.int64)
+    top = q - 1  # bound on the entries of v
+    for c in f[1:]:
+        if top * q >= 1 << 63:
+            v %= q
+            top = q - 1
+        v *= x
+        v += c % q
+        top = (top + 1) * (q - 1)
+    v %= q
+    return v
 
 
 def _slot_bits(q: int, d: int) -> int:
@@ -385,9 +425,13 @@ def _root_part(f: list[int], p: int, xp: list[int] | None = None) -> list[int]:
 
 
 def fp_root_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
-    """Number of distinct roots of Phi_N(X, j) in F_p, via deg gcd(X^p - X)."""
+    """Number of distinct roots of Phi_N(X, j) in F_p: the zeros among its
+    values at every x up to NAIVE_LIMIT, deg gcd(X^p - X, f) above it."""
     f = _specialize_mod(M, j)
-    return len(_root_part(f, j.modulus)) - 1
+    p = j.modulus
+    if p <= NAIVE_LIMIT:
+        return p - int(np.count_nonzero(_values_mod(f, p)))
+    return len(_root_part(f, p)) - 1
 
 
 def fp_linear_factor_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:

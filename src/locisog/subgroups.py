@@ -107,6 +107,7 @@ class Subgroup:
     __slots__ = ("ell", "_codes", "_gen_codes", "_el_cache")
 
     def __init__(self, ell: int, codes, gen_codes: tuple[int, ...]):
+        codes.flags.writeable = False  # enumerate_subgroups shares its results
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_gen_codes", tuple(int(c) for c in gen_codes))
@@ -121,7 +122,7 @@ class Subgroup:
 
     @property
     def codes(self):
-        """The sorted numpy array of element codes."""
+        """The sorted numpy array of element codes, read-only."""
         return self._codes
 
     @property
@@ -319,11 +320,17 @@ def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
     """All conjugacy classes of subgroups of GL_2(F_ell), one representative
     each, sorted by (order, conjugacy key).
 
-    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in a few seconds.
+    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in a few seconds;
+    the result is computed once per ell and shared by every later call.
     """
     if ell not in ENUMERABLE:
         raise ValueError("subgroup enumeration supports ell in %s, got %d"
                          % (ENUMERABLE, ell))
+    return _enumerate(ell)
+
+
+@lru_cache(maxsize=None)
+def _enumerate(ell: int) -> tuple[Subgroup, ...]:
     group = _group_codes(ell)
     n = len(group)
     inverse = _code_index(ell)[_inv_codes(group, ell)]

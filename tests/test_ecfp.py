@@ -42,15 +42,32 @@ def test_naive_count_against_pair_walk():
 
 
 def test_bsgs_matches_naive():
+    # every prime 5 <= p <= 1500 with three seeds, and a few above NAIVE_LIMIT;
+    # j = 0 and j = 1728 have non-cyclic groups at many primes, which send
+    # BSGS to the twist tiebreak and, at small p, to the naive fallback
     rng = random.Random(59)
-    for p in (1009, 2003, 4099, 65537):
-        for _ in range(3):
-            E = _random_integral_curve(rng)
+    curves = [WeierstrassCurve(0, 0, 0, 0, 1), WeierstrassCurve(0, 0, 0, 1, 0),
+              COUNTEREXAMPLE_CURVE] + [_random_integral_curve(rng) for _ in range(2)]
+    for p in [p for p in primes_up_to(1500) if p >= 5] + [4099, 8191, 65537]:
+        for E in curves:
             if int(E.discriminant()) % p == 0:
                 continue
             n_naive = count_points(E, p, method="naive")
-            n_bsgs = count_points(E, p, method="bsgs", seed=rng.randrange(10 ** 6))
-            assert n_bsgs == n_naive
+            for seed in range(3):
+                assert count_points(E, p, method="bsgs", seed=seed) == n_naive, (E, p, seed)
+
+
+def test_bsgs_needs_no_factorization(monkeypatch):
+    """BSGS intersects sets of annihilators and never factors one."""
+    def refuse(n):
+        raise AssertionError("factorize(%d) called" % n)
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(ecfp, "factorize", refuse, raising=False)
+    for p in (4099, 8191, 10007, 65537):
+        want = count_points(COUNTEREXAMPLE_CURVE, p, method="naive")
+        for seed in range(3):
+            assert count_points(COUNTEREXAMPLE_CURVE, p, method="bsgs", seed=seed) == want
 
 
 def test_counts_respect_hasse():

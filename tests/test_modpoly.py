@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locisog import modpoly
 from locisog.arith import PrimeFieldElement, is_prime
 from locisog.errors import ModPolyFormatError
-from locisog.modpoly import (SHIPPED_LEVELS, FactorizationCertificate,
-                             ModularPolynomial, _disc_shape, _slot_bits, _xpow_mod,
-                             evaluate_at_j,
+from locisog.modpoly import (NAIVE_LIMIT, SHIPPED_LEVELS, FactorizationCertificate,
+                             ModularPolynomial, _disc_shape, _root_part, _slot_bits,
+                             _specialize_mod, _values_mod, _xpow_mod, evaluate_at_j,
                              fp_linear_factor_count, fp_root_count, load_factors,
                              load_modpoly, rational_linear_factors,
                              shipped_certificate_factors, shipped_modpoly,
@@ -224,15 +225,17 @@ def _seeded_j(rng, height):
 
 def test_fp_counts_match_brute_force():
     # the counterexample's Phi_7 to 500, and every level at j = 0, 1728 and
-    # seeded j to 300; brute force strips each root layer by deflation
+    # seeded j to 300; brute force strips each root layer by deflation.  The
+    # first three primes above NAIVE_LIMIT keep fp_root_count's X^p path tested
     rng = random.Random(2024)
     js = [Fraction(0), Fraction(1728)] + [_seeded_j(rng, 1000) for _ in range(4)]
     cases = [(7, J_TARGET, 500)] + [(ell, j, 300) for ell in SHIPPED_LEVELS for j in js]
+    above = [p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p)][:3]
     for ell, j, bound in cases:
         M = shipped_modpoly(ell)
         coeffs = evaluate_at_j(M, j)
-        for p in range(2, bound):
-            if not is_prime(p) or ell % p == 0 or j.denominator % p == 0:
+        for p in [p for p in range(2, bound) if is_prime(p)] + above:
+            if ell % p == 0 or j.denominator % p == 0:
                 continue
             jp = PrimeFieldElement(j.numerator * pow(j.denominator, -1, p), p)
             f = [(c.numerator * pow(c.denominator, -1, p)) % p for c in coeffs]
@@ -240,6 +243,20 @@ def test_fp_counts_match_brute_force():
             assert fp_root_count(M, jp) == distinct, (ell, j, p)
             assert fp_linear_factor_count(M, jp) == mult, (ell, j, p)
             assert mult >= distinct
+
+
+def test_values_and_root_part_agree_at_small_p():
+    # the two ways of counting distinct F_p-roots, at every j, including
+    # deg f > p (p = 3 at level 7)
+    for p in (3, 5, 7, 11, 13):
+        for N in SHIPPED_LEVELS:
+            if N % p == 0:
+                continue
+            M = shipped_modpoly(N)
+            for j in range(p):
+                f = _specialize_mod(M, PrimeFieldElement(j, p))
+                zeros = p - int(np.count_nonzero(_values_mod(f, p)))
+                assert zeros == len(_root_part(f, p)) - 1, (p, N, j)
 
 
 def _reference_xpow(a, e, f, q):

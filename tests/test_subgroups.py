@@ -83,6 +83,13 @@ def test_enumeration_class_counts():
     assert len(enumerate_subgroups(5)) == 48
 
 
+def test_enumeration_is_shared_and_read_only():
+    first = enumerate_subgroups(5)
+    assert enumerate_subgroups(5) is first
+    with pytest.raises(ValueError):
+        first[-1].codes[0] = 0
+
+
 # sha256 over (order, generator codes, element codes) of every class, in
 # enumeration order, as the packed-code engine returned them
 _CLASS_DIGESTS = {
