@@ -108,6 +108,14 @@ def legendre_kronecker(a: int, m: int) -> int:
     return -1 if r == m - 1 else r
 
 
+def smallest_nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod an odd prime p."""
+    z = 2
+    while legendre_kronecker(z, p) != -1:
+        z += 1
+    return z
+
+
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a modulo prime p, or None when a is a non-residue."""
     a %= p
@@ -122,9 +130,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre_kronecker(z, p) != -1:
-        z += 1
+    z = smallest_nonresidue(p)
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2, i = t * t % p, 1

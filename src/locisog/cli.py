@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .arith import QuadFieldElement, gauss_sum_square, legendre_kronecker
 from .classno import class_number, ratio_check
-from .ecq import (COUNTEREXAMPLE_CURVE, WeierstrassCurve, bad_primes, eval_map_f,
-                  invariants, map_49a3_to_quartic_x, parse_curve, quartic_point_check)
+from .ecq import (COUNTEREXAMPLE_CURVE, bad_primes, eval_map_f, invariants,
+                  map_49a3_to_quartic_x, parse_curve, quartic_point_check)
 from .ecfp import local_scan
 from .errors import VerificationError
 from .gl2 import _fixed_line_counts
@@ -120,22 +120,11 @@ def _cmd_counterexample(args) -> tuple[str, list]:
     return status, findings
 
 
-def _curve_from_args(args) -> WeierstrassCurve | None:
-    vals = (args.a1, args.a2, args.a3, args.a4, args.a6)
-    if args.curve is not None:
-        if any(v is not None for v in vals):
-            raise ValueError("pass --curve or individual --aN flags, not both")
-        return parse_curve(args.curve)
-    if all(v is None for v in vals):
-        return None
-    return WeierstrassCurve(*[Fraction(v) if v is not None else Fraction(0) for v in vals])
-
-
 def _cmd_curve(args) -> tuple[str, list]:
-    E = _curve_from_args(args)
+    E = None if args.curve is None else parse_curve(args.curve)
     if args.mode == "local":
         if E is None:
-            raise ValueError("local mode needs a curve (--curve or --aN flags)")
+            raise ValueError("local mode needs a curve (--curve)")
         scan = local_scan(E, args.ell, args.bound)
         findings = [{"p": e.p, "status": e.status,
                      **({"a_p": e.a_p} if e.a_p is not None else {}),
@@ -214,8 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="local admission scan or global isogeny verdict")
     p.add_argument("mode", choices=("local", "global"))
     p.add_argument("--curve", help='coefficients "a1,a2,a3,a4,a6"')
-    for name in ("a1", "a2", "a3", "a4", "a6"):
-        p.add_argument("--" + name)
     p.add_argument("--j", help="j-invariant as p/q (global mode)")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--bound", type=int, default=10000)

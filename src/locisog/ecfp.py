@@ -1,6 +1,11 @@
 """Reductions of a rational elliptic curve mod p: point counts, the
 trace-based test for a locally defined ell-isogeny, and prime-by-prime scans.
 
+A curve is reduced by reducing the rational invariants that WeierstrassCurve
+stores (b2, b4, b6, c4, c6 and the discriminant).  They are integer
+polynomials in the a_i, so this agrees with reducing the a_i at every p that
+divides no coefficient denominator; a p that does is a DenominatorError.
+
 Up to NAIVE_LIMIT (see modpoly for the measured crossover), #E(F_p) is p + 1
 plus a quadratic character sum over the cubic's values at every x in F_p.
 Above it, counting is by annihilator sets (the Shanks-Mestre method; Cohen,
@@ -22,7 +27,8 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import _require_prime, legendre_kronecker, primes_up_to, sqrt_mod
+from .arith import (_require_prime, legendre_kronecker, primes_up_to,
+                    smallest_nonresidue, sqrt_mod)
 from .ecq import WeierstrassCurve
 from .errors import DenominatorError, VerificationError
 from .modpoly import NAIVE_LIMIT, _values_mod
@@ -52,45 +58,30 @@ class LocalData:
             raise ValueError("bad reduction carries no count data")
 
 
-def _reduce_coefficients(E: WeierstrassCurve, p: int) -> tuple[int, ...]:
-    out = []
-    for a in E.coefficients():
-        if a.denominator % p == 0:
-            raise DenominatorError("coefficient denominator divisible by p = %d" % p)
-        out.append(a.numerator * pow(a.denominator, -1, p) % p)
-    return tuple(out)
+def _reduce(E: WeierstrassCurve, p: int) -> tuple[int, ...] | None:
+    """(b2, b4, b6, c4, c6) of E mod an odd prime p, or None when p divides
+    the discriminant."""
+    _require_prime(p)
+    if p == 2:
+        raise ValueError("p = 2 is not supported by the point counter")
+    if any(a.denominator % p == 0 for a in E.coefficients()):
+        raise DenominatorError("coefficient denominator divisible by p = %d" % p)
+    # so p divides no invariant's denominator either
+    if E.discriminant().numerator % p == 0:
+        return None
+    b2, b4, b6, _ = E.b_invariants()
+    return tuple(v.numerator * pow(v.denominator, -1, p) % p
+                 for v in (b2, b4, b6, *E.c_invariants()))
 
 
-def _b_invariants_mod(coeffs: tuple[int, ...], p: int) -> tuple[int, int, int, int]:
-    a1, a2, a3, a4, a6 = coeffs
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % p
-    return b2, b4, b6, b8
-
-
-def _disc_mod(coeffs: tuple[int, ...], p: int) -> int:
-    b2, b4, b6, b8 = _b_invariants_mod(coeffs, p)
-    return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
-
-
-def _naive_count(coeffs: tuple[int, ...], p: int) -> int:
+def _naive_count(inv: tuple[int, ...], p: int) -> int:
     """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p."""
-    b2, b4, b6, _ = _b_invariants_mod(coeffs, p)
+    b2, b4, b6, _, _ = inv
     x = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)
     chi[x * x % p] = 1
     chi[0] = 0
     return p + 1 + int(chi[_values_mod([4, b2, 2 * b4, b6], p)].sum())
-
-
-def _short_weierstrass(coeffs: tuple[int, ...], p: int) -> tuple[int, int]:
-    """(A, B) with y^2 = x^3 + Ax + B isomorphic to the reduction, p >= 5."""
-    b2, b4, b6, _ = _b_invariants_mod(coeffs, p)
-    c4 = (b2 * b2 - 24 * b4) % p
-    c6 = (-b2 ** 3 + 36 * b2 * b4 - 216 * b6) % p
-    return (-27 * c4) % p, (-54 * c6) % p
 
 
 def _ec_add(P, Q, A: int, p: int):
@@ -169,13 +160,15 @@ def _annihilators(P, A: int, p: int) -> set[int]:
     return found
 
 
-def _bsgs_count(coeffs: tuple[int, ...], p: int, seed: int) -> int:
+def _bsgs_count(inv: tuple[int, ...], p: int, seed: int) -> int:
     """Group order by the Shanks-Mestre method: the Hasse-interval values n
     with nP = O for every random point P tried, intersected until one is
     left; the quadratic twist, whose order is 2p + 2 - n, breaks ties."""
     if p < 5:
         raise ValueError("baby-step giant-step counting needs p >= 5")
-    A, B = _short_weierstrass(coeffs, p)
+    _, _, _, c4, c6 = inv
+    # y^2 = x^3 - 27 c4 x - 54 c6 is isomorphic to the reduction for p >= 5
+    A, B = -27 * c4 % p, -54 * c6 % p
     rng = random.Random((seed << 32) ^ p)
     cands = None
     for _ in range(60):
@@ -183,9 +176,7 @@ def _bsgs_count(coeffs: tuple[int, ...], p: int, seed: int) -> int:
         cands = found if cands is None else cands & found
         if len(cands) == 1:
             return cands.pop()
-    c = 2
-    while legendre_kronecker(c, p) != -1:
-        c += 1
+    c = smallest_nonresidue(p)
     At, Bt = A * c * c % p, B * c * c % p * c % p
     for _ in range(60):
         found = _annihilators(_random_point(At, Bt, p, rng), At, p)
@@ -193,34 +184,32 @@ def _bsgs_count(coeffs: tuple[int, ...], p: int, seed: int) -> int:
         if len(cands) == 1:
             return cands.pop()
     if p <= NAIVE_LIMIT:
-        return _naive_count(coeffs, p)
+        return _naive_count(inv, p)
     raise ArithmeticError("group order ambiguous at p = %d" % p)
+
+
+def _count(inv: tuple[int, ...], p: int, method: str, seed: int) -> int:
+    if method == "naive" or (method == "auto" and p <= NAIVE_LIMIT):
+        return _naive_count(inv, p)
+    if method in ("bsgs", "auto"):
+        return _bsgs_count(inv, p, seed)
+    raise ValueError("method must be 'auto', 'naive', or 'bsgs', got %r" % (method,))
 
 
 def count_points(E: WeierstrassCurve, p: int, method: str = "auto", seed: int = 0) -> int:
     """#E(F_p) for an odd prime of good reduction."""
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("p = 2 is not supported by the point counter")
-    coeffs = _reduce_coefficients(E, p)
-    if _disc_mod(coeffs, p) == 0:
+    inv = _reduce(E, p)
+    if inv is None:
         raise ValueError("bad reduction at p = %d" % p)
-    if method == "naive" or (method == "auto" and p <= NAIVE_LIMIT):
-        return _naive_count(coeffs, p)
-    if method in ("bsgs", "auto"):
-        return _bsgs_count(coeffs, p, seed)
-    raise ValueError("method must be 'auto', 'naive', or 'bsgs', got %r" % (method,))
+    return _count(inv, p, method, seed)
 
 
 def reduce_and_count(E: WeierstrassCurve, p: int) -> LocalData:
     """Reduce E mod an odd prime and package count, trace, and flags."""
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("p = 2 is not supported by the point counter")
-    coeffs = _reduce_coefficients(E, p)
-    if _disc_mod(coeffs, p) == 0:
+    inv = _reduce(E, p)
+    if inv is None:
         return LocalData(p, False)
-    n = count_points(E, p)
+    n = _count(inv, p, "auto", 0)
     a_p = p + 1 - n
     return LocalData(p, True, n, a_p, a_p % p == 0)
 

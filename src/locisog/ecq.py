@@ -21,15 +21,24 @@ def _frac(v) -> Fraction:
 
 
 class WeierstrassCurve:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with exact coefficients."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with exact coefficients.
+    The b- and c-invariants and the discriminant are computed once and kept."""
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_b", "_c", "_disc")
 
     def __init__(self, a1, a2, a3, a4, a6):
-        for name, v in zip(self.__slots__, (a1, a2, a3, a4, a6)):
-            object.__setattr__(self, name, _frac(v))
-        if self.discriminant() == 0:
+        a1, a2, a3, a4, a6 = map(_frac, (a1, a2, a3, a4, a6))
+        b2 = a1 * a1 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3 * a3 + 4 * a6
+        b8 = (b2 * b6 - b4 * b4) / 4
+        disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if disc == 0:
             raise ValueError("singular curve: discriminant is zero")
+        c = (b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6)
+        for name, v in zip(self.__slots__,
+                           (a1, a2, a3, a4, a6, (b2, b4, b6, b8), c, disc)):
+            object.__setattr__(self, name, v)
 
     def __setattr__(self, *args):
         raise AttributeError("WeierstrassCurve is immutable")
@@ -38,20 +47,13 @@ class WeierstrassCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def b_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        a1, a2, a3, a4, a6 = self.coefficients()
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = (b2 * b6 - b4 * b4) / 4
-        return b2, b4, b6, b8
+        return self._b
 
     def c_invariants(self) -> tuple[Fraction, Fraction]:
-        b2, b4, b6, _ = self.b_invariants()
-        return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+        return self._c
 
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._disc
 
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.coefficients())

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _require_prime, legendre_kronecker
+from .arith import _require_prime, legendre_kronecker, smallest_nonresidue
 from .errors import VerificationError
 
 
@@ -265,13 +265,6 @@ def action_profile(g: GL2Element) -> ElementActionProfile:
                                 (-1) ** (n - s), sizes)
     prof.validate()
     return prof
-
-
-def smallest_nonresidue(ell: int) -> int:
-    for z in range(2, ell):
-        if legendre_kronecker(z, ell) == -1:
-            return z
-    raise ValueError("no quadratic non-residue mod %d" % ell)
 
 
 def _cartan_theta(kind: str, ell: int, delta: int | None = None) -> GL2Element:

@@ -17,7 +17,7 @@ PUBLIC = {
         "QuadFieldElement.is_square", "QuadFieldElement.is_zero",
         "QuadFieldElement.norm", "TrivialGroupError", "factorize", "gauss_sum_square",
         "is_prime", "is_rational_square", "legendre_kronecker", "primes_up_to",
-        "primitive_root", "rational_sqrt", "sqrt_mod",
+        "primitive_root", "rational_sqrt", "smallest_nonresidue", "sqrt_mod",
     ],
     "gl2": [
         "CartanSpec", "CartanSpec.ell", "CartanSpec.kind", "CartanSpec.masks",
@@ -29,7 +29,7 @@ PUBLIC = {
         "GL2Element.conjugate_by", "GL2Element.det", "GL2Element.entries",
         "GL2Element.from_code", "GL2Element.identity", "GL2Element.inverse",
         "GL2Element.is_scalar", "GL2Element.trace", "action_profile", "cartan",
-        "fixed_point_count", "projective_order", "smallest_nonresidue",
+        "fixed_point_count", "projective_order",
     ],
     "subgroups": [
         "ENUMERABLE", "Subgroup", "Subgroup.codes", "Subgroup.det_image_size",

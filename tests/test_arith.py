@@ -6,7 +6,7 @@ import pytest
 from locisog.arith import (PrimeFieldElement, QuadFieldElement, TrivialGroupError,
                            factorize, gauss_sum_square, is_prime, is_rational_square,
                            legendre_kronecker, primes_up_to, primitive_root,
-                           rational_sqrt, sqrt_mod)
+                           rational_sqrt, smallest_nonresidue, sqrt_mod)
 
 
 def test_is_prime_against_sieve():
@@ -48,6 +48,12 @@ def test_legendre_against_square_table():
             assert legendre_kronecker(a, ell) == want
         a = rng.randrange(1, ell)
         assert legendre_kronecker(a + 7 * ell, ell) == legendre_kronecker(a, ell)
+
+
+def test_smallest_nonresidue():
+    for p in primes_up_to(500)[1:]:
+        want = min(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        assert smallest_nonresidue(p) == want
 
 
 def test_sqrt_mod_random():

@@ -178,3 +178,11 @@ def test_seed_flag_is_rejected(capsys):
               "--seed", "5"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_coefficient_flags_are_rejected(capsys):
+    # --curve a1,a2,a3,a4,a6 is the one way to give a curve
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "local", "--a4", "1", "--ell", "5"])
+    assert exc.value.code == 2
+    assert "--a4" in capsys.readouterr().err

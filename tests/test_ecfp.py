@@ -12,8 +12,10 @@ from locisog.errors import DenominatorError, VerificationError
 
 
 def _dumb_count(E, p):
-    """Walk every (x, y) pair against the full Weierstrass equation."""
-    a1, a2, a3, a4, a6 = (int(c) % p for c in E.coefficients())
+    """Walk every (x, y) pair against the full Weierstrass equation, with
+    each a_i reduced as numerator * denominator^-1 mod p."""
+    a1, a2, a3, a4, a6 = (a.numerator * pow(a.denominator, -1, p) % p
+                          for a in E.coefficients())
     total = 1
     for x in range(p):
         rhs = ((x + a2) * x + a4) * x + a6
@@ -39,6 +41,62 @@ def test_naive_count_against_pair_walk():
             if int(E.discriminant()) % p == 0:
                 continue
             assert count_points(E, p, method="naive") == _dumb_count(E, p)
+
+
+def test_counts_of_rational_curves_against_pair_walk():
+    # the counter reduces the stored rational invariants, not the a_i; at a
+    # prime dividing no denominator the two must agree, and the reduction is
+    # bad exactly when p divides the numerator of the discriminant
+    rng = random.Random(73)
+    curves = [WeierstrassCurve("1/2", "-1/3", "1/4", 1, "1/9"),
+              WeierstrassCurve(0, 0, 0, "-2/7", "5/11")]
+    while len(curves) < 8:
+        coeffs = [Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 7])) for _ in range(5)]
+        try:
+            curves.append(WeierstrassCurve(*coeffs))
+        except ValueError:
+            continue
+    assert sum(E.discriminant().denominator > 1 for E in curves) >= 4
+    bad = 0
+    for E in curves:
+        dens = [a.denominator for a in E.coefficients()]
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            if any(d % p == 0 for d in dens):
+                continue
+            good = E.discriminant().numerator % p != 0
+            data = reduce_and_count(E, p)
+            assert data.good == good, (E, p)
+            if not good:
+                bad += 1
+                with pytest.raises(ValueError, match="bad reduction"):
+                    count_points(E, p)
+                continue
+            want = _dumb_count(E, p)
+            assert data.count == count_points(E, p, method="naive") == want, (E, p)
+            for seed in range(3 if p >= 5 else 0):
+                assert count_points(E, p, method="bsgs", seed=seed) == want, (E, p, seed)
+    assert bad > 0
+
+
+def test_each_count_reduces_once(monkeypatch):
+    calls = []
+    reduce = ecfp._reduce
+
+    def counting(E, p):
+        calls.append(p)
+        return reduce(E, p)
+
+    monkeypatch.setattr(ecfp, "_reduce", counting)
+    for p in (11, 13, 4099, 65537):
+        calls.clear()
+        reduce_and_count(COUNTEREXAMPLE_CURVE, p)
+        assert calls == [p]
+        calls.clear()
+        count_points(COUNTEREXAMPLE_CURVE, p, method="bsgs")
+        assert calls == [p]
+    calls.clear()
+    assert not reduce_and_count(COUNTEREXAMPLE_CURVE, 5).good
+    assert calls == [5]
 
 
 def test_bsgs_matches_naive():

@@ -24,10 +24,16 @@ def _random_curve(rng):
 
 
 def test_invariant_identity():
+    # ecfp reduces these stored values mod p, so they must obey the identities
     rng = random.Random(41)
     for _ in range(200):
         E = _random_curve(rng)
+        a1, a2, a3, a4, a6 = E.coefficients()
+        b2, b4, b6, b8 = E.b_invariants()
+        assert 4 * b8 == b2 * b6 - b4 * b4
+        assert b8 == a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         c4, c6, disc, j = invariants(E)
+        assert (c4, c6) == E.c_invariants()
         assert c4 ** 3 - c6 ** 2 == 1728 * disc
         assert j == c4 ** 3 / disc
 
