@@ -54,8 +54,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# moduli known to be prime, so that _require_prime tests each at most once
+_prime_cache: set[int] = set()
+
+
+def _require_prime(m: int) -> None:
+    if m not in _prime_cache:
+        if not is_prime(m):
+            raise ValueError("modulus %d is not prime" % m)
+        _prime_cache.add(m)
+
+
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve."""
+    """All primes <= n by sieve; the sieve proves them prime, so they join
+    the cache that _require_prime reads."""
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
@@ -63,7 +75,9 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    out = [i for i, flag in enumerate(sieve) if flag]
+    _prime_cache.update(out)
+    return out
 
 
 def factorize(n: int, limit: int = 10 ** 7) -> dict[int, int]:
@@ -94,16 +108,11 @@ def factorize(n: int, limit: int = 10 ** 7) -> dict[int, int]:
     return out
 
 
-def _check_odd_prime(m: int) -> None:
-    # cached: every quadratic character and square root mod p lands here
-    if m == 2 or m not in _prime_cache and not is_prime(m):
-        raise ValueError("modulus %d is not an odd prime" % m)
-    _prime_cache.add(m)
-
-
 def legendre_kronecker(a: int, m: int) -> int:
     """Quadratic character of a mod an odd prime m: 1, -1, or 0 when m | a."""
-    _check_odd_prime(m)
+    if m == 2:
+        raise ValueError("the quadratic character needs an odd prime, got 2")
+    _require_prime(m)
     r = pow(a % m, (m - 1) // 2, m)
     return -1 if r == m - 1 else r
 
@@ -143,16 +152,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-_prime_cache: set[int] = set()
-
-
-def _require_prime(m: int) -> None:
-    if m not in _prime_cache:
-        if not is_prime(m):
-            raise ValueError("modulus %d is not prime" % m)
-        _prime_cache.add(m)
-
-
 class PrimeFieldElement:
     """A value in F_m for prime m: the canonical residue in [0, m) together
     with its validated modulus."""
@@ -182,7 +181,7 @@ def primitive_root(m: int) -> int:
     """Smallest generator of F_m^* for an odd prime m."""
     if m == 2:
         raise TrivialGroupError("F_2^* is trivial and has no generator to pick")
-    _check_odd_prime(m)
+    _require_prime(m)
     qs = list(factorize(m - 1))
     for g in range(2, m):
         if all(pow(g, (m - 1) // q, m) != 1 for q in qs):
@@ -328,7 +327,9 @@ def gauss_sum_square(ell: int) -> float:
     Evaluated at 100 bits of mantissa; the imaginary part of g^2 must vanish
     to within 1e-9 or the computation aborts.
     """
-    _check_odd_prime(ell)
+    if ell == 2:
+        raise ValueError("the Gauss sum identity needs an odd prime, got 2")
+    _require_prime(ell)
     with mpmath.workprec(100):
         g = mpmath.fsum((mpmath.expjpi(mpmath.mpf(2 * (n * n % ell)) / ell)
                          for n in range(ell)), absolute=False)

@@ -110,9 +110,6 @@ class GL2Element:
     def det(self) -> int:
         return (self.a * self.d - self.b * self.c) % self.ell
 
-    def trace(self) -> int:
-        return (self.a + self.d) % self.ell
-
     def is_scalar(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
 

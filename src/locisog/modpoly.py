@@ -6,32 +6,35 @@ Rational roots are lifted p-adically from one prime (Loos, SIAM J. Comput.
 12 (1983); von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
 The integer polynomial f, zero roots stripped, is cut to its squarefree part
 s = f / gcd(f, f') over Z.  A root a/b of s in lowest terms has a | s(0) and
-b | lc(s).  For the smallest odd prime q that does not divide lc(s) and
-keeps s squarefree, every rational root reduces to a simple root of s mod q,
-which Newton's iteration lifts uniquely.  So one prime suffices: each root
-mod q is lifted until q^(2^k) > 2*|s(0)|*lc(s), where rational
-reconstruction is unique, at a cost linear in the number of roots.  Exact
-deflation of f confirms each candidate and gives its multiplicity.
+b | lc(s).  The lifting prime q is the smallest odd prime that does not
+divide lc(s) and at which every zero r of s mod q is simple, s'(r) != 0 mod
+q; both are read off the values of s and s' at every point of F_q.  Every
+rational root then reduces to one of these zeros, from which Newton's
+iteration lifts it uniquely, so one prime suffices, and if s has no zero mod
+q it has no rational root.  Each zero is lifted until q^(2^k) >
+2*|s(0)|*lc(s), where rational reconstruction is unique, at a cost linear in
+the number of roots.  Any q that divides neither lc(s) nor disc(s) keeps s
+squarefree, hence its zeros simple, so q is at most the least such prime.
+Exact deflation of f confirms each candidate and gives its multiplicity.
 
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd, the evaluator _values_mod (f at every point
-of F_q, which counts roots up to NAIVE_LIMIT) and the power kernel _xpow_mod.
-Every power taken here is (X + a)^e mod f, where d = deg f is at most 8 for
-the shipped levels: X^q for the linear part gcd(X^q - X, f), and
-(X + a)^((q-1)/2) for the Cantor-Zassenhaus split.  The kernel packs a
-residue r_0 + r_1 X + ... into one integer with r_i in slot i of S bits
-(Kronecker substitution), so a squaring is a single big-integer product.  The
-d - 1 top coefficients of the product are folded back with a table of
-X^(d+k) mod f, each slot is reduced mod q once per step, and a multiplication
-by X + a is a shift plus one table row.  A product slot holds at most
-d (q-1)^2 and a folded slot at most d (q-1)^2 + (d-1) d (q-1)^3 <= d^2 (q-1)^3,
-so slots of S >= 3 bits(q) + 2 bits(d) + 2 bits, rounded up to whole bytes,
-never carry into each other.  The kernel's arithmetic is on Python integers.
+of F_q: the zeros mod the lifting prime, and root counts up to NAIVE_LIMIT)
+and the power kernel _xpow_mod.  The only power taken is X^p mod f, for the
+linear part gcd(X^p - X, f), where d = deg f is at most 8 for the shipped
+levels.  The kernel packs a residue r_0 + r_1 X + ... into one integer with
+r_i in slot i of S bits (Kronecker substitution), so a squaring is a single
+big-integer product.  The d - 1 top coefficients of the product are folded
+back with a table of X^(d+k) mod f, each slot is reduced mod q once per
+step, and a multiplication by X is a shift plus one table row.  A product
+slot holds at most d (q-1)^2 and a folded slot at most
+d (q-1)^2 + (d-1) d (q-1)^3 <= d^2 (q-1)^3, so slots of
+S >= 3 bits(q) + 2 bits(d) + 2 bits, rounded up to whole bytes, never carry
+into each other.  The kernel's arithmetic is on Python integers.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -39,7 +42,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import PrimeFieldElement, _require_prime, is_prime, is_rational_square
+from .arith import PrimeFieldElement, is_prime, is_rational_square
 from .errors import ModPolyFormatError
 
 SHIPPED_LEVELS = (2, 3, 5, 7)
@@ -156,12 +159,13 @@ def shipped_modpoly(level: int) -> ModularPolynomial:
     return _parse_modpoly(text.splitlines(), "phi%d.txt" % level)
 
 
-def evaluate_at_j(M: ModularPolynomial, j) -> list[Fraction]:
-    """Coefficients of Phi_N(X, j), descending, length N + 2."""
-    j = Fraction(j)
+def _specialize(M: ModularPolynomial, j) -> list:
+    """Coefficients of Phi_N(X, j), descending, length N + 2, in the number
+    type of j."""
     d = M.degree
-    out = [Fraction(0)] * (d + 1)
-    powers = [Fraction(1)]
+    zero = j - j
+    out = [zero] * (d + 1)
+    powers = [zero + 1]
     for _ in range(d):
         powers.append(powers[-1] * j)
     for (i, k), c in M._half.items():
@@ -169,6 +173,11 @@ def evaluate_at_j(M: ModularPolynomial, j) -> list[Fraction]:
         if i != k:
             out[d - k] += c * powers[i]
     return out
+
+
+def evaluate_at_j(M: ModularPolynomial, j) -> list[Fraction]:
+    """Coefficients of Phi_N(X, j), descending, length N + 2."""
+    return _specialize(M, Fraction(j))
 
 
 # -- dense polynomial arithmetic mod a prime (descending coefficients) --
@@ -229,8 +238,8 @@ def _slot_bits(q: int, d: int) -> int:
     return 8 * -(-(3 * q.bit_length() + 2 * d.bit_length() + 2) // 8)
 
 
-def _xpow_mod(a: int, e: int, f: list[int], q: int) -> list[int]:
-    """(X + a)^e mod f over F_q, q prime, descending and trimmed; f has
+def _xpow_mod(e: int, f: list[int], q: int) -> list[int]:
+    """X^e mod f over F_q, q prime, descending and trimmed; f has
     degree at least 1 mod q and need not be monic.  See the module docstring
     for the packed representation."""
     f = _ptrim([c % q for c in f])
@@ -239,9 +248,8 @@ def _xpow_mod(a: int, e: int, f: list[int], q: int) -> list[int]:
         return [1]
     inv = pow(f[0], -1, q)
     x_d = [-c * inv % q for c in reversed(f[1:])]  # X^d mod f, ascending
-    a %= q
     if d == 1:
-        return [pow(a + x_d[0], e, q)]
+        return [pow(x_d[0], e, q)]
     S = _slot_bits(q, d)
     rows = [x_d]  # X^(d+k) mod f for k = 0 .. d-2
     for _ in range(d - 2):
@@ -265,7 +273,7 @@ def _xpow_mod(a: int, e: int, f: list[int], q: int) -> list[int]:
             r = (r << S) | ((acc >> s) & slot_mask) % q
         return r
 
-    r = (1 << S) | a  # X + a, already reduced since d >= 2
+    r = 1 << S  # X, already reduced since d >= 2
     for bit in bin(e)[3:]:
         P = r * r
         acc = P & low_mask
@@ -273,36 +281,9 @@ def _xpow_mod(a: int, e: int, f: list[int], q: int) -> list[int]:
             acc += ((P >> s) & slot_mask) * row
         r = reduce_slots(acc)
         if bit == "1":
-            P = (r << S) + a * r
+            P = r << S
             r = reduce_slots((P & low_mask) + (P >> low_bits) * table[0])
     return _ptrim([(r >> s) & slot_mask for s in down_shifts])
-
-
-def _roots_mod(ints: list[int], q: int, rng: random.Random) -> list[int]:
-    """Distinct roots of an integer polynomial mod q, by splitting the
-    squarefree linear part gcd(x^q - x, f) with random quadratic characters."""
-    f = _ptrim([c % q for c in ints])
-    if len(f) == 1:
-        return []
-    roots = []
-    stack = [_root_part(f, q)]
-    while stack:
-        h = _ptrim(stack.pop())
-        if len(h) <= 1:
-            continue
-        if len(h) == 2:
-            roots.append(-h[1] * pow(h[0], -1, q) % q)
-            continue
-        while True:
-            a = rng.randrange(q)
-            t = _xpow_mod(a, (q - 1) // 2, h, q)
-            t[-1] = (t[-1] - 1) % q
-            d = _pgcd(t, h, q)
-            if 1 < len(d) < len(h):
-                stack.append(d)
-                stack.append(_pdivmod(h, d, q)[0])
-                break
-    return sorted(roots)
 
 
 def _rational_reconstruct(c: int, m: int, num_bound: int, den_bound: int):
@@ -371,13 +352,18 @@ def rational_linear_factors(coeffs) -> tuple[Fraction, ...]:
         return tuple(found)
     # f = gcd(f, f') s, and the pseudo-quotient is a multiple of s
     s = _primitive(_pseudo_divmod(ints, _zgcd(ints, _derivative(ints)))[0])
+    ds = _derivative(s)
     q = 3
-    while s[0] % q == 0 or _pgcd([c % q for c in s], [c % q for c in _derivative(s)], q) != [1]:
+    while True:  # the lifting prime: lc(s) a unit and every zero of s simple
+        if s[0] % q:
+            zeros = np.flatnonzero(_values_mod(s, q) == 0)
+            if _values_mod(ds, q)[zeros].all():
+                break
         q += 2
         while not is_prime(q):
             q += 2
     work = ints
-    for r in _roots_mod(s, q, random.Random(0)):
+    for r in zeros.tolist():
         m = q
         while m <= 2 * abs(s[-1]) * s[0]:
             m *= m
@@ -397,26 +383,16 @@ def rational_linear_factors(coeffs) -> tuple[Fraction, ...]:
 
 def _specialize_mod(M: ModularPolynomial, j: PrimeFieldElement) -> list[int]:
     p = j.modulus
-    _require_prime(p)
     if M.level % p == 0:
         raise ValueError("p = %d divides the level %d" % (p, M.level))
-    d = M.degree
-    f = [0] * (d + 1)
-    jp = [1]
-    for _ in range(d):
-        jp.append(jp[-1] * j.value % p)
-    for (i, k), c in M._half.items():
-        f[d - i] = (f[d - i] + c * jp[k]) % p
-        if i != k:
-            f[d - k] = (f[d - k] + c * jp[i]) % p
-    return f
+    return [c % p for c in _specialize(M, j.value)]
 
 
 def _root_part(f: list[int], p: int, xp: list[int] | None = None) -> list[int]:
     """gcd(X^p - X, f): the squarefree product of the linear factors of f.
     xp is X^p mod f when the caller already has it."""
     if xp is None:
-        xp = _xpow_mod(0, p, f, p)
+        xp = _xpow_mod(p, f, p)
     g = list(xp)
     while len(g) < 2:
         g = [0] + g
@@ -444,7 +420,7 @@ def fp_linear_factor_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
     layer is the current X^p reduced mod it."""
     f = _specialize_mod(M, j)
     p = j.modulus
-    xp = _xpow_mod(0, p, f, p)
+    xp = _xpow_mod(p, f, p)
     total = 0
     while len(f) > 1:
         g = _root_part(f, p, xp)

@@ -28,7 +28,7 @@ PUBLIC = {
         "ElementActionProfile.validate", "GL2Element", "GL2Element.code",
         "GL2Element.conjugate_by", "GL2Element.det", "GL2Element.entries",
         "GL2Element.from_code", "GL2Element.identity", "GL2Element.inverse",
-        "GL2Element.is_scalar", "GL2Element.trace", "action_profile", "cartan",
+        "GL2Element.is_scalar", "action_profile", "cartan",
         "fixed_point_count", "projective_order",
     ],
     "subgroups": [

@@ -148,33 +148,48 @@ def test_rational_linear_factors_large_roots():
         assert len(found) == len(set(found)) == 3, lam
 
 
+def _recording_reconstruct(monkeypatch):
+    """Patch _rational_reconstruct to record the modulus of every call."""
+    moduli = []
+    reconstruct = modpoly._rational_reconstruct
+
+    def recording(c, m, num_bound, den_bound):
+        moduli.append(m)
+        return reconstruct(c, m, num_bound, den_bound)
+
+    monkeypatch.setattr(modpoly, "_rational_reconstruct", recording)
+    return moduli
+
+
 def test_rational_linear_factors_lifts_from_one_prime(monkeypatch):
-    """One prime, one lift per root mod that prime: the roots mod q are
-    found once per call and each is reconstructed once, so the work is
-    linear in the number of roots."""
-    calls = {"roots": 0, "reconstruct": 0}
-    roots_mod, reconstruct = modpoly._roots_mod, modpoly._rational_reconstruct
-
-    def counting_roots(*args):
-        calls["roots"] += 1
-        return roots_mod(*args)
-
-    def counting_reconstruct(*args):
-        calls["reconstruct"] += 1
-        return reconstruct(*args)
-
-    monkeypatch.setattr(modpoly, "_roots_mod", counting_roots)
-    monkeypatch.setattr(modpoly, "_rational_reconstruct", counting_reconstruct)
+    """One lifting prime, one lift per zero mod that prime: every
+    reconstruction of a call works modulo the same prime power, and there
+    are at most deg f of them, so the work is linear in the number of roots."""
+    moduli = _recording_reconstruct(monkeypatch)
     rng = random.Random(7)
     cases = [evaluate_at_j(shipped_modpoly(7), J_TARGET)]
     cases += [evaluate_at_j(shipped_modpoly(2), _legendre_j(lam)) for lam in LEGENDRE_LAMBDAS]
     cases.append(_from_roots([Fraction(k * 10 ** 40 + 1, 3 ** k) for k in range(1, 7)]))
     cases += [_planted(rng)[0] for _ in range(20)]
     for coeffs in cases:
-        calls.update(roots=0, reconstruct=0)
+        moduli.clear()
         rational_linear_factors(coeffs)
-        assert calls["roots"] == 1
-        assert calls["reconstruct"] <= len(coeffs) - 1
+        assert len(set(moduli)) <= 1
+        assert len(moduli) <= len(coeffs) - 1
+
+
+def test_lifting_prime_needs_simple_zeros(monkeypatch):
+    """(X - 1)(X - 106)(11 X^2 + 1): the roots 1 and 106 meet mod 3, 5 and 7
+    (106 - 1 = 3 * 5 * 7), where the zero they share is double and Newton's
+    step would divide by s'(1) = 0, and 11 divides the leading coefficient.
+    So the lift runs from 13, where the zeros of s are simple."""
+    moduli = _recording_reconstruct(monkeypatch)
+    assert rational_linear_factors([11, -1177, 1167, -107, 106]) == (1, 106)
+    assert moduli
+    for m in moduli:  # each a power of 13
+        while m % 13 == 0:
+            m //= 13
+        assert m == 1
 
 
 def test_rational_linear_factors_edge_cases():
@@ -245,6 +260,26 @@ def test_fp_counts_match_brute_force():
             assert mult >= distinct
 
 
+def test_specialize_mod_reduces_evaluate_at_j():
+    # the F_p specialization is Phi_N(X, j) over Q reduced mod p, at primes
+    # to 500 and the first three above NAIVE_LIMIT
+    rng = random.Random(2025)
+    js = [Fraction(0), Fraction(1728), J_TARGET] + [_seeded_j(rng, 1000) for _ in range(4)]
+    above = [p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p)][:3]
+    for ell in SHIPPED_LEVELS:
+        M = shipped_modpoly(ell)
+        for j in js:
+            coeffs = evaluate_at_j(M, j)
+            for p in [p for p in range(2, 500) if is_prime(p)] + above:
+                if ell % p == 0 or j.denominator % p == 0:
+                    continue
+                jp = PrimeFieldElement(j.numerator * pow(j.denominator, -1, p), p)
+                want = [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
+                assert _specialize_mod(M, jp) == want, (ell, j, p)
+    with pytest.raises(ValueError, match="divides the level"):
+        _specialize_mod(shipped_modpoly(7), PrimeFieldElement(1, 7))
+
+
 def test_values_and_root_part_agree_at_small_p():
     # the two ways of counting distinct F_p-roots, at every j, including
     # deg f > p (p = 3 at level 7)
@@ -259,8 +294,8 @@ def test_values_and_root_part_agree_at_small_p():
                 assert zeros == len(_root_part(f, p)) - 1, (p, N, j)
 
 
-def _reference_xpow(a, e, f, q):
-    """(X + a)^e mod f over F_q by schoolbook square-and-multiply."""
+def _reference_xpow(e, f, q):
+    """X^e mod f over F_q by schoolbook square-and-multiply."""
     def mulmod(u, v):
         w = [0] * (len(u) + len(v) - 1)
         for i, x in enumerate(u):
@@ -271,7 +306,7 @@ def _reference_xpow(a, e, f, q):
             w = [(x - c * y) % q for x, y in zip(w[1:], f[1:] + [0] * len(w))]
         return w
 
-    result, base = [1], [1, a % q]
+    result, base = [1], [1, 0]
     while e:
         if e & 1:
             result = mulmod(result, base)
@@ -293,9 +328,8 @@ def test_xpow_mod_matches_schoolbook(q):
     for d in range(1, 9):
         for _ in range(3):
             f = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(d)]
-            for a in (0, rng.randrange(q)):
-                for e in (0, 1, 2, q, (q - 1) // 2, rng.randrange(3, 1 << 20)):
-                    assert _xpow_mod(a, e, f, q) == _reference_xpow(a, e, f, q), (q, f, a, e)
+            for e in (0, 1, 2, q, (q - 1) // 2, rng.randrange(3, 1 << 20)):
+                assert _xpow_mod(e, f, q) == _reference_xpow(e, f, q), (q, f, e)
 
 
 @pytest.mark.parametrize("q", KERNEL_MODULI)
@@ -306,10 +340,9 @@ def test_xpow_mod_slot_worst_case(q):
     for d in range(1, 9):
         assert _slot_bits(q, d) >= 3 * q.bit_length() + 2 * d.bit_length() + 2
         f = [q - 1] * (d + 1)
-        assert _xpow_mod(0, d, f, q) == [q - 1] * d
-        for a in (0, q - 1):
-            for e in (2 * d, 2 * d + 1, 4 * d, q, (q - 1) // 2):
-                assert _xpow_mod(a, e, f, q) == _reference_xpow(a, e, f, q), (q, d, a, e)
+        assert _xpow_mod(d, f, q) == [q - 1] * d
+        for e in (2 * d, 2 * d + 1, 4 * d, q, (q - 1) // 2):
+            assert _xpow_mod(e, f, q) == _reference_xpow(e, f, q), (q, d, e)
 
 
 def test_collision_primes_are_pinned():
