@@ -20,10 +20,16 @@ Exact deflation of f confirms each candidate and gives its multiplicity.
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd, the evaluator _values_mod (f at every point
 of F_q: the zeros mod the lifting prime, and root counts up to NAIVE_LIMIT)
-and the power kernel _xpow_mod.  The only power taken is X^p mod f, for the
-linear part gcd(X^p - X, f), where d = deg f is at most 8 for the shipped
-levels.  The kernel packs a residue r_0 + r_1 X + ... into one integer with
-r_i in slot i of S bits (Kronecker substitution), so a squaring is a single
+and the power kernel _xpow_mod.  The count of F_p-roots of f = Phi_N(X, j)
+with multiplicity, and above NAIVE_LIMIT the distinct count too, read one
+record per prime, _root_layers.  Its first layer
+L_1 = gcd(X^p - X, f) is the product of X - r over the distinct roots; with
+f_0 = f and f_k = f_(k-1) / L_k, each later layer L_(k+1) = gcd(L_k, f_k)
+keeps the roots of multiplicity above k, even a multiplicity above p.  So
+X^p mod f, where d = deg f is at most 8 for the shipped levels, is the only
+power taken, once per prime.
+The kernel packs a residue r_0 + r_1 X + ... into one integer with r_i in
+slot i of S bits (Kronecker substitution), so a squaring is a single
 big-integer product.  The d - 1 top coefficients of the product are folded
 back with a table of X^(d+k) mod f, each slot is reduced mod q once per
 step, and a multiplication by X is a shift plus one table row.  A product
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from math import gcd, lcm
 
@@ -388,26 +395,41 @@ def _specialize_mod(M: ModularPolynomial, j: PrimeFieldElement) -> list[int]:
     return [c % p for c in _specialize(M, j.value)]
 
 
-def _root_part(f: list[int], p: int, xp: list[int] | None = None) -> list[int]:
-    """gcd(X^p - X, f): the squarefree product of the linear factors of f.
-    xp is X^p mod f when the caller already has it."""
-    if xp is None:
-        xp = _xpow_mod(p, f, p)
-    g = list(xp)
+def _root_part(f: list[int], p: int) -> list[int]:
+    """gcd(X^p - X, f): the squarefree product of the linear factors of f."""
+    g = _xpow_mod(p, f, p)
     while len(g) < 2:
         g = [0] + g
     g[-2] = (g[-2] - 1) % p
     return _pgcd(g, f, p)
 
 
-def fp_root_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
-    """Number of distinct roots of Phi_N(X, j) in F_p: the zeros among its
-    values at every x up to NAIVE_LIMIT, deg gcd(X^p - X, f) above it."""
+@lru_cache(maxsize=1)
+def _root_layers(M: ModularPolynomial, j: PrimeFieldElement) -> tuple[int, int]:
+    """(distinct, with multiplicity) F_p-roots of Phi_N(X, j) from one X^p:
+    the degree of the first root layer, and the sum of the degrees of all
+    layers (module docstring).  The one entry, keyed on M and on j with its
+    modulus, serves both public counts asked at one prime."""
     f = _specialize_mod(M, j)
     p = j.modulus
+    g = _root_part(f, p)
+    distinct = total = len(g) - 1
+    while len(g) > 1:
+        f = _pdivmod(f, g, p)[0]
+        g = _pgcd(g, f, p)
+        total += len(g) - 1
+    return distinct, total
+
+
+def fp_root_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
+    """Number of distinct roots of Phi_N(X, j) in F_p: the zeros among its
+    values at every x up to NAIVE_LIMIT, above it the degree of the first
+    layer gcd(X^p - X, f) of the record it shares with
+    fp_linear_factor_count."""
+    p = j.modulus
     if p <= NAIVE_LIMIT:
-        return p - int(np.count_nonzero(_values_mod(f, p)))
-    return len(_root_part(f, p)) - 1
+        return p - int(np.count_nonzero(_values_mod(_specialize_mod(M, j), p)))
+    return _root_layers(M, j)[0]
 
 
 def fp_linear_factor_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
@@ -415,21 +437,9 @@ def fp_linear_factor_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
 
     Distinct roots undercount when isogenous j-invariants collide mod p
     (the specialization can even degenerate to X^(N+1) at supersingular
-    primes), so repeated root layers are stripped and summed.  X^p is
-    computed once: each layer divides the one before, so X^p mod the next
-    layer is the current X^p reduced mod it."""
-    f = _specialize_mod(M, j)
-    p = j.modulus
-    xp = _xpow_mod(p, f, p)
-    total = 0
-    while len(f) > 1:
-        g = _root_part(f, p, xp)
-        if len(g) == 1:
-            break
-        total += len(g) - 1
-        f = _pdivmod(f, g, p)[0]
-        xp = _pdivmod(xp, f, p)[1]
-    return total
+    primes), so the root layers of the record shared with fp_root_count
+    are summed, from one X^p at every p."""
+    return _root_layers(M, j)[1]
 
 
 # -- factorization certificates --

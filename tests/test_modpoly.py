@@ -1,15 +1,14 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from locisog import modpoly
 from locisog.arith import PrimeFieldElement, is_prime
 from locisog.errors import ModPolyFormatError
 from locisog.modpoly import (NAIVE_LIMIT, SHIPPED_LEVELS, FactorizationCertificate,
-                             ModularPolynomial, _disc_shape, _root_part, _slot_bits,
-                             _specialize_mod, _values_mod, _xpow_mod, evaluate_at_j,
+                             ModularPolynomial, _disc_shape, _slot_bits,
+                             _specialize_mod, _xpow_mod, evaluate_at_j,
                              fp_linear_factor_count, fp_root_count, load_factors,
                              load_modpoly, rational_linear_factors,
                              shipped_certificate_factors, shipped_modpoly,
@@ -281,17 +280,72 @@ def test_specialize_mod_reduces_evaluate_at_j():
 
 
 def test_values_and_root_part_agree_at_small_p():
-    # the two ways of counting distinct F_p-roots, at every j, including
-    # deg f > p (p = 3 at level 7)
-    for p in (3, 5, 7, 11, 13):
-        for N in SHIPPED_LEVELS:
-            if N % p == 0:
-                continue
-            M = shipped_modpoly(N)
+    # the value-table distinct count and the public count with multiplicity
+    # equal the X^p root-layer pair at every j of every odd prime below 200,
+    # including deg f > p (p = 3, 5 at level 7); the layer routine is called
+    # unmemoized
+    layers = modpoly._root_layers.__wrapped__
+    for N in SHIPPED_LEVELS:
+        M = shipped_modpoly(N)
+        for p in [p for p in range(3, 200) if is_prime(p) and N % p]:
             for j in range(p):
-                f = _specialize_mod(M, PrimeFieldElement(j, p))
-                zeros = p - int(np.count_nonzero(_values_mod(f, p)))
-                assert zeros == len(_root_part(f, p)) - 1, (p, N, j)
+                jp = PrimeFieldElement(j, p)
+                pair = (fp_root_count(M, jp), fp_linear_factor_count(M, jp))
+                assert pair == layers(M, jp), (p, N, j)
+    # j = 0 is the only supersingular j at 3 and 5, so Phi_7(X, 0) = X^8 there:
+    # one root of multiplicity 8 > p
+    M = shipped_modpoly(7)
+    for p in (3, 5):
+        jp = PrimeFieldElement(0, p)
+        assert (fp_root_count(M, jp), fp_linear_factor_count(M, jp)) == (1, 8)
+        assert layers(M, jp) == (1, 8)
+
+
+def _first_primes_above_naive_limit(k):
+    return [p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p)][:k]
+
+
+def test_one_power_per_prime(monkeypatch):
+    # both counts at one prime share one X^p above NAIVE_LIMIT, in either
+    # order
+    calls = []
+    xpow = modpoly._xpow_mod
+
+    def counting(e, f, q):
+        calls.append(q)
+        return xpow(e, f, q)
+
+    monkeypatch.setattr(modpoly, "_xpow_mod", counting)
+    M = shipped_modpoly(7)
+    for p in _first_primes_above_naive_limit(3):
+        jp = PrimeFieldElement(J_TARGET.numerator * pow(J_TARGET.denominator, -1, p), p)
+        for first, second in ((fp_linear_factor_count, fp_root_count),
+                              (fp_root_count, fp_linear_factor_count)):
+            modpoly._root_layers.cache_clear()
+            calls.clear()
+            first(M, jp)
+            second(M, jp)
+            assert calls == [p], (p, first.__name__)
+
+
+def test_root_layer_memo_key():
+    # interleaved levels, j values and primes each get their own record: a
+    # memo keyed on j.value alone, or without the level, answers wrongly
+    p, p2 = _first_primes_above_naive_limit(2)
+    Ms = {N: shipped_modpoly(N) for N in (2, 7)}
+    js = [PrimeFieldElement(J_TARGET.numerator * pow(J_TARGET.denominator, -1, p), p),
+          PrimeFieldElement(1728, p)]
+    plan = [(N, j) for j in js for N in (7, 2)] + [(7, js[0]), (2, js[1]), (2, js[0])]
+    plan += [(7, js[0]), (7, PrimeFieldElement(js[0].value, p2)),
+             (2, PrimeFieldElement(js[1].value, p2)), (2, js[1])]
+    counts = set()
+    for N, j in plan:
+        want = _brute_counts(_specialize_mod(Ms[N], j), j.modulus)
+        counts.add(want)
+        assert fp_root_count(Ms[N], j) == want[0], (N, j)
+        assert fp_linear_factor_count(Ms[N], j) == want[1], (N, j)
+        assert (fp_linear_factor_count(Ms[N], j), fp_root_count(Ms[N], j)) == want[::-1]
+    assert len(counts) > 1
 
 
 def _reference_xpow(e, f, q):
