@@ -9,6 +9,7 @@ from locisog.ecfp import (LocalData, ScanReport, count_points, local_isogeny_adm
                           local_scan, reduce_and_count)
 from locisog.ecq import COUNTEREXAMPLE_CURVE, WeierstrassCurve
 from locisog.errors import DenominatorError, VerificationError
+from locisog.modpoly import NAIVE_LIMIT
 
 
 def _dumb_count(E, p):
@@ -126,6 +127,140 @@ def test_bsgs_needs_no_factorization(monkeypatch):
         want = count_points(COUNTEREXAMPLE_CURVE, p, method="naive")
         for seed in range(3):
             assert count_points(COUNTEREXAMPLE_CURVE, p, method="bsgs", seed=seed) == want
+
+
+def test_batched_scan_counts_match_naive():
+    E = COUNTEREXAMPLE_CURVE
+    above = [e for e in local_scan(E, 7, 20000).entries
+             if e.p > NAIVE_LIMIT and e.status in ("admitted", "rejected")]
+    assert len(above) > 1500
+    for e in above:
+        assert e.a_p == e.p + 1 - ecfp._naive_count(ecfp._reduce(E, e.p), e.p), e.p
+
+
+def test_one_batch_over_many_curves_matches_naive():
+    # j = 0 and j = 1728 at every small prime, where non-cyclic groups and
+    # points of small order are common, mixed with two other curves in one call
+    rng = random.Random(79)
+    curves = [WeierstrassCurve(0, 0, 0, 0, 1), WeierstrassCurve(0, 0, 0, 1, 0),
+              _random_integral_curve(rng), _random_integral_curve(rng)]
+    ps, a, b, want = [], [], [], []
+    for E in curves:
+        for p in primes_up_to(1500):
+            inv = ecfp._reduce(E, p) if p >= 5 else None
+            if inv is None:
+                continue
+            ps.append(p)
+            for v, new in zip((a, b), ecfp._short(inv, p)):
+                v.append(new)
+            want.append(ecfp._naive_count(inv, p))
+    for seed in range(3):
+        assert ecfp._bsgs_counts(ps, a, b, seed) == want, seed
+
+
+def _affine_add(P, Q, a, p):
+    """P + Q on y^2 = x^3 + a x + b, with None for O."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+@pytest.mark.parametrize("p", [11, 13, 101])
+def test_x_only_kernels_match_affine_multiples(p):
+    # y^2 = x^3 + x has the 2-torsion point (0, 0); y^2 = x^3 + 1 has the
+    # points (0, +-1) of order 3 and the 2-torsion point (-1, 0); y^2 = x^3 - x
+    # has full 2-torsion.  Inputs are scaled by a random unit, and O is (1 : 0).
+    rng = random.Random(p)
+
+    def proj(Q):
+        u = rng.randrange(1, p)
+        return (u, 0) if Q is None else (Q[0] * u % p, u)
+
+    def same(XZ, Q):
+        X, Z = XZ[0] % p, XZ[1] % p
+        if Q is None:
+            return Z == 0 and X != 0
+        return Z != 0 and X == Q[0] * Z % p
+
+    seen = set()
+    for a, b in [(1, 0), (0, 1), (-1, 0), (3, 5)]:
+        a, b = a % p, b % p
+        points = [(x, y) for x in range(p) for y in range(p)
+                  if (y * y - x ** 3 - a * x - b) % p == 0]
+        seen |= {"x = 0" for x, _ in points if x == 0} | {"2-torsion" for _, y in points if y == 0}
+        for P in points:
+            mult = [None, P]
+            while mult[-1] is not None:
+                mult.append(_affine_add(mult[-1], P, a, p))
+            order = len(mult) - 1
+            mult = [mult[k % order] for k in range(2 * order + 2)]
+            for k in range(2 * order + 1):
+                assert same(ecfp._xdbl(*proj(mult[k]), p, a, b), mult[2 * k % order]), (P, k)
+                X0, Z0, X1, Z1 = ecfp._ladder(P[0], k, p, a, b)
+                assert same((X0, Z0), mult[k]) and same((X1, Z1), mult[k + 1]), (P, k)
+                # kP = iP + (k - i)P with difference (2i - k)P != O
+                splits = range(k + 1) if p < 100 else {1, k // 2}
+                for i in splits:
+                    if (2 * i - k) % order and i <= k:
+                        got = ecfp._xadd(*proj(mult[i]), *proj(mult[k - i]),
+                                         *proj(mult[(2 * i - k) % order]), p, a, b)
+                        assert same(got, mult[k]), (P, k, i)
+    assert seen == {"x = 0", "2-torsion"}
+
+
+def test_bsgs_counts_past_int64_products():
+    # y^2 = x^3 + x is supersingular at p = 3 mod 4, so #E = p + 1; above
+    # 2^31 a product of two residues no longer fits in int64, and at 2^40
+    # not even the square of one residue does
+    E = WeierstrassCurve(0, 0, 0, 1, 0)
+    for p in (2 ** 31 + 11, 2 ** 40 + 15):
+        assert is_prime(p) and p % 4 == 3
+        assert count_points(E, p, method="bsgs") == p + 1
+    # a batch wider than the row-by-row cutoff runs on object arrays
+    ps = [q for q in range(2 ** 31 + 11, 2 ** 31 + 400, 4) if is_prime(q)][:ecfp._FEW + 1]
+    assert len(ps) == ecfp._FEW + 1
+    assert ecfp._bsgs_counts(ps, [1] * len(ps), [0] * len(ps)) == [q + 1 for q in ps]
+
+
+def test_local_scan_counts_in_one_batch(monkeypatch):
+    E, bound = COUNTEREXAMPLE_CURVE, 10 ** 4
+    rebuilt = []
+    for p in primes_up_to(bound):
+        if p in (2, 7):
+            continue
+        data = reduce_and_count(E, p)
+        if not data.good:
+            rebuilt.append((p, "bad_reduction", None))
+        else:
+            verdict = "admitted" if local_isogeny_admitted(data, 7) else "rejected"
+            rebuilt.append((p, verdict, data.a_p))
+
+    batches, reduced = [], []
+    batch, reduce = ecfp._bsgs_counts, ecfp._reduce
+
+    def counting_batch(ps, a, b, seed=0):
+        batches.append(list(ps))
+        return batch(ps, a, b, seed)
+
+    def counting_reduce(E, p):
+        reduced.append(p)
+        return reduce(E, p)
+
+    monkeypatch.setattr(ecfp, "_bsgs_counts", counting_batch)
+    monkeypatch.setattr(ecfp, "_reduce", counting_reduce)
+    report = local_scan(E, 7, bound)
+    assert batches == [[p for p, status, _ in rebuilt
+                        if p > NAIVE_LIMIT and status != "bad_reduction"]]
+    assert reduced == [p for p, _, _ in rebuilt]
+    assert [(e.p, e.status, e.a_p) for e in report.entries if e.status != "skipped"] == rebuilt
 
 
 def test_counts_respect_hasse():
