@@ -68,6 +68,12 @@ CM_CHECKS = [
 ]
 
 
+def check(ok, message):
+    """Fail the run unless ok; a plain assert would vanish under python -O."""
+    if not ok:
+        raise RuntimeError(message)
+
+
 # ---------------------------------------------------------------------------
 # Laurent series as {exponent: coefficient} dicts, truncated above `hi`.
 
@@ -150,12 +156,14 @@ def j_series(prec):
 def compute_phi(N):
     hi_e = N + 4                    # precision carried through Newton's identities
     prec_j = N * hi_e + N + 2
-    j = j_series(prec_j)
+    top = prec_j + N + 2
+    j = j_series(top)
 
-    # powers j^m for m = 1..N+1 (q-exponents -m .. prec_j - stuff; trim generously)
+    # powers j^m for m = 1..N+1: j starts at q^-1, so j^m is exact only
+    # through q^(top + 1 - m), and the power sums read j^N up to q^(N*hi_e)
     jpow = [None, dict(j)]
     for m in range(2, N + 2):
-        jpow.append(ser_mul(jpow[-1], j, prec_j - N))
+        jpow.append(ser_mul(jpow[-1], j, top + 1 - m))
 
     # power sums of the N small conjugates: p_m = N * sum_{N|n} c^(m)_n q^(n/N)
     psums = [None]
@@ -176,7 +184,7 @@ def compute_phi(N):
         esym.append(ser_trim(acc, hi_e))
     for s in esym:
         for e, c in s.items():
-            assert Fraction(c).denominator == 1, "Newton identities left a denominator"
+            check(Fraction(c).denominator == 1, "Newton identities left a denominator")
     esym = [{e: int(c) for e, c in s.items()} for s in esym]
 
     # big conjugate j(q^N), then X-coefficients of (X - jbig) * prod(X - small_k)
@@ -204,29 +212,29 @@ def compute_phi(N):
                 coeffs[(i, d)] = a
                 base = {0: a} if d == 0 else ser_scale(jpow[d], a)
                 s = ser_add(s, ser_scale(ser_trim(base, hi_chk), -1))
-        assert not any(s.values()), f"nonzero residual for X^{i}: {s}"
+        check(not any(s.values()), f"nonzero residual for X^{i}: {s}")
 
     # checks ------------------------------------------------------------
     full = {}
     for (i, d), c in coeffs.items():
         full[(i, d)] = c
     for (i, d), c in list(full.items()):
-        assert full.get((d, i)) == c, f"asymmetric at {(i, d)}"
-    assert full[(N + 1, 0)] == 1, "not monic"
-    assert max(i for i, _ in full) == N + 1
+        check(full.get((d, i)) == c, f"asymmetric at {(i, d)}")
+    check(full[(N + 1, 0)] == 1, "not monic")
+    check(max(i for i, _ in full) == N + 1, "wrong degree in X")
 
     # Kronecker congruence
     kron = {(N + 1, 0): 1, (N, N): -1, (1, 1): -1, (0, N + 1): 1}
     seen = set()
     for (i, d), c in full.items():
-        assert c % N == kron.get((i, d), 0) % N, f"Kronecker fails at {(i, d)}"
+        check(c % N == kron.get((i, d), 0) % N, f"Kronecker fails at {(i, d)}")
         seen.add((i, d))
     for key, c in kron.items():
-        assert key in seen or c % N == 0
+        check(key in seen or c % N == 0, f"Kronecker term {key} missing")
 
     if N == 2:
         half = {k: v for k, v in full.items() if k[0] >= k[1]}
-        assert half == PHI2_KNOWN, "Phi_2 disagrees with the published table"
+        check(half == PHI2_KNOWN, "Phi_2 disagrees with the published table")
 
     def phi_eval(x, y):
         return sum(c * x ** i * y ** d for (i, d), c in full.items())
@@ -235,19 +243,20 @@ def compute_phi(N):
         if lev != N:
             continue
         v = phi_eval(j1, j2)
-        assert (v == 0) == expect, f"CM check ({lev}, {j1}, {j2}) -> {v}"
+        check((v == 0) == expect, f"CM check ({lev}, {j1}, {j2}) -> {v}")
 
     # numeric: Phi_N(j(N*tau), j(tau)) ~ 0 for generic tau
-    mpmath.mp.dps = 220
-    jc = sorted(j_series(150).items())
-    for tau in (mpmath.mpc(0.31, 1.27), mpmath.mpc(-0.123, 1.618)):
-        qq = mpmath.exp(2j * mpmath.pi * tau)
-        jt = sum(c * qq ** e for e, c in jc)
-        qN = mpmath.exp(2j * mpmath.pi * (N * tau))
-        jNt = sum(c * qN ** e for e, c in jc)
-        val = sum(c * jNt ** i * jt ** d for (i, d), c in full.items())
-        scale = max(abs(c) * abs(jNt) ** i * abs(jt) ** d for (i, d), c in full.items())
-        assert abs(val) / scale < mpmath.mpf(10) ** -60, f"numeric check N={N}: {abs(val)/scale}"
+    with mpmath.workdps(220):  # leaves the caller's mpmath precision alone
+        jc = sorted(j_series(150).items())
+        for tau in (mpmath.mpc(0.31, 1.27), mpmath.mpc(-0.123, 1.618)):
+            qq = mpmath.exp(2j * mpmath.pi * tau)
+            jt = sum(c * qq ** e for e, c in jc)
+            qN = mpmath.exp(2j * mpmath.pi * (N * tau))
+            jNt = sum(c * qN ** e for e, c in jc)
+            val = sum(c * jNt ** i * jt ** d for (i, d), c in full.items())
+            scale = max(abs(c) * abs(jNt) ** i * abs(jt) ** d for (i, d), c in full.items())
+            check(abs(val) / scale < mpmath.mpf(10) ** -60,
+                  f"numeric check N={N}: {abs(val) / scale}")
 
     return {k: v for k, v in full.items() if k[0] >= k[1]}
 

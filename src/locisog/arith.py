@@ -13,7 +13,8 @@ from math import isqrt
 
 import mpmath
 
-# deterministic Miller-Rabin witnesses for n < 2^64 (Sinclair / Jaeschke)
+# Miller-Rabin to these 12 bases is deterministic for n < 3.18 * 10^23 (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017))
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -22,18 +23,15 @@ class TrivialGroupError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: trial division below 2^32, Miller-Rabin below 2^64."""
+    """Deterministic primality below 2^64: trial division by the 12 witness
+    primes decides every n < 41^2 = 1681, and Miller-Rabin to the same
+    bases decides the rest; larger n that no witness divides raise ValueError."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n < 1 << 32:
-        f = 41
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
+    if n < 41 * 41:
         return True
     if n >= 1 << 64:
         raise ValueError("primality test is deterministic only below 2^64, got %d" % n)
@@ -123,33 +121,6 @@ def smallest_nonresidue(p: int) -> int:
     while legendre_kronecker(z, p) != -1:
         z += 1
     return z
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo prime p, or None when a is a non-residue."""
-    a %= p
-    if p == 2 or a == 0:
-        return a % p
-    if legendre_kronecker(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = smallest_nonresidue(p)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 class PrimeFieldElement:

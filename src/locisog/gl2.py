@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _require_prime, legendre_kronecker, smallest_nonresidue
+from .arith import _require_prime, smallest_nonresidue
 from .errors import VerificationError
 
 
@@ -264,17 +264,17 @@ def action_profile(g: GL2Element) -> ElementActionProfile:
     return prof
 
 
-def _cartan_theta(kind: str, ell: int, delta: int | None = None) -> GL2Element:
+def _cartan_theta(kind: str, ell: int) -> GL2Element:
     """The element theta whose centralizer is the standard Cartan of this
-    kind: diag(1, -1) for split, [[0, delta], [1, 0]] for nonsplit (delta
-    defaults to the least non-residue), and [[0, 1], [1, 1]] for the
-    nonsplit Cartan at ell = 2, where x^2 + x + 1 is the irreducible
-    quadratic.  The Cartan is then the unit group of F_ell[theta]."""
+    kind: diag(1, -1) for split, [[0, z], [1, 0]] for nonsplit with z the
+    least non-residue, and [[0, 1], [1, 1]] for the nonsplit Cartan at
+    ell = 2, where x^2 + x + 1 is the irreducible quadratic.  The Cartan is
+    then the unit group of F_ell[theta]."""
     if kind == "split":
         return GL2Element(1, 0, 0, -1, ell)
     if ell == 2:
         return GL2Element(0, 1, 1, 1, 2)
-    return GL2Element(0, smallest_nonresidue(ell) if delta is None else delta, 1, 0, ell)
+    return GL2Element(0, smallest_nonresidue(ell), 1, 0, ell)
 
 
 def _centralizer_masks(theta, codes, ell):
@@ -290,26 +290,20 @@ def _centralizer_masks(theta, codes, ell):
                                                 _inv_codes(codes, ell), ell))
 
 
-def cartan(kind: str, ell: int, delta: int | None = None) -> frozenset[GL2Element]:
+def cartan(kind: str, ell: int) -> frozenset[GL2Element]:
     """The standard Cartan subgroup of GL_2(F_ell).
 
     split: diagonal matrices, order (ell-1)^2 (undefined for ell = 2).
-    nonsplit: [[x, delta*y], [y, x]] for a non-residue delta, order ell^2 - 1;
+    nonsplit: [[x, z*y], [y, x]] for the least non-residue z, order ell^2 - 1;
     for ell = 2 the unique subgroup of order 3.
     """
     if kind not in ("split", "nonsplit"):
         raise ValueError("kind must be 'split' or 'nonsplit', got %r" % (kind,))
     _require_prime(ell)
-    if kind == "split":
-        if ell == 2:
-            raise ValueError("split Cartan is undefined for ell = 2 "
-                             "(the diagonal torus of GL2(F_2) is trivial)")
-    elif ell == 2:
-        if delta is not None:
-            raise ValueError("no usable non-residue mod 2; omit delta for ell = 2")
-    elif delta is not None and legendre_kronecker(delta, ell) != -1:
-        raise ValueError("delta = %d is not a non-residue mod %d" % (delta, ell))
-    ta, tb, tc, td = _cartan_theta(kind, ell, delta).entries()
+    if kind == "split" and ell == 2:
+        raise ValueError("split Cartan is undefined for ell = 2 "
+                         "(the diagonal torus of GL2(F_2) is trivial)")
+    ta, tb, tc, td = _cartan_theta(kind, ell).entries()
     span = ((x + y * ta, y * tb, y * tc, x + y * td) for x in range(ell) for y in range(ell))
     return frozenset(GL2Element(*m, ell) for m in span if (m[0] * m[3] - m[1] * m[2]) % ell)
 

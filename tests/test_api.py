@@ -17,7 +17,7 @@ PUBLIC = {
         "QuadFieldElement.is_square", "QuadFieldElement.is_zero",
         "QuadFieldElement.norm", "TrivialGroupError", "factorize", "gauss_sum_square",
         "is_prime", "is_rational_square", "legendre_kronecker", "primes_up_to",
-        "primitive_root", "rational_sqrt", "smallest_nonresidue", "sqrt_mod",
+        "primitive_root", "rational_sqrt", "smallest_nonresidue",
     ],
     "gl2": [
         "CartanSpec", "CartanSpec.ell", "CartanSpec.kind", "CartanSpec.masks",

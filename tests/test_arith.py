@@ -6,19 +6,34 @@ import pytest
 from locisog.arith import (PrimeFieldElement, QuadFieldElement, TrivialGroupError,
                            factorize, gauss_sum_square, is_prime, is_rational_square,
                            legendre_kronecker, primes_up_to, primitive_root,
-                           rational_sqrt, smallest_nonresidue, sqrt_mod)
+                           rational_sqrt, smallest_nonresidue)
 
 
 def test_is_prime_against_sieve():
-    sieve = set(primes_up_to(2000))
-    for n in range(-5, 2000):
+    # trial division decides n < 41^2; every prime from 1681 up goes
+    # through Miller-Rabin
+    sieve = set(primes_up_to(10 ** 5))
+    for n in range(-5, 10 ** 5 + 1):
         assert is_prime(n) == (n in sieve)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first k prime bases, k = 1..8
+    # (2047 to base 2, ..., 3825123056546413051 to bases 2..23)
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not is_prime(n)
 
 
 def test_is_prime_large_known():
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)
     assert is_prime(4611686018427388039)
+    assert is_prime(4294967291)          # largest prime below 2^32
+    assert is_prime(2 ** 64 - 59)        # largest prime below 2^64
+    assert not is_prime(4294967297)      # 2^32 + 1 = 641 * 6700417
+    with pytest.raises(ValueError):
+        is_prime(2 ** 64 + 1)
 
 
 def test_factorize_roundtrip():
@@ -54,18 +69,6 @@ def test_smallest_nonresidue():
     for p in primes_up_to(500)[1:]:
         want = min(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
         assert smallest_nonresidue(p) == want
-
-
-def test_sqrt_mod_random():
-    rng = random.Random(7)
-    for _ in range(200):
-        p = rng.choice([3, 5, 7, 11, 13, 17, 101, 257, 65537])
-        a = rng.randrange(p)
-        r = sqrt_mod(a, p)
-        if r is None:
-            assert legendre_kronecker(a, p) == -1
-        else:
-            assert r * r % p == a % p
 
 
 def test_prime_field_mixed_moduli_rejected():

@@ -145,8 +145,6 @@ def test_cartan_sizes():
     with pytest.raises(ValueError):
         cartan("split", 2)
     with pytest.raises(ValueError):
-        cartan("nonsplit", 2, delta=1)
-    with pytest.raises(ValueError):
         cartan("sideways", 5)
 
 
