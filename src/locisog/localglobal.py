@@ -258,10 +258,7 @@ def construct_prop3_group(ell: int, n: int) -> Subgroup:
         for j in range(i % d, ell - 1, d):
             els.append(GL2Element(pw[i], 0, 0, pw[j], ell))
             els.append(GL2Element(0, pw[i], pw[j], 0, ell))
-    gens = (GL2Element(alpha, 0, 0, alpha, ell),
-            GL2Element(1, 0, 0, pw[d], ell),
-            GL2Element(0, 1, 1, 0, ell))
-    G = from_elements(els, generators=gens)
+    G = from_elements(els)
     if G.order != 2 * (ell - 1) ** 2 // d:
         raise VerificationError("constructed group has order %d, expected %d"
                                 % (G.order, 2 * (ell - 1) ** 2 // d))

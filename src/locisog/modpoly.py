@@ -20,9 +20,11 @@ Exact deflation of f confirms each candidate and gives its multiplicity.
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd, the evaluator _values_mod (f at every point
 of F_q: the zeros mod the lifting prime, and root counts up to NAIVE_LIMIT)
-and the power kernel _xpow_mod.  The count of F_p-roots of f = Phi_N(X, j)
-with multiplicity, and above NAIVE_LIMIT the distinct count too, read one
-record per prime, _root_layers.  Its first layer
+and the power kernel _xpow_mod.  _pdivmod, _pgcd and _xpow_mod take what
+their callers pass, trimmed lists (no leading zero) of residues in [0, q),
+and do not reduce or trim their inputs again.  The count of F_p-roots of
+f = Phi_N(X, j) with multiplicity, and above NAIVE_LIMIT the distinct count
+too, read one record per prime, _root_layers.  Its first layer
 L_1 = gcd(X^p - X, f) is the product of X - r over the distinct roots; with
 f_0 = f and f_k = f_(k-1) / L_k, each later layer L_(k+1) = gcd(L_k, f_k)
 keeps the roots of multiplicity above k, even a multiplicity above p.  So
@@ -197,23 +199,21 @@ def _ptrim(f: list[int]) -> list[int]:
 
 
 def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    a, b = _ptrim(list(a)), _ptrim(b)
     if len(a) < len(b):
         return [0], a
     inv = pow(b[0], -1, q)
     rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 1)
+    quo = [0] * (len(a) - len(b) + 1)
     for shift in range(len(rem) - len(b) + 1):
         coef = rem[shift] * inv % q
         quo[shift] = coef
         if coef:
             for k, v in enumerate(b):
                 rem[shift + k] = (rem[shift + k] - coef * v) % q
-    return _ptrim(quo), _ptrim(rem[len(rem) - len(b) + 1:] or [0])
+    return quo, _ptrim(rem[len(rem) - len(b) + 1:] or [0])
 
 
 def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = _ptrim(a), _ptrim(b)
     while b != [0]:
         a, b = b, _pdivmod(a, b, q)[1]
     inv = pow(a[0], -1, q)
@@ -246,17 +246,11 @@ def _slot_bits(q: int, d: int) -> int:
 
 
 def _xpow_mod(e: int, f: list[int], q: int) -> list[int]:
-    """X^e mod f over F_q, q prime, descending and trimmed; f has
-    degree at least 1 mod q and need not be monic.  See the module docstring
-    for the packed representation."""
-    f = _ptrim([c % q for c in f])
+    """X^e mod f over F_q, q prime, descending and trimmed.  The caller
+    passes e >= 1 and f monic of degree d >= 2 with coefficients in [0, q).
+    See the module docstring for the packed representation."""
     d = len(f) - 1
-    if e == 0:
-        return [1]
-    inv = pow(f[0], -1, q)
-    x_d = [-c * inv % q for c in reversed(f[1:])]  # X^d mod f, ascending
-    if d == 1:
-        return [pow(x_d[0], e, q)]
+    x_d = [-c % q for c in reversed(f[1:])]  # X^d mod f, ascending
     S = _slot_bits(q, d)
     rows = [x_d]  # X^(d+k) mod f for k = 0 .. d-2
     for _ in range(d - 2):
@@ -401,7 +395,7 @@ def _root_part(f: list[int], p: int) -> list[int]:
     while len(g) < 2:
         g = [0] + g
     g[-2] = (g[-2] - 1) % p
-    return _pgcd(g, f, p)
+    return _pgcd(_ptrim(g), f, p)
 
 
 @lru_cache(maxsize=1)

@@ -90,13 +90,9 @@ def _close(member, seeds, perms):
             fresh[p[frontier]] = True
 
 
-def _sorted_key(codes) -> bytes:
-    # big-endian so byte order == numeric lexicographic order
-    return codes.astype(">i4").tobytes()
-
-
 def _row_keys(rows) -> list[bytes]:
-    """_sorted_key of every row of a 2-d code array."""
+    """A byte key for every row of a 2-d array of sorted codes, big-endian so
+    that byte order is numeric lexicographic order."""
     rows = np.ascontiguousarray(rows, dtype=">i4")
     return rows.view("V%d" % (4 * rows.shape[1])).ravel().tolist()
 
@@ -146,7 +142,7 @@ class Subgroup:
                 and bool((self._codes == other._codes).all()))
 
     def __hash__(self):
-        return hash((self.ell, _sorted_key(self._codes)))
+        return hash((self.ell, _row_keys(self._codes[None])[0]))
 
     def __repr__(self):
         return "Subgroup(ell=%d, order=%d)" % (self.ell, self.order)
@@ -183,12 +179,12 @@ def _set_perm(codes, g: int, ell: int):
     return pos if (codes[pos] == prod).all() else None
 
 
-def from_elements(elements, generators=None) -> Subgroup:
+def from_elements(elements) -> Subgroup:
     """Wrap an explicit element set, verifying it really is a subgroup.
 
-    The check works on the set's own sorted codes: each generator must map
-    the set into itself, and the generators must reach every element from
-    the identity."""
+    The check works on the set's own sorted codes: _greedy_generators picks
+    generators one at a time, proves the set closed under each, and stops
+    once they reach every element from the identity."""
     els = set(elements)
     if not els:
         raise ValueError("a subgroup needs at least the identity")
@@ -196,20 +192,11 @@ def from_elements(elements, generators=None) -> Subgroup:
     if any(g.ell != ell for g in els):
         raise ValueError("mixed moduli in element set")
     codes = np.array(sorted(g.code() for g in els), dtype=np.int64)
-    ident = codes == _id_code(ell)
-    if not ident.any():
+    if not (codes == _id_code(ell)).any():
         raise ValueError("element set lacks the identity")
-    if generators is None:
-        gen_codes = _greedy_generators(codes, ell)
-        if gen_codes is None:
-            raise ValueError("element set is not closed under multiplication")
-    else:
-        gen_codes = tuple(g.code() for g in generators)
-        perms = [_set_perm(codes, c, ell) for c in set(gen_codes)]
-        if any(p is None for p in perms):
-            raise ValueError("element set is not closed under the stated generators")
-        if not _close(np.zeros_like(ident), np.flatnonzero(ident), perms).all():
-            raise ValueError("stated generators do not generate the element set")
+    gen_codes = _greedy_generators(codes, ell)
+    if gen_codes is None:
+        raise ValueError("element set is not closed under multiplication")
     return Subgroup(ell, codes, gen_codes)
 
 
@@ -283,7 +270,7 @@ def _conj_tables(ell: int):
 
 def _conjugates(els, ell):
     """One pass of conjugation slabs over the sorted code array els: the
-    _sorted_key of every conjugate, and the normalizer as a mask over
+    _row_keys key of every conjugate, and the normalizer as a mask over
     _group_codes(ell)."""
     top, bottom, fold = _conj_tables(ell)
     reps, coset = _scalar_cosets(ell)
@@ -375,7 +362,7 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
             tried[labels[double]] = True
             tried[labels[inverse[double]]] = True
             ext = np.flatnonzero(_close(member.copy(), px[idx], gperms + [px]))
-            if _sorted_key(group[ext]) in seen:
+            if _row_keys(group[ext][None])[0] in seen:
                 continue
             if len(rec["gens"]) + 1 > 3:
                 raise VerificationError(

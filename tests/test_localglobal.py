@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from locisog.arith import primitive_root
 from locisog.errors import NotSemisimpleError, VerificationError
 from locisog.gl2 import GL2Element, cartan, fixed_point_count
 from locisog.localglobal import (CASE_CARTAN, CASE_EXCEPTIONAL, CASE_NORMALIZER,
@@ -183,6 +184,23 @@ def test_construct_prop3_group_more_primes():
         assert min(fixed_point_count(g) for g in G.elements) >= 2
         assert projective_image_order(G) == 2 * n
         assert lemma1_hypothesis(G)
+
+
+# every (ell, n) of acceptance criterion 3
+CRITERION_3_PAIRS = [(ell, n) for ell in (7, 11, 19, 23, 31, 43)
+                     for n in range(3, (ell - 1) // 2 + 1, 2) if (ell - 1) // 2 % n == 0]
+
+
+def test_witness_groups_are_generated_by_their_three_matrices():
+    # from_elements checks closure with generators of its own choosing; the
+    # witness group must still be exactly <alpha I, diag(1, alpha^d), antidiag(1, 1)>
+    assert len(CRITERION_3_PAIRS) == 11
+    for ell, n in CRITERION_3_PAIRS:
+        alpha, d = primitive_root(ell), (ell - 1) // n
+        H = closure((GL2Element(alpha, 0, 0, alpha, ell),
+                     GL2Element(1, 0, 0, pow(alpha, d, ell), ell),
+                     GL2Element(0, 1, 1, 0, ell)))
+        assert construct_prop3_group(ell, n).codes.tolist() == H.codes.tolist(), (ell, n)
 
 
 def test_construct_prop3_group_preconditions():

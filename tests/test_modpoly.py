@@ -375,25 +375,30 @@ def _reference_xpow(e, f, q):
 KERNEL_MODULI = (3, 5, 499, (1 << 61) - 1, (1 << 62) - 57)
 
 
+# the kernel's contract: e >= 1 and f monic of degree d >= 2; d runs up to 14,
+# the degree of Phi_13(X, j)
+KERNEL_DEGREES = range(2, 15)
+
+
 @pytest.mark.parametrize("q", KERNEL_MODULI)
 def test_xpow_mod_matches_schoolbook(q):
     assert is_prime(q)
     rng = random.Random(q)
-    for d in range(1, 9):
+    for d in KERNEL_DEGREES:
         for _ in range(3):
-            f = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(d)]
-            for e in (0, 1, 2, q, (q - 1) // 2, rng.randrange(3, 1 << 20)):
+            f = [1] + [rng.randrange(q) for _ in range(d)]
+            for e in (1, 2, q, (q - 1) // 2, rng.randrange(3, 1 << 20)):
                 assert _xpow_mod(e, f, q) == _reference_xpow(e, f, q), (q, f, e)
 
 
 @pytest.mark.parametrize("q", KERNEL_MODULI)
 def test_xpow_mod_slot_worst_case(q):
-    # f = (q-1)(X^d + ... + 1): X^d mod f is -(X^(d-1) + ... + 1), so the
-    # residue X^d has every coefficient q - 1, as has the first table row;
-    # squaring it puts the product bound d (q-1)^2 in the middle slot
-    for d in range(1, 9):
+    # f = X^d + ... + 1: X^d mod f is -(X^(d-1) + ... + 1), so the residue
+    # X^d has every coefficient q - 1, as has the first table row; squaring
+    # it puts the product bound d (q-1)^2 in the middle slot
+    for d in KERNEL_DEGREES:
         assert _slot_bits(q, d) >= 3 * q.bit_length() + 2 * d.bit_length() + 2
-        f = [q - 1] * (d + 1)
+        f = [1] * (d + 1)
         assert _xpow_mod(d, f, q) == [q - 1] * d
         for e in (2 * d, 2 * d + 1, 4 * d, q, (q - 1) // 2):
             assert _xpow_mod(e, f, q) == _reference_xpow(e, f, q), (q, d, e)

@@ -198,8 +198,6 @@ def test_from_elements_validation():
         from_elements([GL2Element(1, 0, 0, 2, 7)])  # not closed, no identity
     with pytest.raises(ValueError):
         from_elements([GL2Element.identity(7), GL2Element(1, 0, 0, 2, 7)])  # not closed
-    with pytest.raises(ValueError):
-        from_elements(C.elements, generators=(GL2Element.identity(7),))
 
 
 def test_from_elements_needs_no_group_wide_tables(monkeypatch):
