@@ -48,13 +48,13 @@ PHI2_KNOWN = {
 
 # (level, j1, j2, expect_zero): CM discriminants with h = 1; an N-isogeny
 # exists iff N is split or ramified in the order, i.e. iff disc is a square
-# mod N (or 0 mod N).
+# mod 4N (for odd N, a square mod N, 0 included).
 CM_CHECKS = [
     (2, 1728, 287496, True),    # j(i), j(2i), disc -4: 2 ramifies
-    (2, 1728, 1728, True),      # (1+i)/sqrt... 2 = -i(1+i)^2
+    (2, 1728, 1728, True),      # disc -4: 2 = -i(1+i)^2, so 1+i is a 2-isogeny of j(i) to itself
     (2, -3375, -3375, True),    # disc -7: 2 = norm((1+sqrt(-7))/2) splits
     (2, 8000, 8000, True),      # disc -8: 2 ramifies
-    (2, 0, 0, False),           # disc -3: 2 inert (-3 is not a square mod 2... order 2 check below)
+    (2, 0, 0, False),           # disc -3: -3 = 5 mod 8, not a square: 2 inert
     (3, 8000, 8000, True),      # disc -8: -8 = 1 mod 3, square: 3 splits
     (3, -32768, -32768, True),  # disc -11: -11 = 1 mod 3: splits
     (3, 1728, 1728, False),     # disc -4: -4 = 2 mod 3: inert
@@ -125,7 +125,7 @@ def j_series(prec):
                         out[i + jx] += ai * bj
         return out
 
-    disc = [1]  # (prod (1-q^n))^24, computed by squaring
+    # (prod (1-q^n))^24, computed by squaring
     e2 = list(euler)
     for _ in range(3):          # euler^2, ^4, ^8
         e2 = poly_mul(e2, e2)
@@ -215,29 +215,26 @@ def compute_phi(N):
         check(not any(s.values()), f"nonzero residual for X^{i}: {s}")
 
     # checks ------------------------------------------------------------
-    full = {}
     for (i, d), c in coeffs.items():
-        full[(i, d)] = c
-    for (i, d), c in list(full.items()):
-        check(full.get((d, i)) == c, f"asymmetric at {(i, d)}")
-    check(full[(N + 1, 0)] == 1, "not monic")
-    check(max(i for i, _ in full) == N + 1, "wrong degree in X")
+        check(coeffs.get((d, i)) == c, f"asymmetric at {(i, d)}")
+    check(coeffs[(N + 1, 0)] == 1, "not monic")
+    check(max(i for i, _ in coeffs) == N + 1, "wrong degree in X")
 
     # Kronecker congruence
     kron = {(N + 1, 0): 1, (N, N): -1, (1, 1): -1, (0, N + 1): 1}
     seen = set()
-    for (i, d), c in full.items():
+    for (i, d), c in coeffs.items():
         check(c % N == kron.get((i, d), 0) % N, f"Kronecker fails at {(i, d)}")
         seen.add((i, d))
     for key, c in kron.items():
         check(key in seen or c % N == 0, f"Kronecker term {key} missing")
 
     if N == 2:
-        half = {k: v for k, v in full.items() if k[0] >= k[1]}
+        half = {k: v for k, v in coeffs.items() if k[0] >= k[1]}
         check(half == PHI2_KNOWN, "Phi_2 disagrees with the published table")
 
     def phi_eval(x, y):
-        return sum(c * x ** i * y ** d for (i, d), c in full.items())
+        return sum(c * x ** i * y ** d for (i, d), c in coeffs.items())
 
     for (lev, j1, j2, expect) in CM_CHECKS:
         if lev != N:
@@ -253,12 +250,12 @@ def compute_phi(N):
             jt = sum(c * qq ** e for e, c in jc)
             qN = mpmath.exp(2j * mpmath.pi * (N * tau))
             jNt = sum(c * qN ** e for e, c in jc)
-            val = sum(c * jNt ** i * jt ** d for (i, d), c in full.items())
-            scale = max(abs(c) * abs(jNt) ** i * abs(jt) ** d for (i, d), c in full.items())
+            val = sum(c * jNt ** i * jt ** d for (i, d), c in coeffs.items())
+            scale = max(abs(c) * abs(jNt) ** i * abs(jt) ** d for (i, d), c in coeffs.items())
             check(abs(val) / scale < mpmath.mpf(10) ** -60,
                   f"numeric check N={N}: {abs(val) / scale}")
 
-    return {k: v for k, v in full.items() if k[0] >= k[1]}
+    return {k: v for k, v in coeffs.items() if k[0] >= k[1]}
 
 
 def write_file(N, half):

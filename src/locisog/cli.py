@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import QuadFieldElement, gauss_sum_square, legendre_kronecker
@@ -27,27 +26,23 @@ from .modpoly import (FactorizationCertificate, evaluate_at_j, load_factors,
                       shipped_modpoly, verify_certificate)
 
 
-@dataclass
-class RunReport:
-    command: str
-    status: str  # pass | fail | error
-    findings: list
-    elapsed_ms: int
-
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, "status": self.status,
-                           "findings": self.findings, "elapsed_ms": self.elapsed_ms},
-                          sort_keys=True)
-
-
-def _render(report: RunReport, as_json: bool) -> None:
+def _render(report: dict, as_json: bool) -> None:
     if as_json:
-        print(report.to_json())
+        print(json.dumps(report, sort_keys=True))
         return
-    for f in report.findings:
+    for f in report["findings"]:
         print("- " + ", ".join("%s: %s" % (k, v) for k, v in sorted(f.items())))
-    print("%s: %s (%d findings, %d ms)"
-          % (report.command, report.status, len(report.findings), report.elapsed_ms))
+    print("%s: %s (%d findings, %d ms)" % (report["command"], report["status"],
+                                          len(report["findings"]), report["elapsed_ms"]))
+
+
+def _modpoly(path, level: int):
+    """The --modpoly file, or the shipped polynomial, checked to be of this level."""
+    phi = load_modpoly(path) if path else shipped_modpoly(level)
+    if phi.level != level:
+        raise ValueError("expected a level-%d modular polynomial, got level %d"
+                         % (level, phi.level))
+    return phi
 
 
 def _cmd_lemma(args) -> tuple[str, list]:
@@ -91,10 +86,7 @@ def _cmd_counterexample(args) -> tuple[str, list]:
     step("local-scan", scan.all_admitted,
          "admitted %d, rejected %s, skipped %s up to %d"
          % (len(scan.admitted), list(scan.rejected), list(scan.skipped), args.bound))
-    phi = load_modpoly(args.modpoly) if args.modpoly else shipped_modpoly(7)
-    if phi.level != 7:
-        raise ValueError("expected a level-7 modular polynomial, got level %d" % phi.level)
-    target = evaluate_at_j(phi, inv.j)
+    target = evaluate_at_j(_modpoly(args.modpoly, 7), inv.j)
     roots = rational_linear_factors(target)
     step("no-rational-root", roots == (), "rational roots: %s" % (list(map(str, roots)),))
     factors = load_factors(args.factors) if args.factors else shipped_certificate_factors()
@@ -141,11 +133,7 @@ def _cmd_curve(args) -> tuple[str, list]:
         j = invariants(E).j
     else:
         raise ValueError("global mode needs --j or a curve")
-    phi = load_modpoly(args.modpoly) if args.modpoly else shipped_modpoly(args.ell)
-    if phi.level != args.ell:
-        raise ValueError("modular polynomial has level %d, --ell is %d"
-                         % (phi.level, args.ell))
-    roots = rational_linear_factors(evaluate_at_j(phi, j))
+    roots = rational_linear_factors(evaluate_at_j(_modpoly(args.modpoly, args.ell), j))
     verdict = ("rational %d-isogeny exists" % args.ell) if roots else \
         ("no rational %d-isogeny" % args.ell)
     return "pass", [{"j": str(j), "ell": args.ell,
@@ -233,9 +221,8 @@ def main(argv=None) -> int:
         status, findings = "fail", [{"violation": str(e)}]
     except (ValueError, ArithmeticError, OSError) as e:
         status, findings = "error", [{"error": str(e)}]
-    report = RunReport(args.command, status, findings,
-                       int((time.monotonic() - start) * 1000))
-    _render(report, args.json)
+    _render({"command": args.command, "status": status, "findings": findings,
+             "elapsed_ms": int((time.monotonic() - start) * 1000)}, args.json)
     return {"pass": 0, "fail": 1, "error": 2}[status]
 
 

@@ -66,7 +66,6 @@ class LocalData:
     good: bool
     count: int | None = None
     a_p: int | None = None
-    supersingular: bool = False
 
     def __post_init__(self):
         if self.good:
@@ -78,8 +77,13 @@ class LocalData:
             if self.a_p * self.a_p > 4 * self.p:
                 raise VerificationError("|a_p| = %d breaks the Hasse bound at p = %d"
                                         % (abs(self.a_p), self.p))
-        elif self.count is not None or self.a_p is not None or self.supersingular:
+        elif self.count is not None or self.a_p is not None:
             raise ValueError("bad reduction carries no count data")
+
+    @property
+    def supersingular(self) -> bool:
+        """Good reduction with a_p = 0 mod p."""
+        return self.good and self.a_p % self.p == 0
 
 
 def _reduce(E: WeierstrassCurve, p: int) -> tuple[int, ...] | None:
@@ -333,8 +337,7 @@ def reduce_and_count(E: WeierstrassCurve, p: int) -> LocalData:
 
 
 def _local_data(p: int, n: int) -> LocalData:
-    a_p = p + 1 - n
-    return LocalData(p, True, n, a_p, a_p % p == 0)
+    return LocalData(p, True, n, p + 1 - n)
 
 
 def local_isogeny_admitted(data: LocalData, ell: int) -> bool:

@@ -3,8 +3,9 @@ P^1(F_ell), and Cartan subgroups together with their normalizers.
 
 Matrices are packed into the integer code ((a*ell + b)*ell + c)*ell + d, an
 order-preserving bijection with row-major entry tuples; this module owns
-that format, and the private helpers below work on numpy arrays of codes.
-GL2Element is the view of one matrix that users see.
+that format, and the private helpers below work on numpy arrays of codes
+and on single Python-int codes alike.  GL2Element, the view of one matrix
+that users see, holds only its code and calls those helpers.
 
 The lines through the origin in F_ell^2 are the indices 0..ell: t < ell is
 the line (1 : t) and ell is (0 : 1).  Matrices act by left multiplication
@@ -53,9 +54,14 @@ def _inv_table(ell: int):
     return t
 
 
+def _det(codes, ell):
+    a, b, c, d = _decode(codes, ell)
+    return (a * d - b * c) % ell
+
+
 def _inv_codes(codes, ell):
     a, b, c, d = _decode(codes, ell)
-    di = _inv_table(ell)[(a * d - b * c) % ell]
+    di = _inv_table(ell)[_det(codes, ell)]
     return _encode(d * di % ell, (-b * di) % ell, (-c * di) % ell, a * di % ell, ell)
 
 
@@ -64,8 +70,7 @@ def _group_codes(ell: int):
     """Sorted codes of every invertible matrix over F_ell."""
     _require_prime(ell)
     codes = np.arange(ell ** 4, dtype=np.int64)
-    a, b, c, d = _decode(codes, ell)
-    return codes[(a * d - b * c) % ell != 0]
+    return codes[_det(codes, ell) != 0]
 
 
 def _is_scalar(codes, ell):
@@ -74,20 +79,26 @@ def _is_scalar(codes, ell):
 
 
 class GL2Element:
-    """An invertible 2x2 matrix [[a, b], [c, d]] over F_ell."""
+    """An invertible 2x2 matrix [[a, b], [c, d]] over F_ell, immutable."""
 
-    __slots__ = ("ell", "a", "b", "c", "d")
+    __slots__ = ("ell", "_code")
 
     def __init__(self, a: int, b: int, c: int, d: int, ell: int):
         _require_prime(ell)
-        a, b, c, d = a % ell, b % ell, c % ell, d % ell
-        if (a * d - b * c) % ell == 0:
-            raise ValueError("singular matrix [[%d,%d],[%d,%d]] mod %d" % (a, b, c, d, ell))
+        code = int(_encode(a % ell, b % ell, c % ell, d % ell, ell))
+        if _det(code, ell) == 0:
+            raise ValueError("singular matrix [[%d,%d],[%d,%d]] mod %d"
+                             % (*_decode(code, ell), ell))
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_code", code)
+
+    @classmethod
+    def _view(cls, code, ell: int) -> "GL2Element":
+        """The element with a code already known to be invertible."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "ell", ell)
+        object.__setattr__(g, "_code", int(code))
+        return g
 
     def __setattr__(self, *args):
         raise AttributeError("GL2Element is immutable")
@@ -102,31 +113,26 @@ class GL2Element:
 
     def code(self) -> int:
         """Pack the entries into ((a*ell + b)*ell + c)*ell + d."""
-        return _encode(self.a, self.b, self.c, self.d, self.ell)
+        return self._code
 
     def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return _decode(self._code, self.ell)
 
     def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.ell
+        return _det(self._code, self.ell)
 
     def is_scalar(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.a == self.d
+        return _is_scalar(self._code, self.ell)
 
     def __mul__(self, other: "GL2Element") -> "GL2Element":
         if not isinstance(other, GL2Element):
             return NotImplemented
         if other.ell != self.ell:
             raise ValueError("mixed moduli %d and %d" % (self.ell, other.ell))
-        m = self.ell
-        return GL2Element(self.a * other.a + self.b * other.c,
-                          self.a * other.b + self.b * other.d,
-                          self.c * other.a + self.d * other.c,
-                          self.c * other.b + self.d * other.d, m)
+        return GL2Element._view(_mul_codes(self._code, other._code, self.ell), self.ell)
 
     def inverse(self) -> "GL2Element":
-        di = pow(self.det(), -1, self.ell)
-        return GL2Element(self.d * di, -self.b * di, -self.c * di, self.a * di, self.ell)
+        return GL2Element._view(_inv_codes(self._code, self.ell), self.ell)
 
     def __pow__(self, e: int) -> "GL2Element":
         base = self if e >= 0 else self.inverse()
@@ -144,13 +150,13 @@ class GL2Element:
 
     def __eq__(self, other):
         return (isinstance(other, GL2Element) and self.ell == other.ell
-                and self.entries() == other.entries())
+                and self._code == other._code)
 
     def __hash__(self):
-        return hash((self.ell, self.a, self.b, self.c, self.d))
+        return hash((self.ell, self._code))
 
     def __repr__(self):
-        return "GL2Element(%d, %d, %d, %d, ell=%d)" % (self.a, self.b, self.c, self.d, self.ell)
+        return "GL2Element(%d, %d, %d, %d, ell=%d)" % (*self.entries(), self.ell)
 
 
 def _line_perm(codes, ell):
@@ -188,9 +194,9 @@ def _fixed_line_counts(codes, ell):
     """|Omega^g| for every code g: ell + 1 for a scalar; otherwise each
     eigenline is fixed, one per root of x^2 - tr(g) x + det(g) in F_ell."""
     codes = np.asarray(codes, dtype=np.int64)
-    a, b, c, d = _decode(codes, ell)
+    a, _, _, d = _decode(codes, ell)
     x = np.arange(ell)
-    roots = ((x * (x - (a + d)[..., None]) + (a * d - b * c)[..., None]) % ell == 0).sum(axis=-1)
+    roots = ((x * (x - (a + d)[..., None]) + _det(codes, ell)[..., None]) % ell == 0).sum(axis=-1)
     return np.where(_is_scalar(codes, ell), ell + 1, roots)
 
 
@@ -201,27 +207,12 @@ def fixed_point_count(g: GL2Element) -> int:
 
 def projective_order(g: GL2Element) -> int:
     """Order of the image of g in PGL_2(F_ell)."""
-    h, r = g, 1
-    while not h.is_scalar():
-        h = h * g
+    ell, code = g.ell, g.code()
+    h, r = code, 1
+    while not _is_scalar(h, ell):
+        h = _mul_codes(h, code, ell)
         r += 1
     return r
-
-
-def _projective_orders(codes, ell):
-    """projective_order of every code in an array."""
-    cur = codes.copy()
-    orders = np.zeros(len(codes), dtype=np.int64)
-    r = 1
-    while True:
-        live = orders == 0
-        done = live & _is_scalar(cur, ell)
-        orders[done] = r
-        live &= ~done
-        if not live.any():
-            return orders
-        cur[live] = _mul_codes(cur[live], codes[live], ell)
-        r += 1
 
 
 @dataclass(frozen=True)
@@ -304,8 +295,9 @@ def cartan(kind: str, ell: int) -> frozenset[GL2Element]:
         raise ValueError("split Cartan is undefined for ell = 2 "
                          "(the diagonal torus of GL2(F_2) is trivial)")
     ta, tb, tc, td = _cartan_theta(kind, ell).entries()
-    span = ((x + y * ta, y * tb, y * tc, x + y * td) for x in range(ell) for y in range(ell))
-    return frozenset(GL2Element(*m, ell) for m in span if (m[0] * m[3] - m[1] * m[2]) % ell)
+    span = (_encode((x + y * ta) % ell, y * tb % ell, y * tc % ell, (x + y * td) % ell, ell)
+            for x in range(ell) for y in range(ell))
+    return frozenset(GL2Element._view(c, ell) for c in span if _det(c, ell))
 
 
 @dataclass(frozen=True)

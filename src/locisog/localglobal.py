@@ -15,7 +15,7 @@ from .arith import _require_prime, primitive_root
 from .errors import NotSemisimpleError, VerificationError
 from .gl2 import (CartanSpec, GL2Element, _cartan_theta, _centralizer_masks,
                   _fixed_line_counts, _group_codes, _inv_codes, _is_scalar, _line_perm,
-                  _mul_codes, _orbit_sizes, _projective_orders, fixed_point_count)
+                  _mul_codes, _orbit_sizes, fixed_point_count, projective_order)
 from .subgroups import Subgroup, enumerate_subgroups, from_elements
 
 CASE_CARTAN = "CartanContained"
@@ -30,7 +30,7 @@ _EXCEPTIONAL_SHAPES = {
 
 
 def _generator_codes(G: Subgroup):
-    return np.array([g.code() for g in G.generators], dtype=np.int64)
+    return np.array(G._gen_codes, dtype=np.int64)
 
 
 def _generator_perms(G: Subgroup):
@@ -160,7 +160,7 @@ def classify(G: Subgroup) -> ClassificationResult:
             raise VerificationError("witness %r does not contain %r" % (spec, G))
         _verify_inverting_coset(G, in_c)
         return ClassificationResult(CASE_NORMALIZER, "dihedral(%d)" % proj, spec, proj)
-    orders = frozenset(int(r) for r in _projective_orders(G.codes, ell))
+    orders = frozenset(projective_order(g) for g in G.elements)
     shape = _EXCEPTIONAL_SHAPES.get((proj, orders))
     if shape is None:
         raise VerificationError(

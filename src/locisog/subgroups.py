@@ -32,7 +32,7 @@ import numpy as np
 
 from .arith import _require_prime
 from .errors import VerificationError
-from .gl2 import (GL2Element, _decode, _encode, _group_codes, _id_code, _inv_codes,
+from .gl2 import (GL2Element, _decode, _det, _encode, _group_codes, _id_code, _inv_codes,
                   _inv_table, _mul_codes, _orbit_minima)
 
 ENUMERABLE = (2, 3, 5, 7, 11)
@@ -133,8 +133,7 @@ class Subgroup:
         return tuple(GL2Element.from_code(c, self.ell) for c in self._gen_codes)
 
     def det_image_size(self) -> int:
-        a, b, c, d = _decode(self._codes, self.ell)
-        return len(np.unique((a * d - b * c) % self.ell))
+        return len(np.unique(_det(self._codes, self.ell)))
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.ell == other.ell

@@ -305,7 +305,10 @@ def test_local_data_validation():
         LocalData(11, True, count=25, a_p=-13)  # |a_p| > 2 sqrt(11)
     with pytest.raises(ValueError):
         LocalData(11, False, count=12, a_p=0)
-    assert LocalData(11, True, count=12, a_p=0).supersingular is False
+    assert LocalData(11, True, count=12, a_p=0).supersingular is True
+    assert LocalData(11, True, count=13, a_p=-1).supersingular is False
+    assert LocalData(3, True, count=1, a_p=3).supersingular is True  # 3 = 0 mod 3
+    assert LocalData(11, False).supersingular is False
 
 
 def test_admission_matches_eigenvalue_search():

@@ -6,7 +6,7 @@ import pytest
 from locisog.arith import legendre_kronecker, primes_up_to
 from locisog.errors import VerificationError
 from locisog.gl2 import (CartanSpec, GL2Element, _cartan_theta, _fixed_line_counts,
-                         _group_codes, _line_perm, _mul_codes, _projective_orders,
+                         _group_codes, _line_perm, _mul_codes,
                          action_profile, cartan, fixed_point_count, projective_order)
 from locisog.subgroups import from_elements, normalizer
 
@@ -21,12 +21,28 @@ def _random_gl2(rng, ell):
             return GL2Element(a, b, c, d, ell)
 
 
+def _entry_product(x, y, ell):
+    """The 2x2 product of entry tuples x and y, mod ell."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % ell, (a * f + b * h) % ell,
+            (c * e + d * g) % ell, (c * f + d * h) % ell)
+
+
+def _scalar_entries(x):
+    a, b, c, d = x
+    return b == 0 and c == 0 and a == d
+
+
 def test_group_operations():
     rng = random.Random(2)
     for _ in range(300):
         ell = rng.choice(PRIMES)
         g = _random_gl2(rng, ell)
         h = _random_gl2(rng, ell)
+        assert (g * h).entries() == _entry_product(g.entries(), h.entries(), ell)
+        a, b, c, d = g.entries()
+        assert g.det() == (a * d - b * c) % ell
         assert g * g.inverse() == GL2Element.identity(ell)
         assert (g * h).inverse() == h.inverse() * g.inverse()
         assert (g * h).det() == g.det() * h.det() % ell
@@ -122,10 +138,17 @@ def test_sigma_detects_nonsquare_determinant():
 
 
 def test_projective_order():
+    """Exhaustively at small ell, against powers taken with entry-wise
+    products: g^r is scalar for r = projective_order(g), and no smaller
+    positive power is."""
     for ell in EXHAUSTIVE:
-        group = _group_codes(ell)
-        assert _projective_orders(group, ell).tolist() == \
-            [projective_order(GL2Element.from_code(g, ell)) for g in group]
+        for code in _group_codes(ell).tolist():
+            g = GL2Element.from_code(code, ell)
+            power = x = g.entries()
+            for _ in range(1, projective_order(g)):
+                assert not _scalar_entries(power)
+                power = _entry_product(power, x, ell)
+            assert _scalar_entries(power)
     rng = random.Random(14)
     for _ in range(200):
         ell = rng.choice([3, 5, 7, 11])

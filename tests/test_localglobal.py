@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -120,16 +121,21 @@ def test_witness_theta_lies_in_the_group():
                 assert res.witness.theta.code() in G.codes
 
 
-def test_exceptional_classes_show_up_at_five():
-    # A5 needs order divisible by 5, so only A4 and S4 survive semisimplicity
-    found = set()
-    for G in enumerate_subgroups(5):
-        if G.order % 5 == 0:
-            continue
-        res = classify(G)
-        if res.case == CASE_EXCEPTIONAL:
-            found.add(res.projective_image_structure)
-    assert found == {"A4", "S4"}
+# A5 needs order divisible by 5, so at 5 only A4 and S4 survive
+# semisimplicity; past 5, A5 lies in PGL_2(F_ell) only where ell = +-1 mod 10
+EXCEPTIONAL_COUNTS = {5: {"A4": 2, "S4": 1}, 7: {"A4": 3, "S4": 2},
+                      11: {"A4": 2, "S4": 2, "A5": 2}}
+
+
+@pytest.mark.parametrize("ell", sorted(EXCEPTIONAL_COUNTS))
+def test_exceptional_class_counts(ell):
+    """How many semisimple enumerated classes classify gives each
+    exceptional label."""
+    found = Counter(res.projective_image_structure
+                    for res in (classify(G) for G in enumerate_subgroups(ell)
+                                if G.order % ell)
+                    if res.case == CASE_EXCEPTIONAL)
+    assert found == EXCEPTIONAL_COUNTS[ell]
 
 
 def test_classify_agrees_with_brute_witness():
