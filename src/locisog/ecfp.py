@@ -36,9 +36,9 @@ with O = (X : 0):
 * The arithmetic is + - * % and selects by 0/1 factors, so one kernel runs
   on int64 arrays over many primes (p < 2^31 keeps every product inside
   int64; larger p uses object arrays) and on Python ints for a few.
-  local_scan counts all its good primes above NAIVE_LIMIT in one call, which
-  works through them in chunks of ascending p, each with the s of its
-  largest prime.
+  local_scan counts all its good primes from _BATCH_FROM on in one call,
+  which works through them in chunks of ascending p, each with the s of its
+  largest prime; in a batch the crossover lies far below NAIVE_LIMIT.
 
 Odd p only: the character-sum counter completes the square in y, which needs
 2 invertible, and nothing downstream ever requires counts at p = 2.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -86,20 +86,31 @@ class LocalData:
         return self.good and self.a_p % self.p == 0
 
 
+def _reduction(E: WeierstrassCurve):
+    """p -> (b2, b4, b6, c4, c6) of E mod an odd prime p, or None when p
+    divides the discriminant; E's rational data is read once, not per p."""
+    den = lcm(*(a.denominator for a in E.coefficients()))
+    disc = E.discriminant().numerator
+    invs = (*E.b_invariants()[:3], *E.c_invariants())
+    common = lcm(*(v.denominator for v in invs))
+    nums = [v.numerator * (common // v.denominator) for v in invs]
+
+    def reduce(p: int) -> tuple[int, ...] | None:
+        if den % p == 0:
+            raise DenominatorError("coefficient denominator divisible by p = %d" % p)
+        if disc % p == 0:  # p divides no invariant's denominator either
+            return None
+        inv = pow(common, -1, p)
+        return tuple(n * inv % p for n in nums)
+    return reduce
+
+
 def _reduce(E: WeierstrassCurve, p: int) -> tuple[int, ...] | None:
-    """(b2, b4, b6, c4, c6) of E mod an odd prime p, or None when p divides
-    the discriminant."""
+    """_reduction at one prime, which is checked to be odd and prime."""
     _require_prime(p)
     if p == 2:
         raise ValueError("p = 2 is not supported by the point counter")
-    if any(a.denominator % p == 0 for a in E.coefficients()):
-        raise DenominatorError("coefficient denominator divisible by p = %d" % p)
-    # so p divides no invariant's denominator either
-    if E.discriminant().numerator % p == 0:
-        return None
-    b2, b4, b6, _ = E.b_invariants()
-    return tuple(v.numerator * pow(v.denominator, -1, p) % p
-                 for v in (b2, b4, b6, *E.c_invariants()))
+    return _reduction(E)(p)
 
 
 def _naive_count(inv: tuple[int, ...], p: int) -> int:
@@ -121,6 +132,9 @@ _CHUNK = 512
 _FEW = 8
 # fresh points tried per prime before an ambiguous count gives up
 _ROUNDS = 120
+# local_scan batches the good primes from here on; scanning the counterexample
+# to 4096 took 37 ms unbatched, 17 ms from 256, 19 ms from 128 (best of 15)
+_BATCH_FROM = 256
 
 
 def _xdbl(X, Z, p, a, b):
@@ -394,13 +408,14 @@ def _scan_entry(data: LocalData, ell: int) -> ScanEntry:
 
 def local_scan(E: WeierstrassCurve, ell: int, bound: int) -> ScanReport:
     """Run the local criterion at every prime up to bound, recording the
-    verdict per prime and why any prime was skipped.  The good primes above
-    NAIVE_LIMIT are counted together, in one batch, after the walk."""
+    verdict per prime and why any prime was skipped.  The good primes from
+    _BATCH_FROM on are counted together, in one batch, after the walk."""
     _require_prime(ell)
     if bound < 2:
         raise ValueError("bound must be at least 2, got %d" % bound)
+    reduce = _reduction(E)
     entries = []
-    batch = ([], [], [])  # p, a, b of the good primes above NAIVE_LIMIT
+    batch = ([], [], [])  # p, a, b of the good primes from _BATCH_FROM on
     for p in primes_up_to(bound):
         if p == 2:
             entries.append(ScanEntry(2, "skipped", note="p = 2 unsupported by the counter"))
@@ -409,19 +424,17 @@ def local_scan(E: WeierstrassCurve, ell: int, bound: int) -> ScanReport:
             entries.append(ScanEntry(p, "skipped", note="p = ell excluded from the criterion"))
             continue
         try:
-            if p <= NAIVE_LIMIT:
-                data = reduce_and_count(E, p)
-            elif (inv := _reduce(E, p)) is not None:
-                for v, new in zip(batch, (p, *_short(inv, p))):
-                    v.append(new)
-                entries.append(None)  # filled in from the batch count
-                continue
-            else:
-                data = LocalData(p, False)
+            inv = reduce(p)
         except DenominatorError:
             entries.append(ScanEntry(p, "skipped", note="p divides a coefficient denominator"))
             continue
-        entries.append(_scan_entry(data, ell))
+        if inv is not None and p >= _BATCH_FROM:
+            for v, new in zip(batch, (p, *_short(inv, p))):
+                v.append(new)
+            entries.append(None)  # filled in from the batch count
+        else:
+            data = LocalData(p, False) if inv is None else _local_data(p, _naive_count(inv, p))
+            entries.append(_scan_entry(data, ell))
     ps, a, b = batch
     if ps:
         counted = iter(zip(ps, _bsgs_counts(ps, a, b)))

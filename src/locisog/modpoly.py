@@ -30,15 +30,18 @@ f_0 = f and f_k = f_(k-1) / L_k, each later layer L_(k+1) = gcd(L_k, f_k)
 keeps the roots of multiplicity above k, even a multiplicity above p.  So
 X^p mod f, where d = deg f is at most 8 for the shipped levels, is the only
 power taken, once per prime.
-The kernel packs a residue r_0 + r_1 X + ... into one integer with r_i in
-slot i of S bits (Kronecker substitution), so a squaring is a single
-big-integer product.  The d - 1 top coefficients of the product are folded
-back with a table of X^(d+k) mod f, each slot is reduced mod q once per
-step, and a multiplication by X is a shift plus one table row.  A product
-slot holds at most d (q-1)^2 and a folded slot at most
-d (q-1)^2 + (d-1) d (q-1)^3 <= d^2 (q-1)^3, so slots of
-S >= 3 bits(q) + 2 bits(d) + 2 bits, rounded up to whole bytes, never carry
-into each other.  The kernel's arithmetic is on Python integers.
+The kernel packs a residue into one integer, coefficient i in slot i of S
+bits, so a squaring is one product (Kronecker substitution), and reduces all
+slots at once by Barrett's step a - floor(a m / 2^B) q, m = 2^B // q (Barrett,
+CRYPTO '86): a m masked to bits B .. S-1 of each slot, shifted down by B,
+times q.  A slot a < 2^B ends in [0, 2q), and a m < 2^(2B - bits(q) + 1) fits
+in S = 2B - bits(q) + 1 bits.  Residues stay below 2q until one exact % q per
+slot at the end.  A square L + X^d T has slots below d (2q)^2; the quotient Q
+of X^d T by f is the polynomial part of T (h_0 + h_1 X^-1 + ... + h_(d-2)
+X^-(d-2)), X^d / f expanded (Barrett division; von zur Gathen and Gerhard,
+Modern Computer Algebra, 9.1): one product of T, reduced, and the packed h,
+slots below 2 (d-1) q^2.  Q reduced, the square mod f is L + Q (X^d mod f)
+masked to d slots, below 6 d q^2 < 2^B.  X r is a shift and one row X^d mod f.
 """
 
 from __future__ import annotations
@@ -239,10 +242,11 @@ def _values_mod(f: list[int], q: int) -> np.ndarray:
     return v
 
 
-def _slot_bits(q: int, d: int) -> int:
-    """Width of one slot of the packed residues of _xpow_mod: the bound
-    3 bits(q) + 2 bits(d) + 2 of the module docstring, in whole bytes."""
-    return 8 * -(-(3 * q.bit_length() + 2 * d.bit_length() + 2) // 8)
+def _slot_bits(q: int, d: int) -> tuple[int, int]:
+    """(B, S) of _xpow_mod: 2^B > 6 d q^2 bounds a slot before a reduction,
+    and S = 2B - bits(q) + 1 holds it times 2^B // q (module docstring)."""
+    B = (6 * d * q * q).bit_length()
+    return B, 2 * B - q.bit_length() + 1
 
 
 def _xpow_mod(e: int, f: list[int], q: int) -> list[int]:
@@ -250,41 +254,34 @@ def _xpow_mod(e: int, f: list[int], q: int) -> list[int]:
     passes e >= 1 and f monic of degree d >= 2 with coefficients in [0, q).
     See the module docstring for the packed representation."""
     d = len(f) - 1
-    x_d = [-c % q for c in reversed(f[1:])]  # X^d mod f, ascending
-    S = _slot_bits(q, d)
-    rows = [x_d]  # X^(d+k) mod f for k = 0 .. d-2
-    for _ in range(d - 2):
-        t = rows[-1]
-        rows.append([(u + t[-1] * v) % q for u, v in zip([0] + t[:-1], x_d)])
-    table = []
-    for row in rows:
-        packed = 0
-        for c in reversed(row):
-            packed = (packed << S) | c
-        table.append(packed)
-    slot_mask = (1 << S) - 1
+    B, S = _slot_bits(q, d)
+    h = [1]  # X^d / f = h_0 + h_1 X^-1 + ... + h_(d-2) X^-(d-2) + ...
+    for k in range(1, d - 1):
+        t = 0
+        for i in range(1, k + 1):
+            t -= f[i] * h[k - i]
+        h.append(t % q)
+    g = sum(-c % q << S * i for i, c in enumerate(reversed(f[1:])))  # X^d mod f
+    H = sum(c << S * (d - 2 - k) for k, c in enumerate(h))
     low_bits = S * d
     low_mask = (1 << low_bits) - 1
-    top_shifts = range(low_bits, low_bits + S * (d - 1), S)
-    down_shifts = range(low_bits - S, -1, -S)
-
-    def reduce_slots(acc):
-        r = 0
-        for s in down_shifts:
-            r = (r << S) | ((acc >> s) & slot_mask) % q
-        return r
+    hi_mask = low_mask // ((1 << S) - 1) * ((1 << S) - (1 << B))
+    m = (1 << B) // q
 
     r = 1 << S  # X, already reduced since d >= 2
     for bit in bin(e)[3:]:
         P = r * r
-        acc = P & low_mask
-        for s, row in zip(top_shifts, table):
-            acc += ((P >> s) & slot_mask) * row
-        r = reduce_slots(acc)
+        T = P >> low_bits
+        T -= (((T * m) & hi_mask) >> B) * q
+        Q = (T * H) >> (low_bits - 2 * S)  # slots d - 2 .. 2d - 4 of T H
+        Q -= (((Q * m) & hi_mask) >> B) * q
+        r = (P & low_mask) + ((Q * g) & low_mask)
+        r -= (((r * m) & hi_mask) >> B) * q
         if bit == "1":
             P = r << S
-            r = reduce_slots((P & low_mask) + (P >> low_bits) * table[0])
-    return _ptrim([(r >> s) & slot_mask for s in down_shifts])
+            r = (P & low_mask) + (P >> low_bits) * g
+            r -= (((r * m) & hi_mask) >> B) * q
+    return _ptrim([(r >> s) % (1 << S) % q for s in range(low_bits - S, -1, -S)])
 
 
 def _rational_reconstruct(c: int, m: int, num_bound: int, den_bound: int):

@@ -124,13 +124,13 @@ class Subgroup:
     @property
     def elements(self) -> tuple[GL2Element, ...]:
         if self._el_cache is None:
-            els = tuple(GL2Element.from_code(int(c), self.ell) for c in self._codes)
+            els = tuple(GL2Element._view(c, self.ell) for c in self._codes.tolist())
             object.__setattr__(self, "_el_cache", els)
         return self._el_cache
 
     @property
     def generators(self) -> tuple[GL2Element, ...]:
-        return tuple(GL2Element.from_code(c, self.ell) for c in self._gen_codes)
+        return tuple(GL2Element._view(c, self.ell) for c in self._gen_codes)
 
     def det_image_size(self) -> int:
         return len(np.unique(_det(self._codes, self.ell)))

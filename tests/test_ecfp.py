@@ -138,6 +138,22 @@ def test_batched_scan_counts_match_naive():
         assert e.a_p == e.p + 1 - ecfp._naive_count(ecfp._reduce(E, e.p), e.p), e.p
 
 
+def test_small_primes_in_the_scan_batch_match_naive():
+    # local_scan batches the good primes from _BATCH_FROM on, far below
+    # NAIVE_LIMIT, where non-cyclic groups and ambiguous windows are common:
+    # every such count equals the character sum, on the counterexample and
+    # on 20 seeded curves
+    rng = random.Random(97)
+    curves = [COUNTEREXAMPLE_CURVE] + [_random_integral_curve(rng) for _ in range(20)]
+    assert 5 <= ecfp._BATCH_FROM < NAIVE_LIMIT
+    for E in curves:
+        batched = [e for e in local_scan(E, 7, NAIVE_LIMIT).entries
+                   if e.p >= ecfp._BATCH_FROM and e.status in ("admitted", "rejected")]
+        assert len(batched) > 450
+        for e in batched:
+            assert e.a_p == e.p + 1 - ecfp._naive_count(ecfp._reduce(E, e.p), e.p), (E, e.p)
+
+
 def test_one_batch_over_many_curves_matches_naive():
     # j = 0 and j = 1728 at every small prime, where non-cyclic groups and
     # points of small order are common, mixed with two other curves in one call
@@ -243,22 +259,28 @@ def test_local_scan_counts_in_one_batch(monkeypatch):
             verdict = "admitted" if local_isogeny_admitted(data, 7) else "rejected"
             rebuilt.append((p, verdict, data.a_p))
 
-    batches, reduced = [], []
-    batch, reduce = ecfp._bsgs_counts, ecfp._reduce
+    batches, reductions, reduced = [], [], []
+    batch, reduction = ecfp._bsgs_counts, ecfp._reduction
 
     def counting_batch(ps, a, b, seed=0):
         batches.append(list(ps))
         return batch(ps, a, b, seed)
 
-    def counting_reduce(E, p):
-        reduced.append(p)
-        return reduce(E, p)
+    def counting_reduction(E):
+        reductions.append(E)
+        reduce = reduction(E)
+
+        def counting_reduce(p):
+            reduced.append(p)
+            return reduce(p)
+        return counting_reduce
 
     monkeypatch.setattr(ecfp, "_bsgs_counts", counting_batch)
-    monkeypatch.setattr(ecfp, "_reduce", counting_reduce)
+    monkeypatch.setattr(ecfp, "_reduction", counting_reduction)
     report = local_scan(E, 7, bound)
     assert batches == [[p for p, status, _ in rebuilt
-                        if p > NAIVE_LIMIT and status != "bad_reduction"]]
+                        if p >= ecfp._BATCH_FROM and status != "bad_reduction"]]
+    assert reductions == [E]  # the curve's rational data is read once per scan
     assert reduced == [p for p, _, _ in rebuilt]
     assert [(e.p, e.status, e.a_p) for e in report.entries if e.status != "skipped"] == rebuilt
 
@@ -379,12 +401,12 @@ def test_scan_skip_set_is_two_ell_and_denominator_primes():
 def test_reduction_errors_other_than_denominators_propagate(monkeypatch):
     # the scan files only DenominatorError under "skipped"; any other
     # ValueError from the counter is a fault and must surface
-    def broken(E, p):
+    def broken(inv, p):
         raise ValueError("counter fault at p = %d" % p)
 
     with pytest.raises(DenominatorError):
         reduce_and_count(WeierstrassCurve(0, 0, 0, Fraction(1, 13), 1), 13)
-    monkeypatch.setattr(ecfp, "reduce_and_count", broken)
+    monkeypatch.setattr(ecfp, "_naive_count", broken)
     with pytest.raises(ValueError, match="counter fault"):
         local_scan(WeierstrassCurve(0, 0, 0, 1, 1), 5, bound=20)
 

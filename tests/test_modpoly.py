@@ -394,14 +394,65 @@ def test_xpow_mod_matches_schoolbook(q):
 @pytest.mark.parametrize("q", KERNEL_MODULI)
 def test_xpow_mod_slot_worst_case(q):
     # f = X^d + ... + 1: X^d mod f is -(X^(d-1) + ... + 1), so the residue
-    # X^d has every coefficient q - 1, as has the first table row; squaring
-    # it puts the product bound d (q-1)^2 in the middle slot
+    # X^d has every coefficient q - 1, as has the row X^d mod f; slots stay
+    # below 6 d q^2 before each Barrett step, and a slot times 2^B // q fits
     for d in KERNEL_DEGREES:
-        assert _slot_bits(q, d) >= 3 * q.bit_length() + 2 * d.bit_length() + 2
+        B, S = _slot_bits(q, d)
+        assert 1 << B > 6 * d * q * q
+        assert S >= 2 * B - q.bit_length() + 1
         f = [1] * (d + 1)
         assert _xpow_mod(d, f, q) == [q - 1] * d
         for e in (2 * d, 2 * d + 1, 4 * d, q, (q - 1) // 2):
             assert _xpow_mod(e, f, q) == _reference_xpow(e, f, q), (q, d, e)
+
+
+def _euclid_rem(a, b, p):
+    """Remainder of a by b over F_p, schoolbook, descending; [] is zero."""
+    inv = pow(b[0], -1, p)
+    quo = []
+    while len(a) >= len(b):
+        c = a[0] * inv % p
+        quo.append(c)
+        a = [(x - c * y) % p for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+    while a and a[0] == 0:
+        a = a[1:]
+    return quo, a
+
+
+def _euclid_gcd(a, b, p):
+    while b:
+        a, b = b, _euclid_rem(a, b, p)[1]
+    return a
+
+
+def _euclid_counts(f, p):
+    """(distinct, with multiplicity) F_p-roots of f: the degree of
+    L = gcd(X^p - X, f), then of each gcd(L, f / L ...) peeled off."""
+    xp = _reference_xpow(p, f, p)
+    xp = [0] * (2 - len(xp)) + xp
+    xp[-2] = (xp[-2] - 1) % p
+    layer = _euclid_gcd(f, _euclid_rem(xp, f, p)[1], p)
+    distinct = total = len(layer) - 1
+    while len(layer) > 1:
+        f = _euclid_rem(f, layer, p)[0]
+        layer = _euclid_gcd(layer, f, p)
+        total += len(layer) - 1
+    return distinct, total
+
+
+def test_counterexample_kernel_and_counts_above_naive_limit():
+    # Phi_7(X, 2268945/128) at the first 300 good primes above NAIVE_LIMIT:
+    # the packed kernel equals schoolbook square-and-multiply, and both
+    # public counts equal a schoolbook Euclid's root layers
+    M = shipped_modpoly(7)
+    primes = [p for p in range(NAIVE_LIMIT + 1, 4 * NAIVE_LIMIT) if is_prime(p)][:300]
+    assert len(primes) == 300
+    for p in primes:
+        jp = PrimeFieldElement(J_TARGET.numerator * pow(J_TARGET.denominator, -1, p), p)
+        f = _specialize_mod(M, jp)
+        assert _xpow_mod(p, f, p) == _reference_xpow(p, f, p), p
+        want = _euclid_counts(f, p)
+        assert (fp_root_count(M, jp), fp_linear_factor_count(M, jp)) == want, p
 
 
 def test_collision_primes_are_pinned():
