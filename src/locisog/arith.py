@@ -11,8 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-import mpmath
-
 # Miller-Rabin to these 12 bases is deterministic for n < 3.18 * 10^23 (Sorenson
 # and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017))
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -301,6 +299,8 @@ def gauss_sum_square(ell: int) -> float:
     if ell == 2:
         raise ValueError("the Gauss sum identity needs an odd prime, got 2")
     _require_prime(ell)
+    import mpmath  # here, so that importing locisog does not load it
+
     with mpmath.workprec(100):
         g = mpmath.fsum((mpmath.expjpi(mpmath.mpf(2 * (n * n % ell)) / ell)
                          for n in range(ell)), absolute=False)

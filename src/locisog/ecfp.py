@@ -55,7 +55,7 @@ import numpy as np
 from .arith import _require_prime, legendre_kronecker, primes_up_to
 from .ecq import WeierstrassCurve
 from .errors import DenominatorError, VerificationError
-from .modpoly import NAIVE_LIMIT, _values_mod
+from .modpoly import NAIVE_LIMIT, _powers, _values_mod
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,28 @@ def _reduction(E: WeierstrassCurve):
     return reduce
 
 
+# the curve _reduce saw last, by identity (a curve hashes its five Fractions),
+# with its _reduction: one-prime calls about one curve read its data once
+_reduction_cache: dict = {}
+
+
 def _reduce(E: WeierstrassCurve, p: int) -> tuple[int, ...] | None:
     """_reduction at one prime, which is checked to be odd and prime."""
     _require_prime(p)
     if p == 2:
         raise ValueError("p = 2 is not supported by the point counter")
-    return _reduction(E)(p)
+    if id(E) not in _reduction_cache:
+        _reduction_cache.clear()  # holding E keeps its id from being reused
+        _reduction_cache[id(E)] = E, _reduction(E)
+    return _reduction_cache[id(E)][1](p)
 
 
 def _naive_count(inv: tuple[int, ...], p: int) -> int:
-    """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p."""
+    """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p; up to
+    NAIVE_LIMIT the squares are row 2 of modpoly's table of powers."""
     b2, b4, b6, _, _ = inv
-    x = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)
-    chi[x * x % p] = 1
+    chi[_powers(p)[2] if p <= NAIVE_LIMIT else np.arange(p, dtype=np.int64) ** 2 % p] = 1
     chi[0] = 0
     return p + 1 + int(chi[_values_mod([4, b2, 2 * b4, b6], p)].sum())
 

@@ -4,7 +4,9 @@ and verification of shipped factorization certificates.
 
 Rational roots are lifted p-adically from one prime (Loos, SIAM J. Comput.
 12 (1983); von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
-The integer polynomial f, zero roots stripped, is cut to its squarefree part
+The integer polynomial f, zero roots stripped, is cut to its squarefree part:
+s = f when gcd(f, f') is 1 mod the least odd prime not dividing lc(f) (a
+repeated factor of f keeps its degree there, dividing f and f'), otherwise
 s = f / gcd(f, f') over Z.  A root a/b of s in lowest terms has a | s(0) and
 b | lc(s).  The lifting prime q is the smallest odd prime that does not
 divide lc(s) and at which every zero r of s mod q is simple, s'(r) != 0 mod
@@ -17,17 +19,23 @@ the number of roots.  Any q that divides neither lc(s) nor disc(s) keeps s
 squarefree, hence its zeros simple, so q is at most the least such prime.
 Exact deflation of f confirms each candidate and gives its multiplicity.
 
+Phi_N is stored as integer rows, one per power of Y; one homogeneous
+Horner's rule over them gives b^d Phi_N(X, a/b), d = N + 1, with integer
+coefficients, which evaluate_at_j divides by b^d and _specialize_mod reduces.
+
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd, the evaluator _values_mod (f at every point
-of F_q: the zeros mod the lifting prime, and root counts up to NAIVE_LIMIT)
-and the power kernel _xpow_mod.  _pdivmod, _pgcd and _xpow_mod take what
-their callers pass, trimmed lists (no leading zero) of residues in [0, q),
-and do not reduce or trim their inputs again.  The count of F_p-roots of
-f = Phi_N(X, j) with multiplicity, and above NAIVE_LIMIT the distinct count
-too, read one record per prime, _root_layers.  Its first layer
-L_1 = gcd(X^p - X, f) is the product of X - r over the distinct roots; with
-f_0 = f and f_k = f_(k-1) / L_k, each later layer L_(k+1) = gcd(L_k, f_k)
-keeps the roots of multiplicity above k, even a multiplicity above p.  So
+of F_q: the zeros mod the lifting prime, point counts, and root counts up to
+NAIVE_LIMIT; there one product with the table of x^k, k < 9, that _powers
+keeps for the last q, above it Horner's rule) and the power kernel _xpow_mod.
+_pdivmod, _pgcd and _xpow_mod take what their callers pass, trimmed lists
+(no leading zero) of residues in [0, q), and do not reduce or trim their
+inputs again.  The count of F_p-roots of f = Phi_N(X, j) with multiplicity,
+and above NAIVE_LIMIT the distinct count too, read one record per prime,
+_root_layers.  Its first layer L_1 = gcd(X^p - X, f) is the product of
+X - r over the distinct roots; with f_0 = f and f_k = f_(k-1) / L_k, each
+later layer L_(k+1) = gcd(L_k, f_k) keeps the roots of multiplicity above
+k, even a multiplicity above p.  So
 X^p mod f, where d = deg f is at most 8 for the shipped levels, is the only
 power taken, once per prime.
 The kernel packs a residue into one integer, coefficient i in slot i of S
@@ -49,8 +57,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
+from itertools import count
 from math import gcd, lcm
+from pathlib import Path
 
 import numpy as np
 
@@ -58,48 +67,55 @@ from .arith import PrimeFieldElement, is_prime, is_rational_square
 from .errors import ModPolyFormatError
 
 SHIPPED_LEVELS = (2, 3, 5, 7)
+_DATA = Path(__file__).parent / "data"
 
 # At or below this prime, a per-prime question is answered from a
 # polynomial's values at every x in F_p (_values_mod): #E(F_p) from the
 # cubic's, the F_p-roots of Phi_N(X, j) as its zeros.  Above it, BSGS point
-# counts (ecfp) and deg gcd(X^p - X, f) win.  Median microseconds per prime,
-# 6 curves or j at each of 8 primes near p, on a 2-vCPU VM (CPython 3.11,
-# numpy 2.4):
+# counts (ecfp) and deg gcd(X^p - X, f) win.  Median microseconds per call,
+# 6 curves or j at each of the 8 primes from p on (best of 3 each, median of
+# 7 runs), the value path run at every p, on a 2-vCPU VM (CPython 3.11,
+# numpy 2.4).  A value path call builds the table of powers (cold) or finds
+# it built by an earlier call at the same p (warm):
 #
-#   p                          1k     2k     4k     8k    16k
-#   #E(F_p) naive              18     27     45     84    156
-#   #E(F_p) BSGS               34     38     41     50     57
-#   roots of Phi_2, values      9     13     22     38     71
-#   roots of Phi_2, X^p        22     25     26     28     29
-#   roots of Phi_7, values     18     26     44     95    183
-#   roots of Phi_7, X^p        60     65     67     74     75
+#   p                          1k        2k        4k        8k       16k
+#   #E(F_p) naive, cold/warm  73/29    107/42    170/66   321/138   639/269
+#   #E(F_p) BSGS               328       288       285       347       385
+#   Phi_2 roots, values       68/24     96/32    153/50    284/99   544/186
+#   Phi_2 roots, X^p            44        40        40        46        51
+#   Phi_7 roots, values       89/44    120/55    181/78   346/155   644/291
+#   Phi_7 roots, X^p           104        96        94       113       126
 #
-# Point counts cross near 4,000 and root counts near 5,000-6,000.
+# Point counts cross between 8k and 16k, root counts near 2,000-5,000 warm
+# and 1,000-1,500 cold; one limit serves both, between the two.
 NAIVE_LIMIT = 1 << 12
 
 
 class ModularPolynomial:
-    """Phi_N(X, Y), symmetric with integer coefficients, stored as the half
-    {(i, j): c with i >= j}; (i, j) and (j, i) share one coefficient."""
+    """Phi_N(X, Y), symmetric with integer coefficients, built from the half
+    {(i, j): c with i >= j} and stored as rows, d = N + 1: row k holds the
+    coefficients of X^d, ..., X^0 in that of Y^(d-k)."""
 
-    __slots__ = ("level", "_half")
+    __slots__ = ("level", "_rows")
 
     def __init__(self, level: int, half: dict):
         if level < 2:
             raise ValueError("level must be at least 2, got %d" % level)
         d = level + 1
+        rows = [[0] * (d + 1) for _ in range(d + 1)]
         for (i, j), c in half.items():
             if not (0 <= j <= i <= d):
                 raise ValueError("exponent pair (%d, %d) out of range for level %d"
                                  % (i, j, level))
             if not isinstance(c, int) or c == 0:
                 raise ValueError("coefficient at (%d, %d) must be a nonzero integer" % (i, j))
+            rows[d - j][d - i] = rows[d - i][d - j] = c
         if half.get((d, 0)) != 1:
             raise ValueError("Phi_%d must be monic of degree %d in X" % (level, d))
         if (d, d) in half or any(i == d and j > 0 for (i, j) in half):
             raise ValueError("degree in X exceeds %d + 1 with Y present" % level)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "_half", dict(half))
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
     def __setattr__(self, *args):
         raise AttributeError("ModularPolynomial is immutable")
@@ -109,13 +125,16 @@ class ModularPolynomial:
         return self.level + 1
 
     def coefficient(self, i: int, j: int) -> int:
-        return self._half.get((max(i, j), min(i, j)), 0)
+        d = self.degree
+        return self._rows[d - j][d - i] if 0 <= min(i, j) <= max(i, j) <= d else 0
 
     def half_terms(self):
-        return sorted(self._half.items(), reverse=True)
+        d = self.degree
+        return sorted((((d - s, d - k), c) for k, row in enumerate(self._rows)
+                       for s, c in enumerate(row) if c and s <= k), reverse=True)
 
     def __repr__(self):
-        return "ModularPolynomial(level=%d, %d stored terms)" % (self.level, len(self._half))
+        return "ModularPolynomial(level=%d, %d stored terms)" % (self.level, len(self.half_terms()))
 
 
 def _parse_modpoly(lines, source: str) -> ModularPolynomial:
@@ -167,29 +186,29 @@ def shipped_modpoly(level: int) -> ModularPolynomial:
     if level not in SHIPPED_LEVELS:
         raise ValueError("no modular polynomial shipped for level %d (have %s)"
                          % (level, ", ".join(map(str, SHIPPED_LEVELS))))
-    text = resources.files("locisog").joinpath("data/phi%d.txt" % level).read_text()
+    text = (_DATA / ("phi%d.txt" % level)).read_text(encoding="ascii")
     return _parse_modpoly(text.splitlines(), "phi%d.txt" % level)
 
 
-def _specialize(M: ModularPolynomial, j) -> list:
-    """Coefficients of Phi_N(X, j), descending, length N + 2, in the number
-    type of j."""
-    d = M.degree
-    zero = j - j
-    out = [zero] * (d + 1)
-    powers = [zero + 1]
-    for _ in range(d):
-        powers.append(powers[-1] * j)
-    for (i, k), c in M._half.items():
-        out[d - i] += c * powers[k]
-        if i != k:
-            out[d - k] += c * powers[i]
+def _specialize(M: ModularPolynomial, a: int, b: int = 1) -> list[int]:
+    """b^d Phi_N(X, a/b), d = N + 1, descending, with integer coefficients:
+    one homogeneous Horner's rule over M's rows, out <- a out + b^k row_k."""
+    rows = iter(M._rows)
+    out = next(rows)
+    s = 1
+    for row in rows:
+        s *= b
+        if s != 1:
+            row = [s * c for c in row]
+        out = [u * a + c for u, c in zip(out, row)]
     return out
 
 
 def evaluate_at_j(M: ModularPolynomial, j) -> list[Fraction]:
     """Coefficients of Phi_N(X, j), descending, length N + 2."""
-    return _specialize(M, Fraction(j))
+    j = Fraction(j)
+    scale = j.denominator ** M.degree
+    return [Fraction(c, scale) for c in _specialize(M, j.numerator, j.denominator)]
 
 
 # -- dense polynomial arithmetic mod a prime (descending coefficients) --
@@ -223,11 +242,35 @@ def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
     return [c * inv % q for c in a]
 
 
+_POWERS = 9  # deg Phi_7 + 1: one table serves every shipped level and point counts
+
+
+@lru_cache(maxsize=1)
+def _powers(q: int) -> np.ndarray:
+    """Row k is x^k at every x in F_q, for k < _POWERS and q <= NAIVE_LIMIT:
+    reduced mod q up to row 4, and from row 5 on a product of two residues,
+    below q^2."""
+    t = np.ones((_POWERS, q), dtype=np.int64)
+    t[1] = np.arange(q)
+    for k in (2, 3, 5):  # rows k .. 2k - 2 are rows 1 .. k - 1 times row k - 1
+        np.multiply(t[1:k], t[k - 1], out=t[k:2 * k - 1])
+        if k < 5:
+            t[k:2 * k - 1] %= q
+    t.setflags(write=False)  # every caller shares the one cached table
+    return t
+
+
 def _values_mod(f: list[int], q: int) -> np.ndarray:
-    """f(x) mod q at every x in F_q, by Horner's rule on one int64 array;
-    f is descending with integer coefficients, and q^2 must fit in int64.
-    A step takes entries at most t to at most (t + 1)(q - 1) <= t q, so the
-    array is reduced only where the next step could overflow."""
+    """f(x) mod q at every x in F_q; f is descending with integer
+    coefficients, and q^2 must fit in int64.  Up to NAIVE_LIMIT, for f of at
+    most _POWERS coefficients, one product of f's residues with the table of
+    powers, below _POWERS q^3 < 2^63 before the final % q.  Otherwise
+    Horner's rule on one array: a step takes entries at most t to at most
+    (t + 1)(q - 1) <= t q, so it is reduced only where the next could
+    overflow."""
+    if q <= NAIVE_LIMIT and len(f) <= _POWERS:
+        c = np.array([a % q for a in reversed(f)], dtype=np.int64)
+        return c @ _powers(q)[:len(f)] % q
     x = np.arange(q, dtype=np.int64)
     v = np.full(q, f[0] % q, dtype=np.int64)
     top = q - 1  # bound on the entries of v
@@ -348,18 +391,17 @@ def rational_linear_factors(coeffs) -> tuple[Fraction, ...]:
         ints.pop()
     if len(ints) <= 1:
         return tuple(found)
-    # f = gcd(f, f') s, and the pseudo-quotient is a multiple of s
-    s = _primitive(_pseudo_divmod(ints, _zgcd(ints, _derivative(ints)))[0])
+    q = next(q for q in count(3, 2) if ints[0] % q and is_prime(q))
+    if len(_pgcd([c % q for c in ints], _ptrim([c % q for c in _derivative(ints)]), q)) == 1:
+        s = _primitive(ints)  # squarefree mod q, so over Q
+    else:  # f = gcd(f, f') s, and the pseudo-quotient is a multiple of s
+        s = _primitive(_pseudo_divmod(ints, _zgcd(ints, _derivative(ints)))[0])
     ds = _derivative(s)
-    q = 3
-    while True:  # the lifting prime: lc(s) a unit and every zero of s simple
-        if s[0] % q:
+    for q in count(3, 2):  # the lifting prime: lc(s) a unit and every zero of s simple
+        if s[0] % q and is_prime(q):
             zeros = np.flatnonzero(_values_mod(s, q) == 0)
             if _values_mod(ds, q)[zeros].all():
                 break
-        q += 2
-        while not is_prime(q):
-            q += 2
     work = ints
     for r in zeros.tolist():
         m = q
@@ -541,5 +583,5 @@ def load_factors(path) -> tuple[tuple[Fraction, ...], ...]:
 
 def shipped_certificate_factors() -> tuple[tuple[Fraction, ...], ...]:
     """The bundled factorization of Phi_7(X, 2268945/128)."""
-    text = resources.files("locisog").joinpath("data/phi7_factors.txt").read_text()
+    text = (_DATA / "phi7_factors.txt").read_text(encoding="ascii")
     return _parse_factor_lines(text.splitlines(), "phi7_factors.txt")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from locisog import arith, ecfp
+from locisog import arith, ecfp, modpoly
 from locisog.arith import is_prime, primes_up_to
 from locisog.ecfp import (LocalData, ScanReport, count_points, local_isogeny_admitted,
                           local_scan, reduce_and_count)
@@ -98,6 +98,45 @@ def test_each_count_reduces_once(monkeypatch):
     calls.clear()
     assert not reduce_and_count(COUNTEREXAMPLE_CURVE, 5).good
     assert calls == [5]
+
+
+def test_one_reduction_per_curve_across_calls(monkeypatch):
+    # single-prime calls about one curve build its reduction map once, and a
+    # different curve, even an equal one, gets its own
+    made = []
+    reduction = ecfp._reduction
+
+    def counting(E):
+        made.append(E)
+        return reduction(E)
+
+    monkeypatch.setattr(ecfp, "_reduction", counting)
+    ecfp._reduction_cache.clear()
+    E, F = COUNTEREXAMPLE_CURVE, WeierstrassCurve(0, 0, 1, -7, 6)
+    twin = WeierstrassCurve(*E.coefficients())
+    for p in (11, 13, 17, 4099):
+        reduce_and_count(E, p)
+        count_points(E, p)
+    assert made == [E]
+    for G in (F, E, twin, F):
+        for p in (11, 13):
+            assert reduce_and_count(G, p).count == count_points(G, p) == _dumb_count(G, p)
+    assert [id(G) for G in made] == [id(G) for G in (E, F, E, twin, F)]
+
+
+def test_power_table_stays_at_or_below_naive_limit():
+    # a naive count above NAIVE_LIMIT runs Horner's rule and builds no table
+    # of powers; one at or below it builds one
+    below = max(p for p in range(NAIVE_LIMIT + 1) if is_prime(p))
+    above = min(p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p))
+    modpoly._powers.cache_clear()
+    count_points(COUNTEREXAMPLE_CURVE, above, method="naive")
+    assert modpoly._powers.cache_info().currsize == 0
+    count_points(COUNTEREXAMPLE_CURVE, below, method="naive")
+    assert modpoly._powers.cache_info().currsize == 1
+    count_points(COUNTEREXAMPLE_CURVE, above, method="naive")
+    info = modpoly._powers.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_bsgs_matches_naive():

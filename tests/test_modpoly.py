@@ -199,6 +199,31 @@ def test_rational_linear_factors_edge_cases():
     assert rational_linear_factors([Fraction(1), 0, 1]) == ()
 
 
+def test_squarefree_fast_path_and_zgcd_fallback(monkeypatch):
+    """f is cut to its squarefree part over Z only when gcd(f, f') mod the
+    first odd prime q not dividing lc(f) is not 1.  (X - 1)(X - 4) is
+    squarefree but meets itself mod 3, so it takes the fallback too; the
+    repeated roots of the other two need it."""
+    calls = []
+    zgcd = modpoly._zgcd
+
+    def recording(a, b):
+        calls.append(a)
+        return zgcd(a, b)
+
+    monkeypatch.setattr(modpoly, "_zgcd", recording)
+    cases = [([1, -5, 4], (1, 4), True),  # (X - 1)(X - 4), refused mod 3
+             ([1, -3, 2], (1, 2), False),  # (X - 1)(X - 2), squarefree mod 3
+             ([2, -7, 3], (Fraction(1, 2), 3), False),  # lc 2: q = 3
+             ([3, -7, 2], (Fraction(1, 3), 2), True),  # lc 3: q = 5, where 1/3 = 2
+             ([1, -4, 5, -2], (1, 1, 2), True),  # (X - 1)^2 (X - 2)
+             ([1, -3, 2, -6, 1, -3], (3,), True)]  # (X^2 + 1)^2 (X - 3)
+    for coeffs, roots, fallback in cases:
+        calls.clear()
+        assert rational_linear_factors(coeffs) == roots, coeffs
+        assert bool(calls) == fallback, coeffs
+
+
 def test_counterexample_specialization_has_no_rational_root():
     f = evaluate_at_j(shipped_modpoly(7), J_TARGET)
     assert rational_linear_factors(f) == ()
@@ -259,16 +284,30 @@ def test_fp_counts_match_brute_force():
             assert mult >= distinct
 
 
+def _phi_at_j(M, j):
+    """Phi_N(X, j) term by term from the stored half, in Fractions."""
+    out = [Fraction(0)] * (M.degree + 1)
+    for (i, k), c in M.half_terms():
+        out[M.degree - i] += c * j ** k
+        if i != k:
+            out[M.degree - k] += c * j ** i
+    return out
+
+
 def test_specialize_mod_reduces_evaluate_at_j():
     # the F_p specialization is Phi_N(X, j) over Q reduced mod p, at primes
-    # to 500 and the first three above NAIVE_LIMIT
+    # to 500 and the first three above NAIVE_LIMIT; over Q it equals the
+    # term-by-term sum, also at j whose denominators have hundreds of digits
     rng = random.Random(2025)
     js = [Fraction(0), Fraction(1728), J_TARGET] + [_seeded_j(rng, 1000) for _ in range(4)]
+    js += [_legendre_j(lam) for lam in LEGENDRE_LAMBDAS]
+    js += [Fraction(-(3 ** 200) + 1, 2 ** 300 + 1), Fraction(1, 10 ** 120 + 7)]
     above = [p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p)][:3]
     for ell in SHIPPED_LEVELS:
         M = shipped_modpoly(ell)
         for j in js:
             coeffs = evaluate_at_j(M, j)
+            assert coeffs == _phi_at_j(M, j), (ell, j)
             for p in [p for p in range(2, 500) if is_prime(p)] + above:
                 if ell % p == 0 or j.denominator % p == 0:
                     continue
@@ -277,6 +316,23 @@ def test_specialize_mod_reduces_evaluate_at_j():
                 assert _specialize_mod(M, jp) == want, (ell, j, p)
     with pytest.raises(ValueError, match="divides the level"):
         _specialize_mod(shipped_modpoly(7), PrimeFieldElement(1, 7))
+
+
+def test_values_mod_matches_horner():
+    # the table product and the Horner array both equal Horner's rule on
+    # Python ints, at every prime below 600 and at the primes on both sides
+    # of NAIVE_LIMIT, for lengths 1 to 11 (the table has 9 rows), with
+    # negative and 220-bit coefficients, and with every residue q - 1
+    rng = random.Random(2026)
+    below = max(p for p in range(NAIVE_LIMIT + 1) if is_prime(p))
+    above = min(p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p))
+    for q in [p for p in range(2, 600) if is_prime(p)] + [below, above]:
+        for n in range(1, 12):
+            f = [rng.choice((-1, 1)) * rng.randrange(1 << rng.choice((3, 220)))
+                 for _ in range(n)]
+            for g in (f, [-1] * n):
+                want = [_eval_mod(g, x, q) for x in range(q)]
+                assert modpoly._values_mod(g, q).tolist() == want, (q, g)
 
 
 def test_values_and_root_part_agree_at_small_p():
