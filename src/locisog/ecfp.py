@@ -55,7 +55,7 @@ import numpy as np
 from .arith import _require_prime, legendre_kronecker, primes_up_to
 from .ecq import WeierstrassCurve
 from .errors import DenominatorError, VerificationError
-from .modpoly import NAIVE_LIMIT, _powers, _values_mod
+from .modpoly import _TABLE_LIMIT, NAIVE_LIMIT, _powers, _values_mod
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,10 @@ def _reduce(E: WeierstrassCurve, p: int) -> tuple[int, ...] | None:
 
 def _naive_count(inv: tuple[int, ...], p: int) -> int:
     """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p; up to
-    NAIVE_LIMIT the squares are row 2 of modpoly's table of powers."""
+    modpoly's _TABLE_LIMIT the squares are row 2 of its table of powers."""
     b2, b4, b6, _, _ = inv
     chi = np.full(p, -1, dtype=np.int64)
-    chi[_powers(p)[2] if p <= NAIVE_LIMIT else np.arange(p, dtype=np.int64) ** 2 % p] = 1
+    chi[_powers(p)[2] if p <= _TABLE_LIMIT else np.arange(p, dtype=np.int64) ** 2 % p] = 1
     chi[0] = 0
     return p + 1 + int(chi[_values_mod([4, b2, 2 * b4, b6], p)].sum())
 

@@ -5,15 +5,15 @@ and verification of shipped factorization certificates.
 Rational roots are lifted p-adically from one prime (Loos, SIAM J. Comput.
 12 (1983); von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
 The integer polynomial f, zero roots stripped, is cut to its squarefree part:
-s = f when gcd(f, f') is 1 mod the least odd prime not dividing lc(f) (a
-repeated factor of f keeps its degree there, dividing f and f'), otherwise
-s = f / gcd(f, f') over Z.  A root a/b of s in lowest terms has a | s(0) and
-b | lc(s).  The lifting prime q is the smallest odd prime that does not
-divide lc(s) and at which every zero r of s mod q is simple, s'(r) != 0 mod
-q; both are read off the values of s and s' at every point of F_q.  Every
-rational root then reduces to one of these zeros, from which Newton's
-iteration lifts it uniquely, so one prime suffices, and if s has no zero mod
-q it has no rational root.  Each zero is lifted until q^(2^k) >
+s = f when gcd(f, f') is 1 mod one of the three least odd primes not dividing
+lc(f) (a repeated factor of f keeps its degree there, dividing f and f'),
+otherwise s = f / gcd(f, f') over Z.  A root a/b of s in lowest terms has
+a | s(0) and b | lc(s).  The lifting prime q is the smallest odd prime that
+does not divide lc(s) and at which every zero r of s mod q is simple,
+s'(r) != 0 mod q; both are read off the values of s and s' at every point of
+F_q.  Every rational root then reduces to one of these zeros, from which
+Newton's iteration lifts it uniquely, so one prime suffices, and if s has no
+zero mod q it has no rational root.  Each zero is lifted until q^(2^k) >
 2*|s(0)|*lc(s), where rational reconstruction is unique, at a cost linear in
 the number of roots.  Any q that divides neither lc(s) nor disc(s) keeps s
 squarefree, hence its zeros simple, so q is at most the least such prime.
@@ -22,20 +22,26 @@ Exact deflation of f confirms each candidate and gives its multiplicity.
 Phi_N is stored as integer rows, one per power of Y; one homogeneous
 Horner's rule over them gives b^d Phi_N(X, a/b), d = N + 1, with integer
 coefficients, which evaluate_at_j divides by b^d and _specialize_mod reduces.
+It runs on rows packed once per (M, n), each the row's value at 2^W, so a
+step is one multiply-add.  With C the largest column sum of |c| and
+m = max(|a|, b) <= 2^n, n = bits(m - 1), every result coefficient is below
+C 2^(n d) < 2^(W-1) in size for W = bits(C) + n d + 1: 2^(W-1) added to every
+slot leaves each in [0, 2^W), and a shift and mask reads it.
 
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd, the evaluator _values_mod (f at every point
 of F_q: the zeros mod the lifting prime, point counts, and root counts up to
-NAIVE_LIMIT; there one product with the table of x^k, k < 9, that _powers
-keeps for the last q, above it Horner's rule) and the power kernel _xpow_mod.
+NAIVE_LIMIT; up to _TABLE_LIMIT one product with the table of x^k, k < 9,
+that _powers keeps for each such q for the run, above it Horner's rule) and
+the power kernel _xpow_mod.
 _pdivmod, _pgcd and _xpow_mod take what their callers pass, trimmed lists
 (no leading zero) of residues in [0, q), and do not reduce or trim their
 inputs again.  The count of F_p-roots of f = Phi_N(X, j) with multiplicity,
-and above NAIVE_LIMIT the distinct count too, read one record per prime,
-_root_layers.  Its first layer L_1 = gcd(X^p - X, f) is the product of
-X - r over the distinct roots; with f_0 = f and f_k = f_(k-1) / L_k, each
-later layer L_(k+1) = gcd(L_k, f_k) keeps the roots of multiplicity above
-k, even a multiplicity above p.  So
+and the distinct count too above NAIVE_LIMIT or where the record is there
+already, read one record per prime, _root_layers.  Its first layer
+L_1 = gcd(X^p - X, f) is the product of X - r over the distinct roots; with
+f_0 = f and f_k = f_(k-1) / L_k, each later layer L_(k+1) = gcd(L_k, f_k)
+keeps the roots of multiplicity above k, even a multiplicity above p.  So
 X^p mod f, where d = deg f is at most 8 for the shipped levels, is the only
 power taken, once per prime.
 The kernel packs a residue into one integer, coefficient i in slot i of S
@@ -57,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from math import gcd, lcm
 from pathlib import Path
 
@@ -72,22 +78,22 @@ _DATA = Path(__file__).parent / "data"
 # At or below this prime, a per-prime question is answered from a
 # polynomial's values at every x in F_p (_values_mod): #E(F_p) from the
 # cubic's, the F_p-roots of Phi_N(X, j) as its zeros.  Above it, BSGS point
-# counts (ecfp) and deg gcd(X^p - X, f) win.  Median microseconds per call,
+# counts (ecfp) and deg gcd(X^p - X, f) run.  Median microseconds per call,
 # 6 curves or j at each of the 8 primes from p on (best of 3 each, median of
-# 7 runs), the value path run at every p, on a 2-vCPU VM (CPython 3.11,
-# numpy 2.4).  A value path call builds the table of powers (cold) or finds
-# it built by an earlier call at the same p (warm):
+# 3 runs), on a 2-vCPU VM (CPython 3.11, numpy 2.4).  At 256 a value call
+# builds its table of powers (cold), finds it built (warm) or runs Horner's
+# rule; above _TABLE_LIMIT it always runs Horner's rule:
 #
-#   p                          1k        2k        4k        8k       16k
-#   #E(F_p) naive, cold/warm  73/29    107/42    170/66   321/138   639/269
-#   #E(F_p) BSGS               328       288       285       347       385
-#   Phi_2 roots, values       68/24     96/32    153/50    284/99   544/186
-#   Phi_2 roots, X^p            44        40        40        46        51
-#   Phi_7 roots, values       89/44    120/55    181/78   346/155   644/291
-#   Phi_7 roots, X^p           104        96        94       113       126
+#   p                             256      1k      4k      8k     16k
+#   #E(F_p) naive, cold/warm/H  43/17/28    43     100     175     331
+#   #E(F_p) BSGS                  318      350     386     393     413
+#   Phi_2 roots, values         41/15/20    27      50      79     141
+#   Phi_2 roots, X^p               55       60      60      66      63
+#   Phi_7 roots, values         50/24/43    57     102     197     364
+#   Phi_7 roots, X^p              107      119     125     130     134
 #
-# Point counts cross between 8k and 16k, root counts near 2,000-5,000 warm
-# and 1,000-1,500 cold; one limit serves both, between the two.
+# Root counts cross between 4k and 8k and point counts above 16k; the limit
+# sits at the first.  _TABLE_LIMIT, below, bounds only the tables kept.
 NAIVE_LIMIT = 1 << 12
 
 
@@ -190,18 +196,30 @@ def shipped_modpoly(level: int) -> ModularPolynomial:
     return _parse_modpoly(text.splitlines(), "phi%d.txt" % level)
 
 
+@lru_cache(maxsize=None)
+def _packed_rows(M: ModularPolynomial, n: int) -> tuple[int, tuple[int, ...], int]:
+    """(W, rows, bias) of _specialize at max(|a|, b) <= 2^n: each of M's rows
+    packed into one integer, coefficient s in slot s of W bits, and 2^(W-1)
+    in every slot (module docstring)."""
+    d = M.degree
+    C = max(sum(abs(row[s]) for row in M._rows) for s in range(d + 1))
+    W = C.bit_length() + d * n + 1
+    rows = tuple(sum(c << W * s for s, c in enumerate(row)) for row in M._rows)
+    return W, rows, sum(1 << W * s + W - 1 for s in range(d + 1))
+
+
 def _specialize(M: ModularPolynomial, a: int, b: int = 1) -> list[int]:
     """b^d Phi_N(X, a/b), d = N + 1, descending, with integer coefficients:
-    one homogeneous Horner's rule over M's rows, out <- a out + b^k row_k."""
-    rows = iter(M._rows)
-    out = next(rows)
-    s = 1
-    for row in rows:
+    one homogeneous Horner's rule over M's packed rows, out <- a out + b^k
+    row_k, and one biased unpack."""
+    W, rows, bias = _packed_rows(M, (max(abs(a), b) - 1).bit_length())
+    out, s = rows[0], 1
+    for row in rows[1:]:
         s *= b
-        if s != 1:
-            row = [s * c for c in row]
-        out = [u * a + c for u, c in zip(out, row)]
-    return out
+        out = out * a + s * row
+    out += bias
+    mask, half = (1 << W) - 1, 1 << W - 1
+    return [(out >> W * s & mask) - half for s in range(M.degree + 1)]
 
 
 def evaluate_at_j(M: ModularPolynomial, j) -> list[Fraction]:
@@ -243,11 +261,15 @@ def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 _POWERS = 9  # deg Phi_7 + 1: one table serves every shipped level and point counts
+# up to this prime, tables of powers are kept for the run: at most 97, 72 q
+# bytes each, 1.55 MB in all.  Cold, a table costs 1.5 times Horner's rule,
+# warm 0.6 times (NAIVE_LIMIT): it pays from a prime's third call
+_TABLE_LIMIT = 1 << 9
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _powers(q: int) -> np.ndarray:
-    """Row k is x^k at every x in F_q, for k < _POWERS and q <= NAIVE_LIMIT:
+    """Row k is x^k at every x in F_q, for k < _POWERS and q <= _TABLE_LIMIT:
     reduced mod q up to row 4, and from row 5 on a product of two residues,
     below q^2."""
     t = np.ones((_POWERS, q), dtype=np.int64)
@@ -256,19 +278,19 @@ def _powers(q: int) -> np.ndarray:
         np.multiply(t[1:k], t[k - 1], out=t[k:2 * k - 1])
         if k < 5:
             t[k:2 * k - 1] %= q
-    t.setflags(write=False)  # every caller shares the one cached table
+    t.setflags(write=False)  # every caller shares the cached table
     return t
 
 
 def _values_mod(f: list[int], q: int) -> np.ndarray:
     """f(x) mod q at every x in F_q; f is descending with integer
-    coefficients, and q^2 must fit in int64.  Up to NAIVE_LIMIT, for f of at
+    coefficients, and q^2 must fit in int64.  Up to _TABLE_LIMIT, for f of at
     most _POWERS coefficients, one product of f's residues with the table of
     powers, below _POWERS q^3 < 2^63 before the final % q.  Otherwise
     Horner's rule on one array: a step takes entries at most t to at most
     (t + 1)(q - 1) <= t q, so it is reduced only where the next could
     overflow."""
-    if q <= NAIVE_LIMIT and len(f) <= _POWERS:
+    if q <= _TABLE_LIMIT and len(f) <= _POWERS:
         c = np.array([a % q for a in reversed(f)], dtype=np.int64)
         return c @ _powers(q)[:len(f)] % q
     x = np.arange(q, dtype=np.int64)
@@ -391,11 +413,12 @@ def rational_linear_factors(coeffs) -> tuple[Fraction, ...]:
         ints.pop()
     if len(ints) <= 1:
         return tuple(found)
-    q = next(q for q in count(3, 2) if ints[0] % q and is_prime(q))
-    if len(_pgcd([c % q for c in ints], _ptrim([c % q for c in _derivative(ints)]), q)) == 1:
-        s = _primitive(ints)  # squarefree mod q, so over Q
+    df = _derivative(ints)
+    qs = islice((q for q in count(3, 2) if ints[0] % q and is_prime(q)), 3)
+    if any(len(_pgcd([c % q for c in ints], _ptrim([c % q for c in df]), q)) == 1 for q in qs):
+        s = _primitive(ints)  # squarefree mod some q, so over Q
     else:  # f = gcd(f, f') s, and the pseudo-quotient is a multiple of s
-        s = _primitive(_pseudo_divmod(ints, _zgcd(ints, _derivative(ints)))[0])
+        s = _primitive(_pseudo_divmod(ints, _zgcd(ints, df))[0])
     ds = _derivative(s)
     for q in count(3, 2):  # the lifting prime: lc(s) a unit and every zero of s simple
         if s[0] % q and is_prime(q):
@@ -437,12 +460,17 @@ def _root_part(f: list[int], p: int) -> list[int]:
     return _pgcd(_ptrim(g), f, p)
 
 
-@lru_cache(maxsize=1)
+# the last (M, j) asked, j with its modulus, and its record: both public
+# counts asked at one prime share one
+_root_layers_cache: dict = {}
+
+
 def _root_layers(M: ModularPolynomial, j: PrimeFieldElement) -> tuple[int, int]:
     """(distinct, with multiplicity) F_p-roots of Phi_N(X, j) from one X^p:
     the degree of the first root layer, and the sum of the degrees of all
-    layers (module docstring).  The one entry, keyed on M and on j with its
-    modulus, serves both public counts asked at one prime."""
+    layers (module docstring)."""
+    if (M, j) in _root_layers_cache:
+        return _root_layers_cache[M, j]
     f = _specialize_mod(M, j)
     p = j.modulus
     g = _root_part(f, p)
@@ -451,16 +479,18 @@ def _root_layers(M: ModularPolynomial, j: PrimeFieldElement) -> tuple[int, int]:
         f = _pdivmod(f, g, p)[0]
         g = _pgcd(g, f, p)
         total += len(g) - 1
+    _root_layers_cache.clear()
+    _root_layers_cache[M, j] = distinct, total
     return distinct, total
 
 
 def fp_root_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
-    """Number of distinct roots of Phi_N(X, j) in F_p: the zeros among its
-    values at every x up to NAIVE_LIMIT, above it the degree of the first
-    layer gcd(X^p - X, f) of the record it shares with
-    fp_linear_factor_count."""
+    """Number of distinct roots of Phi_N(X, j) in F_p: the degree of the
+    first layer gcd(X^p - X, f) of the record it shares with
+    fp_linear_factor_count, or, up to NAIVE_LIMIT where that record is not
+    there yet, the zeros among its values at every x."""
     p = j.modulus
-    if p <= NAIVE_LIMIT:
+    if p <= NAIVE_LIMIT and (M, j) not in _root_layers_cache:
         return p - int(np.count_nonzero(_values_mod(_specialize_mod(M, j), p)))
     return _root_layers(M, j)[0]
 

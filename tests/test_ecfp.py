@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from locisog import arith, ecfp, modpoly
-from locisog.arith import is_prime, primes_up_to
+from locisog.arith import PrimeFieldElement, is_prime, primes_up_to
 from locisog.ecfp import (LocalData, ScanReport, count_points, local_isogeny_admitted,
                           local_scan, reduce_and_count)
 from locisog.ecq import COUNTEREXAMPLE_CURVE, WeierstrassCurve
 from locisog.errors import DenominatorError, VerificationError
-from locisog.modpoly import NAIVE_LIMIT
+from locisog.modpoly import _TABLE_LIMIT, NAIVE_LIMIT, fp_root_count, shipped_modpoly
 
 
 def _dumb_count(E, p):
@@ -124,19 +124,24 @@ def test_one_reduction_per_curve_across_calls(monkeypatch):
     assert [id(G) for G in made] == [id(G) for G in (E, F, E, twin, F)]
 
 
-def test_power_table_stays_at_or_below_naive_limit():
-    # a naive count above NAIVE_LIMIT runs Horner's rule and builds no table
-    # of powers; one at or below it builds one
-    below = max(p for p in range(NAIVE_LIMIT + 1) if is_prime(p))
-    above = min(p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p))
+def test_power_tables_stay_at_or_below_table_limit():
+    # naive point counts (reduce_and_count counts naively up to NAIVE_LIMIT)
+    # and Phi_7 root counts at every prime up to NAIVE_LIMIT keep at most one
+    # table per prime up to _TABLE_LIMIT, 97 in all, and none above it:
+    # asking for all 97 afterwards leaves exactly 97
+    small = [p for p in range(2, _TABLE_LIMIT + 1) if is_prime(p)]
+    assert len(small) == 97
+    M = shipped_modpoly(7)
     modpoly._powers.cache_clear()
-    count_points(COUNTEREXAMPLE_CURVE, above, method="naive")
-    assert modpoly._powers.cache_info().currsize == 0
-    count_points(COUNTEREXAMPLE_CURVE, below, method="naive")
-    assert modpoly._powers.cache_info().currsize == 1
-    count_points(COUNTEREXAMPLE_CURVE, above, method="naive")
-    info = modpoly._powers.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    modpoly._root_layers_cache.clear()
+    for p in range(3, NAIVE_LIMIT + 1):
+        if is_prime(p) and p != 7:
+            reduce_and_count(COUNTEREXAMPLE_CURVE, p)
+            fp_root_count(M, PrimeFieldElement(2268945 * pow(128, -1, p), p))
+    assert 0 < modpoly._powers.cache_info().currsize <= 97
+    for q in small:
+        modpoly._powers(q)
+    assert modpoly._powers.cache_info().currsize == 97
 
 
 def test_bsgs_matches_naive():

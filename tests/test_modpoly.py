@@ -6,10 +6,10 @@ import pytest
 from locisog import modpoly
 from locisog.arith import PrimeFieldElement, is_prime
 from locisog.errors import ModPolyFormatError
-from locisog.modpoly import (NAIVE_LIMIT, SHIPPED_LEVELS, FactorizationCertificate,
-                             ModularPolynomial, _disc_shape, _slot_bits,
-                             _specialize_mod, _xpow_mod, evaluate_at_j,
-                             fp_linear_factor_count, fp_root_count, load_factors,
+from locisog.modpoly import (_TABLE_LIMIT, NAIVE_LIMIT, SHIPPED_LEVELS,
+                             FactorizationCertificate, ModularPolynomial, _disc_shape,
+                             _slot_bits, _specialize, _specialize_mod, _xpow_mod,
+                             evaluate_at_j, fp_linear_factor_count, fp_root_count, load_factors,
                              load_modpoly, rational_linear_factors,
                              shipped_certificate_factors, shipped_modpoly,
                              verify_certificate)
@@ -200,10 +200,13 @@ def test_rational_linear_factors_edge_cases():
 
 
 def test_squarefree_fast_path_and_zgcd_fallback(monkeypatch):
-    """f is cut to its squarefree part over Z only when gcd(f, f') mod the
-    first odd prime q not dividing lc(f) is not 1.  (X - 1)(X - 4) is
-    squarefree but meets itself mod 3, so it takes the fallback too; the
-    repeated roots of the other two need it."""
+    """f is cut to its squarefree part over Z only when gcd(f, f') is not 1
+    mod each of the first three odd primes q not dividing lc(f).
+    (X - 1)(X - 4) meets itself mod 3 but not mod 5, so it skips the
+    fallback; (X - 1)(X - 106) and (3X - 1)(X - 257) are squarefree but meet
+    themselves at all three primes (106 - 1 = 3 * 5 * 7, and 257 = 1/3 mod 5,
+    7 and 11), so they take it too; the repeated roots of the last two need
+    it."""
     calls = []
     zgcd = modpoly._zgcd
 
@@ -212,10 +215,12 @@ def test_squarefree_fast_path_and_zgcd_fallback(monkeypatch):
         return zgcd(a, b)
 
     monkeypatch.setattr(modpoly, "_zgcd", recording)
-    cases = [([1, -5, 4], (1, 4), True),  # (X - 1)(X - 4), refused mod 3
+    cases = [([1, -5, 4], (1, 4), False),  # (X - 1)(X - 4), refused mod 3 only
+             ([1, -107, 106], (1, 106), True),  # (X - 1)(X - 106), refused mod 3, 5, 7
              ([1, -3, 2], (1, 2), False),  # (X - 1)(X - 2), squarefree mod 3
              ([2, -7, 3], (Fraction(1, 2), 3), False),  # lc 2: q = 3
-             ([3, -7, 2], (Fraction(1, 3), 2), True),  # lc 3: q = 5, where 1/3 = 2
+             ([3, -7, 2], (Fraction(1, 3), 2), False),  # lc 3: refused mod 5, not mod 7
+             ([3, -772, 257], (Fraction(1, 3), 257), True),  # lc 3: refused mod 5, 7, 11
              ([1, -4, 5, -2], (1, 1, 2), True),  # (X - 1)^2 (X - 2)
              ([1, -3, 2, -6, 1, -3], (3,), True)]  # (X^2 + 1)^2 (X - 3)
     for coeffs, roots, fallback in cases:
@@ -314,15 +319,32 @@ def test_specialize_mod_reduces_evaluate_at_j():
                 jp = PrimeFieldElement(j.numerator * pow(j.denominator, -1, p), p)
                 want = [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
                 assert _specialize_mod(M, jp) == want, (ell, j, p)
+    # the slot width's edges: |a| and b at and just below powers of two, and
+    # b with 91 digits, over Z; and j = 0, 1, p - 1 at 64-bit primes
+    edges = [0, 1, -1]
+    for k in (1, 2, 8, 9, 31, 32, 64, 100, 400):
+        edges += [(1 << k) - 1, -(1 << k)]
+    for ell in SHIPPED_LEVELS:
+        M = shipped_modpoly(ell)
+        for a in edges:
+            for b in [1, 10 ** 90 + 1] + [1 << k for k in (1, 9, 64, 400)]:
+                want = [c * b ** M.degree for c in _phi_at_j(M, Fraction(a, b))]
+                assert _specialize(M, a, b) == want, (ell, a, b)
+        for p in (3, 11, (1 << 31) - 1, (1 << 61) - 1, (1 << 64) - 59):
+            if ell % p:
+                for v in (0, 1, p - 1):
+                    want = [c.numerator % p for c in _phi_at_j(M, Fraction(v))]
+                    assert _specialize_mod(M, PrimeFieldElement(v, p)) == want, (ell, p, v)
     with pytest.raises(ValueError, match="divides the level"):
         _specialize_mod(shipped_modpoly(7), PrimeFieldElement(1, 7))
 
 
 def test_values_mod_matches_horner():
     # the table product and the Horner array both equal Horner's rule on
-    # Python ints, at every prime below 600 and at the primes on both sides
-    # of NAIVE_LIMIT, for lengths 1 to 11 (the table has 9 rows), with
-    # negative and 220-bit coefficients, and with every residue q - 1
+    # Python ints, at every prime below 600 (across _TABLE_LIMIT) and at the
+    # primes on both sides of NAIVE_LIMIT, for lengths 1 to 11 (the table has
+    # 9 rows), with negative and 220-bit coefficients, and with every residue
+    # q - 1
     rng = random.Random(2026)
     below = max(p for p in range(NAIVE_LIMIT + 1) if is_prime(p))
     above = min(p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p))
@@ -339,8 +361,11 @@ def test_values_and_root_part_agree_at_small_p():
     # the value-table distinct count and the public count with multiplicity
     # equal the X^p root-layer pair at every j of every odd prime below 200,
     # including deg f > p (p = 3, 5 at level 7); the layer routine is called
-    # unmemoized
-    layers = modpoly._root_layers.__wrapped__
+    # with its memo emptied
+    def layers(M, jp):
+        modpoly._root_layers_cache.clear()
+        return modpoly._root_layers(M, jp)
+
     for N in SHIPPED_LEVELS:
         M = shipped_modpoly(N)
         for p in [p for p in range(3, 200) if is_prime(p) and N % p]:
@@ -357,13 +382,44 @@ def test_values_and_root_part_agree_at_small_p():
         assert layers(M, jp) == (1, 8)
 
 
+def test_root_count_reads_a_fresh_record(monkeypatch):
+    # up to NAIVE_LIMIT, fp_root_count right after fp_linear_factor_count at
+    # the same (M, j) reads that record: it evaluates nothing, builds no table
+    # of powers, and gives the value path's answer
+    calls = []
+    values = modpoly._values_mod
+
+    def recording(f, q):
+        calls.append(q)
+        return values(f, q)
+
+    monkeypatch.setattr(modpoly, "_values_mod", recording)
+    js = (0, 1, 1728, J_TARGET.numerator * pow(J_TARGET.denominator, -1, 509))
+    primes = [p for p in range(3, _TABLE_LIMIT + 1) if is_prime(p)] + [521, 1009, 4093]
+    for N in SHIPPED_LEVELS:
+        M = shipped_modpoly(N)
+        for p in [p for p in primes if N % p]:
+            for v in js:
+                jp = PrimeFieldElement(v % p, p)
+                modpoly._powers.cache_clear()
+                calls.clear()
+                fp_linear_factor_count(M, jp)
+                got = fp_root_count(M, jp)
+                assert (calls, modpoly._powers.cache_info().misses) == ([], 0), (N, p, v)
+                modpoly._root_layers_cache.clear()
+                assert fp_root_count(M, jp) == got, (N, p, v)
+                assert calls == [p], (N, p, v)
+                assert modpoly._powers.cache_info().misses == (p <= _TABLE_LIMIT), (N, p, v)
+
+
 def _first_primes_above_naive_limit(k):
     return [p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p)][:k]
 
 
 def test_one_power_per_prime(monkeypatch):
-    # both counts at one prime share one X^p above NAIVE_LIMIT, in either
-    # order
+    # both counts at one prime share one X^p, in either order: above
+    # NAIVE_LIMIT, and at or below it, where fp_root_count asked first counts
+    # by values (from a table up to _TABLE_LIMIT, by Horner's rule above)
     calls = []
     xpow = modpoly._xpow_mod
 
@@ -373,11 +429,11 @@ def test_one_power_per_prime(monkeypatch):
 
     monkeypatch.setattr(modpoly, "_xpow_mod", counting)
     M = shipped_modpoly(7)
-    for p in _first_primes_above_naive_limit(3):
+    for p in [11, 499, 509, 521, 1009] + _first_primes_above_naive_limit(3):
         jp = PrimeFieldElement(J_TARGET.numerator * pow(J_TARGET.denominator, -1, p), p)
         for first, second in ((fp_linear_factor_count, fp_root_count),
                               (fp_root_count, fp_linear_factor_count)):
-            modpoly._root_layers.cache_clear()
+            modpoly._root_layers_cache.clear()
             calls.clear()
             first(M, jp)
             second(M, jp)
@@ -386,7 +442,9 @@ def test_one_power_per_prime(monkeypatch):
 
 def test_root_layer_memo_key():
     # interleaved levels, j values and primes each get their own record: a
-    # memo keyed on j.value alone, or without the level, answers wrongly
+    # memo keyed on j.value alone, or without the level, answers wrongly;
+    # at or below NAIVE_LIMIT, fp_root_count reads only its own (M, j)'s
+    # record
     p, p2 = _first_primes_above_naive_limit(2)
     Ms = {N: shipped_modpoly(N) for N in (2, 7)}
     js = [PrimeFieldElement(J_TARGET.numerator * pow(J_TARGET.denominator, -1, p), p),
@@ -394,6 +452,8 @@ def test_root_layer_memo_key():
     plan = [(N, j) for j in js for N in (7, 2)] + [(7, js[0]), (2, js[1]), (2, js[0])]
     plan += [(7, js[0]), (7, PrimeFieldElement(js[0].value, p2)),
              (2, PrimeFieldElement(js[1].value, p2)), (2, js[1])]
+    small = [PrimeFieldElement(j.value % 509, 509) for j in js]
+    plan += [(N, j) for j in small for N in (7, 2)] + [(2, small[0]), (7, small[1])]
     counts = set()
     for N, j in plan:
         want = _brute_counts(_specialize_mod(Ms[N], j), j.modulus)
