@@ -1,0 +1,159 @@
+"""Run the table of mutants: small edits of the program that named tests were
+shown to catch.  Each mutant is applied to a copy of src/ in a temporary
+directory (never to the checkout), and only its tests run, against that copy,
+under a timeout; a failing test or a timeout kills it.  One JSON line is
+printed per mutant, then a summary line.
+
+The exit code is 1 if a mutant survives, if a run goes wrong, or if a snippet
+no longer occurs exactly once in the checkout: a refactor that moves a line
+updates the table with it.  Standard library only; the tests need pytest.
+
+Run from anywhere:  python scripts/mutants.py
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODPOLY = "src/locisog/modpoly.py"
+MODPOLY_TESTS = "tests/test_modpoly.py::"
+TIMEOUT = 300  # seconds per mutant; a timeout kills it
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root, under src/
+    edits: tuple  # (snippet, replacement) pairs; each snippet occurs once
+    tests: tuple  # pytest node ids, any of which must fail
+
+
+MUTANTS = (
+    # the rational-root finder
+    Mutant("search-ignores-derivative", MODPOLY,
+           (("        ok = _values_mod(ds, q)[zeros] != 0\n", "        ok = zeros >= 0\n"),),
+           (MODPOLY_TESTS + "test_lifting_prime_needs_simple_zeros",)),
+    Mutant("no-call-on-derivative", MODPOLY,
+           (("for root in set(_rational_roots(_derivative(s))):", "for root in ():"),),
+           (MODPOLY_TESTS + "test_squarefree_fast_path_and_derivative_step",)),
+    Mutant("deflation-divides-once", MODPOLY,
+           (("        f, k = quo[1:-1], k + 1\n", "        return quo[1:-1], k + 1\n"),),
+           (MODPOLY_TESTS + "test_squarefree_fast_path_and_derivative_step",)),
+    # the packed X^p kernel
+    Mutant("barrett-bound-cut", MODPOLY,
+           (("    B = (6 * d * q * q).bit_length()\n", "    B = (d * q * q).bit_length()\n"),),
+           (MODPOLY_TESTS + "test_xpow_mod_slot_worst_case",)),
+    Mutant("quotient-without-barrett-step", MODPOLY,
+           (("        Q -= (((Q * m) & hi_mask) >> B) * q\n", ""),),
+           (MODPOLY_TESTS + "test_xpow_mod_slot_worst_case",)),
+    # packed specialization
+    Mutant("slot-one-bit-narrow", MODPOLY,
+           (("    W = C.bit_length() + d * n + 1\n", "    W = C.bit_length() + d * n\n"),),
+           (MODPOLY_TESTS + "test_specialize_mod_reduces_evaluate_at_j",)),
+    # the root-layer record and its memo
+    Mutant("memo-key-j-value", MODPOLY,
+           (("    if (M, j) in _root_layers_cache:\n        return _root_layers_cache[M, j]\n",
+             "    if j.value in _root_layers_cache:\n"
+             "        return _root_layers_cache[j.value]\n"),
+            ("    _root_layers_cache[M, j] = distinct, total\n",
+             "    _root_layers_cache[j.value] = distinct, total\n")),
+           (MODPOLY_TESTS + "test_root_layer_memo_key",)),
+    Mutant("memo-key-without-level", MODPOLY,
+           (("    if (M, j) in _root_layers_cache:\n        return _root_layers_cache[M, j]\n",
+             "    if j in _root_layers_cache:\n        return _root_layers_cache[j]\n"),
+            ("    _root_layers_cache[M, j] = distinct, total\n",
+             "    _root_layers_cache[j] = distinct, total\n")),
+           (MODPOLY_TESTS + "test_root_layer_memo_key",)),
+    Mutant("memo-key-without-modulus", MODPOLY,
+           (("    if (M, j) in _root_layers_cache:\n        return _root_layers_cache[M, j]\n",
+             "    if (M, j.value) in _root_layers_cache:\n"
+             "        return _root_layers_cache[M, j.value]\n"),
+            ("    _root_layers_cache[M, j] = distinct, total\n",
+             "    _root_layers_cache[M, j.value] = distinct, total\n")),
+           (MODPOLY_TESTS + "test_root_layer_memo_key",)),
+    Mutant("root-layer-untrimmed", MODPOLY,
+           (("    g = _pgcd(f, _ptrim(g), p)", "    g = _pgcd(f, g, p)"),),
+           (MODPOLY_TESTS + "test_fp_counts_match_brute_force",)),
+    Mutant("no-record-rule", MODPOLY,
+           (("    if p <= NAIVE_LIMIT and (M, j) not in _root_layers_cache:\n",
+             "    if p <= NAIVE_LIMIT:\n"),),
+           (MODPOLY_TESTS + "test_root_count_reads_a_fresh_record",)),
+    Mutant("tables-to-naive-limit", MODPOLY,
+           (("    if q <= _TABLE_LIMIT and len(f) <= _POWERS:\n",
+             "    if q <= NAIVE_LIMIT and len(f) <= _POWERS:\n"),),
+           ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
+    Mutant("naive-count-tables-to-naive-limit", "src/locisog/ecfp.py",
+           (("_powers(p)[2] if p <= _TABLE_LIMIT else",
+             "_powers(p)[2] if p <= NAIVE_LIMIT else"),),
+           ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
+)
+
+# the child runs pytest if it imports the copy, not the checkout; if not, its
+# exit code 97 reads as an error
+_CHILD = ("import sys, locisog, pytest\n"
+          "if not locisog.__file__.startswith(sys.argv[1]):\n"
+          "    sys.exit(97)\n"
+          "sys.exit(pytest.main(sys.argv[2:]))\n")
+
+
+def stale(m: Mutant, root: str = ROOT) -> list:
+    """What no longer matches the checkout at root: each snippet that does
+    not occur exactly once, and each test whose function is not defined."""
+    with open(os.path.join(root, m.path), encoding="utf-8") as fh:
+        text = fh.read()
+    out = [old for old, _ in m.edits if text.count(old) != 1]
+    for node in m.tests:
+        path, name = node.split("::")
+        with open(os.path.join(root, path), encoding="utf-8") as fh:
+            if ("def %s(" % name.split("[")[0]) not in fh.read():
+                out.append(node)
+    return out
+
+
+def run(m: Mutant) -> str:
+    """killed, survived or error: the mutant's tests against a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        shutil.copytree(os.path.join(ROOT, "src"), os.path.join(tmp, "src"),
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        target = os.path.join(tmp, m.path)
+        with open(target, encoding="utf-8") as fh:
+            text = fh.read()
+        for old, new in m.edits:
+            text = text.replace(old, new)
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
+        cmd = [sys.executable, "-c", _CHILD, os.path.join(tmp, "src"),
+               "-q", "-x", "-p", "no:cacheprovider", *m.tests]
+        try:
+            code = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                                  timeout=TIMEOUT).returncode
+        except subprocess.TimeoutExpired:
+            return "killed"
+    return {0: "survived", 1: "killed"}.get(code, "error")
+
+
+def main() -> int:
+    start = time.monotonic()
+    ok = True
+    for m in MUTANTS:
+        t = time.monotonic()
+        bad = stale(m)
+        status = "stale" if bad else run(m)
+        line = {"mutant": m.name, "status": status, "seconds": round(time.monotonic() - t, 2)}
+        if bad:
+            line["unmatched"] = bad
+        print(json.dumps(line), flush=True)
+        ok = ok and status == "killed"
+    print(json.dumps({"mutants": len(MUTANTS), "all_killed": ok,
+                      "seconds": round(time.monotonic() - start, 2)}))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

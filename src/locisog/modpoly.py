@@ -3,21 +3,21 @@ a j-invariant, certified rational root extraction, root counting over F_p,
 and verification of shipped factorization certificates.
 
 Rational roots are lifted p-adically from one prime (Loos, SIAM J. Comput.
-12 (1983); von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
-The integer polynomial f, zero roots stripped, is cut to its squarefree part:
-s = f when gcd(f, f') is 1 mod one of the three least odd primes not dividing
-lc(f) (a repeated factor of f keeps its degree there, dividing f and f'),
-otherwise s = f / gcd(f, f') over Z.  A root a/b of s in lowest terms has
-a | s(0) and b | lc(s).  The lifting prime q is the smallest odd prime that
-does not divide lc(s) and at which every zero r of s mod q is simple,
-s'(r) != 0 mod q; both are read off the values of s and s' at every point of
-F_q.  Every rational root then reduces to one of these zeros, from which
-Newton's iteration lifts it uniquely, so one prime suffices, and if s has no
-zero mod q it has no rational root.  Each zero is lifted until q^(2^k) >
-2*|s(0)|*lc(s), where rational reconstruction is unique, at a cost linear in
-the number of roots.  Any q that divides neither lc(s) nor disc(s) keeps s
-squarefree, hence its zeros simple, so q is at most the least such prime.
-Exact deflation of f confirms each candidate and gives its multiplicity.
+12 (1983); von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).  Let
+s be f, zero roots stripped, made primitive: a root a/b in lowest terms has
+a | s(0) and b | lc(s).  The lifting prime q is the first of the _TRIES least
+odd primes not dividing lc(s) at which every zero r of s mod q is simple,
+s'(r) != 0 mod q, read off the values of s and s' on F_q.  Every rational root
+reduces to one of these zeros, and Newton's iteration lifts it uniquely until
+q^(2^k) > 2*|s(0)|*lc(s), where rational reconstruction is unique; exact
+deflation of a copy of s confirms it and gives its multiplicity.  If no q
+serves, the repeated rational roots of s, roots of s' too, are found by the
+finder on s' (one degree lower) and divided out of s.  A rational root a/b
+left is simple, and reduces to a multiple zero mod q only if q divides
+b^(d-1) s'(a/b), d = deg s, a nonzero integer below 2^K, K = d bits(max(|s(0)|,
+lc(s))) + bits(sum |s'_i|).  So the search runs again over K primes, and lifts
+at the first with simple zeros only, or else the simple zeros at each, as
+(X^2 - 2)^2 (X^2 - 3)^2 (X^2 - 6)^2 needs (a multiple zero mod every prime).
 
 Phi_N is stored as integer rows, one per power of Y; one homogeneous
 Horner's rule over them gives b^d Phi_N(X, a/b), d = N + 1, with integer
@@ -29,11 +29,11 @@ C 2^(n d) < 2^(W-1) in size for W = bits(C) + n d + 1: 2^(W-1) added to every
 slot leaves each in [0, 2^W), and a shift and mask reads it.
 
 Polynomials mod q are dense descending coefficient lists, handled by one small
-toolkit: _ptrim, _pdivmod, _pgcd, the evaluator _values_mod (f at every point
-of F_q: the zeros mod the lifting prime, point counts, and root counts up to
-NAIVE_LIMIT; up to _TABLE_LIMIT one product with the table of x^k, k < 9,
-that _powers keeps for each such q for the run, above it Horner's rule) and
-the power kernel _xpow_mod.
+toolkit: _ptrim, _pdivmod, _pgcd (the one polynomial gcd, not made monic), the
+evaluator _values_mod (f at every point of F_q: the zeros mod the lifting
+prime, point counts, and root counts up to NAIVE_LIMIT; up to _TABLE_LIMIT one
+product with the table of x^k, k < 9, that _powers keeps for each such q for
+the run, above it Horner's rule) and the power kernel _xpow_mod.
 _pdivmod, _pgcd and _xpow_mod take what their callers pass, trimmed lists
 (no leading zero) of residues in [0, q), and do not reduce or trim their
 inputs again.  The count of F_p-roots of f = Phi_N(X, j) with multiplicity,
@@ -256,8 +256,7 @@ def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
 def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
     while b != [0]:
         a, b = b, _pdivmod(a, b, q)[1]
-    inv = pow(a[0], -1, q)
-    return [c * inv % q for c in a]
+    return a
 
 
 _POWERS = 9  # deg Phi_7 + 1: one table serves every shipped level and point counts
@@ -369,79 +368,87 @@ def _primitive(f: list[int]) -> list[int]:
     return [x // c for x in f]
 
 
-def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """(Q, R) with lc(b)^k a = Q b + R over Z, k = deg a - deg b + 1 and
-    deg R < deg b: division of integer polynomials without fractions."""
-    quo = []
-    while len(a) >= len(b):
-        c = a[0]
-        quo = [b[0] * x for x in quo] + [c]
-        a = [b[0] * x - c * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
-    return quo, _ptrim(a)
-
-
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Z of nonzero integer polynomials by the primitive
-    pseudo-remainder sequence, which keeps coefficients small."""
-    b = _primitive(b)
-    while len(b) > 1:
-        r = _pseudo_divmod(a, b)[1]
-        if r == [0]:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
 def _derivative(f: list[int]) -> list[int]:
-    return [(len(f) - 1 - k) * c for k, c in enumerate(f[:-1])]
+    return [(len(f) - 1 - k) * c for k, c in enumerate(f[:-1])] or [0]
+
+
+def _deflate(f: list[int], root: Fraction) -> tuple[list[int], int]:
+    """(f / (b X - a)^k, k) for root = a/b and the largest k at which the
+    synthetic division is exact over Z; a false candidate gives (f, 0)."""
+    a, b = root.numerator, root.denominator
+    k = 0
+    while True:
+        quo = [0]
+        for c in f:  # quo[i + 1] = (f[i] + a quo[i]) / b, and the last is 0
+            t, r = divmod(c + a * quo[-1], b)
+            if r:
+                return f, k
+            quo.append(t)
+        if quo[-1]:
+            return f, k
+        f, k = quo[1:-1], k + 1
+
+
+# odd primes not dividing lc(s) that the first search tries before the f'
+# step.  With 3, 4, 6 and 10 tries, the 500 calls of one crossval pass took
+# the step 103, 26, 2 and 0 times (seed 1), and 100, 23, 1 and 0 (seed 9001)
+_TRIES = 6
+
+
+def _zeros_to_lift(s: list[int], tries: int) -> tuple[bool, list]:
+    """(True, [(q, zeros of s mod q)]) at the first of `tries` odd primes q not
+    dividing lc(s) with simple zeros only; else (False, [(q, simple zeros)] for all)."""
+    ds = _derivative(s)
+    simple = []
+    for q in islice((q for q in count(3, 2) if s[0] % q and is_prime(q)), tries):
+        zeros = np.flatnonzero(_values_mod(s, q) == 0)
+        ok = _values_mod(ds, q)[zeros] != 0
+        if ok.all():
+            return True, [(q, zeros)]
+        simple.append((q, zeros[ok]))
+    return False, simple
+
+
+def _rational_roots(f: list[int]) -> list[Fraction]:
+    """The rational roots, with multiplicity, of a nonzero integer
+    polynomial, descending (module docstring)."""
+    f, k = _deflate(f, Fraction(0))
+    found, s = [Fraction(0)] * k, _primitive(f)
+    all_simple, plan = _zeros_to_lift(s, _TRIES)
+    if not all_simple:  # strip the repeated rational roots, then search K primes
+        for root in set(_rational_roots(_derivative(s))):
+            s, k = _deflate(s, root)
+            found += [root] * k
+        plan = _zeros_to_lift(s, (len(s) - 1) * max(s[0], abs(s[-1])).bit_length()
+                              + sum(map(abs, _derivative(s))).bit_length())[1]
+    work = s
+    for q, zeros in plan:
+        for r in zeros.tolist():
+            m = q
+            while m <= 2 * abs(s[-1]) * s[0]:
+                m *= m
+                v = dv = 0
+                for c in s:  # s(r) and s'(r) mod m, one Horner pass
+                    v, dv = (v * r + c) % m, (dv * r + v) % m
+                r = (r - v * pow(dv, -1, m)) % m
+            root = _rational_reconstruct(r, m, abs(s[-1]), s[0])
+            if root is not None:
+                work, k = _deflate(work, root)
+                found += [root] * k
+    return found
 
 
 def rational_linear_factors(coeffs) -> tuple[Fraction, ...]:
     """All rational roots, with multiplicity, of a polynomial given by its
     descending rational coefficients; sorted ascending.  Exhaustive by the
-    divisor bound and the one-prime lift described in the module docstring."""
+    divisor bound and the lift described in the module docstring."""
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
     if not coeffs:
         raise ValueError("the zero polynomial vanishes identically")
     mult = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * mult) for c in coeffs]
-    found = []
-    while ints[-1] == 0:
-        found.append(Fraction(0))
-        ints.pop()
-    if len(ints) <= 1:
-        return tuple(found)
-    df = _derivative(ints)
-    qs = islice((q for q in count(3, 2) if ints[0] % q and is_prime(q)), 3)
-    if any(len(_pgcd([c % q for c in ints], _ptrim([c % q for c in df]), q)) == 1 for q in qs):
-        s = _primitive(ints)  # squarefree mod some q, so over Q
-    else:  # f = gcd(f, f') s, and the pseudo-quotient is a multiple of s
-        s = _primitive(_pseudo_divmod(ints, _zgcd(ints, df))[0])
-    ds = _derivative(s)
-    for q in count(3, 2):  # the lifting prime: lc(s) a unit and every zero of s simple
-        if s[0] % q and is_prime(q):
-            zeros = np.flatnonzero(_values_mod(s, q) == 0)
-            if _values_mod(ds, q)[zeros].all():
-                break
-    work = ints
-    for r in zeros.tolist():
-        m = q
-        while m <= 2 * abs(s[-1]) * s[0]:
-            m *= m
-            v = dv = 0
-            for c in s:  # s(r) and s'(r) mod m, one Horner pass
-                v, dv = (v * r + c) % m, (dv * r + v) % m
-            r = (r - v * pow(dv, -1, m)) % m
-        root = _rational_reconstruct(r, m, abs(s[-1]), s[0])
-        while root is not None:  # exact deflation: a false candidate stops at once
-            quo, rem = _pseudo_divmod(work, [root.denominator, -root.numerator])
-            if rem != [0]:
-                break
-            found.append(root)
-            work = _primitive(quo)
-    return tuple(sorted(found))
+    return tuple(sorted(_rational_roots([int(c * mult) for c in coeffs])))
 
 
 def _specialize_mod(M: ModularPolynomial, j: PrimeFieldElement) -> list[int]:
@@ -449,15 +456,6 @@ def _specialize_mod(M: ModularPolynomial, j: PrimeFieldElement) -> list[int]:
     if M.level % p == 0:
         raise ValueError("p = %d divides the level %d" % (p, M.level))
     return [c % p for c in _specialize(M, j.value)]
-
-
-def _root_part(f: list[int], p: int) -> list[int]:
-    """gcd(X^p - X, f): the squarefree product of the linear factors of f."""
-    g = _xpow_mod(p, f, p)
-    while len(g) < 2:
-        g = [0] + g
-    g[-2] = (g[-2] - 1) % p
-    return _pgcd(_ptrim(g), f, p)
 
 
 # the last (M, j) asked, j with its modulus, and its record: both public
@@ -473,7 +471,9 @@ def _root_layers(M: ModularPolynomial, j: PrimeFieldElement) -> tuple[int, int]:
         return _root_layers_cache[M, j]
     f = _specialize_mod(M, j)
     p = j.modulus
-    g = _root_part(f, p)
+    g = [0, 0] + _xpow_mod(p, f, p)
+    g[-2] = (g[-2] - 1) % p
+    g = _pgcd(f, _ptrim(g), p)  # L_1 = gcd(X^p - X, f)
     distinct = total = len(g) - 1
     while len(g) > 1:
         f = _pdivmod(f, g, p)[0]

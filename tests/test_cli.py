@@ -3,7 +3,9 @@ from importlib import resources
 
 import pytest
 
+from locisog import cli
 from locisog.cli import main
+from locisog.errors import VerificationError
 
 
 def _run(capsys, *argv):
@@ -122,6 +124,38 @@ def test_curve_global_verdicts(capsys):
     code, doc = _run_json(capsys, "curve", "global", "--j", "-3375", "--ell", "7")
     assert doc["findings"][0]["verdict"] == "rational 7-isogeny exists"
     assert doc["findings"][0]["rational_roots"] == ["-3375"]
+
+
+def test_curve_global_from_a_curve(capsys):
+    # the counterexample curve has no rational 7-isogeny; the curve
+    # [1,-1,0,-107,552] has j = -3375, CM by the ramified prime above 7
+    code, doc = _run_json(capsys, "curve", "global", "--curve", "1,-1,0,-107,-379",
+                          "--ell", "7")
+    assert code == 0
+    assert doc["findings"][0]["j"] == "2268945/128"
+    assert doc["findings"][0]["rational_roots"] == []
+    code, doc = _run_json(capsys, "curve", "global", "--curve", "1,-1,0,-107,552",
+                          "--ell", "7")
+    assert code == 0
+    assert doc["findings"][0]["j"] == "-3375"
+    assert doc["findings"][0]["rational_roots"] == ["-3375"]
+
+
+def test_curve_global_needs_j_or_a_curve(capsys):
+    code, doc = _run_json(capsys, "curve", "global", "--ell", "7")
+    assert code == 2
+    assert doc["status"] == "error" and "--j" in doc["findings"][0]["error"]
+
+
+def test_verification_error_exits_one(monkeypatch, capsys):
+    def broken(ell):
+        raise VerificationError("planted violation at %d" % ell)
+
+    monkeypatch.setattr(cli, "lemma1_verify", broken)
+    code, doc = _run_json(capsys, "lemma", "--ell", "7")
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert doc["findings"] == [{"violation": "planted violation at 7"}]
 
 
 # j of the Legendre curve y^2 = x(x - 1)(x - lambda), lambda = 12345678901/1000003:

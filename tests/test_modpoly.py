@@ -147,34 +147,55 @@ def test_rational_linear_factors_large_roots():
         assert len(found) == len(set(found)) == 3, lam
 
 
-def _recording_reconstruct(monkeypatch):
-    """Patch _rational_reconstruct to record the modulus of every call."""
-    moduli = []
-    reconstruct = modpoly._rational_reconstruct
+def _recording_finder(monkeypatch):
+    """Patch the finder and _rational_reconstruct: one (f, moduli) entry per
+    finder call, its calls on f' included, in call order."""
+    calls, stack = [], []
+    finder, reconstruct = modpoly._rational_roots, modpoly._rational_reconstruct
 
-    def recording(c, m, num_bound, den_bound):
-        moduli.append(m)
+    def recording_finder(f):
+        calls.append((f, []))
+        stack.append(calls[-1][1])
+        try:
+            return finder(f)
+        finally:
+            stack.pop()
+
+    def recording_reconstruct(c, m, num_bound, den_bound):
+        stack[-1].append(m)
         return reconstruct(c, m, num_bound, den_bound)
 
-    monkeypatch.setattr(modpoly, "_rational_reconstruct", recording)
-    return moduli
+    monkeypatch.setattr(modpoly, "_rational_roots", recording_finder)
+    monkeypatch.setattr(modpoly, "_rational_reconstruct", recording_reconstruct)
+    return calls
+
+
+def _is_power_of(m, q):
+    while m % q == 0:
+        m //= q
+    return m == 1
 
 
 def test_rational_linear_factors_lifts_from_one_prime(monkeypatch):
     """One lifting prime, one lift per zero mod that prime: every
-    reconstruction of a call works modulo the same prime power, and there
-    are at most deg f of them, so the work is linear in the number of roots."""
-    moduli = _recording_reconstruct(monkeypatch)
+    reconstruction of a call, a call on f' counted as its own, works modulo
+    the same prime power, and there are at most deg f of them, so the work is
+    linear in the number of roots."""
+    calls = _recording_finder(monkeypatch)
     rng = random.Random(7)
     cases = [evaluate_at_j(shipped_modpoly(7), J_TARGET)]
     cases += [evaluate_at_j(shipped_modpoly(2), _legendre_j(lam)) for lam in LEGENDRE_LAMBDAS]
     cases.append(_from_roots([Fraction(k * 10 ** 40 + 1, 3 ** k) for k in range(1, 7)]))
     cases += [_planted(rng)[0] for _ in range(20)]
+    steps = []
     for coeffs in cases:
-        moduli.clear()
+        calls.clear()
         rational_linear_factors(coeffs)
-        assert len(set(moduli)) <= 1
-        assert len(moduli) <= len(coeffs) - 1
+        for f, moduli in calls:
+            assert len(set(moduli)) <= 1, coeffs
+            assert len(moduli) <= len(f) - 1, coeffs
+        steps.append(len(calls) - 1)
+    assert max(steps) > 0  # the planted repeated roots take the f' step
 
 
 def test_lifting_prime_needs_simple_zeros(monkeypatch):
@@ -182,13 +203,10 @@ def test_lifting_prime_needs_simple_zeros(monkeypatch):
     (106 - 1 = 3 * 5 * 7), where the zero they share is double and Newton's
     step would divide by s'(1) = 0, and 11 divides the leading coefficient.
     So the lift runs from 13, where the zeros of s are simple."""
-    moduli = _recording_reconstruct(monkeypatch)
+    calls = _recording_finder(monkeypatch)
     assert rational_linear_factors([11, -1177, 1167, -107, 106]) == (1, 106)
-    assert moduli
-    for m in moduli:  # each a power of 13
-        while m % 13 == 0:
-            m //= 13
-        assert m == 1
+    [(_, moduli)] = calls
+    assert moduli and all(_is_power_of(m, 13) for m in moduli)
 
 
 def test_rational_linear_factors_edge_cases():
@@ -199,34 +217,56 @@ def test_rational_linear_factors_edge_cases():
     assert rational_linear_factors([Fraction(1), 0, 1]) == ()
 
 
-def test_squarefree_fast_path_and_zgcd_fallback(monkeypatch):
-    """f is cut to its squarefree part over Z only when gcd(f, f') is not 1
-    mod each of the first three odd primes q not dividing lc(f).
-    (X - 1)(X - 4) meets itself mod 3 but not mod 5, so it skips the
-    fallback; (X - 1)(X - 106) and (3X - 1)(X - 257) are squarefree but meet
-    themselves at all three primes (106 - 1 = 3 * 5 * 7, and 257 = 1/3 mod 5,
-    7 and 11), so they take it too; the repeated roots of the last two need
-    it."""
-    calls = []
-    zgcd = modpoly._zgcd
+def _times(*factors):
+    out = [1]
+    for g in factors:
+        out = [sum(out[i] * g[k - i] for i in range(len(out)) if 0 <= k - i < len(g))
+               for k in range(len(out) + len(g) - 1)]
+    return out
 
-    def recording(a, b):
-        calls.append(a)
-        return zgcd(a, b)
 
-    monkeypatch.setattr(modpoly, "_zgcd", recording)
-    cases = [([1, -5, 4], (1, 4), False),  # (X - 1)(X - 4), refused mod 3 only
-             ([1, -107, 106], (1, 106), True),  # (X - 1)(X - 106), refused mod 3, 5, 7
-             ([1, -3, 2], (1, 2), False),  # (X - 1)(X - 2), squarefree mod 3
-             ([2, -7, 3], (Fraction(1, 2), 3), False),  # lc 2: q = 3
-             ([3, -7, 2], (Fraction(1, 3), 2), False),  # lc 3: refused mod 5, not mod 7
-             ([3, -772, 257], (Fraction(1, 3), 257), True),  # lc 3: refused mod 5, 7, 11
-             ([1, -4, 5, -2], (1, 1, 2), True),  # (X - 1)^2 (X - 2)
-             ([1, -3, 2, -6, 1, -3], (3,), True)]  # (X^2 + 1)^2 (X - 3)
-    for coeffs, roots, fallback in cases:
+def test_squarefree_fast_path_and_derivative_step(monkeypatch):
+    """The finder calls itself on f' only when f has a multiple zero mod each
+    of the first _TRIES = 6 odd primes q not dividing lc(f).
+    (X - 1)(X - 4) meets itself mod 3 but not mod 5, (X - 1)(X - 106) mod 3,
+    5 and 7 but not 11 (106 - 1 = 3 * 5 * 7), and (3X - 1)(X - 257) mod 5, 7
+    and 11 but not 13 (257 = 1/3 there), so none takes the step; nor does
+    (X^2 + 1)^2 (X - 3), whose one zero mod 3 is simple.  Repeated rational
+    roots take it: (X - 2)^3 (X^2 + 1) twice, since the call on f' takes it
+    again.  (X - 1)(X - 255256) meets itself mod 3, 5, 7, 11, 13 and 17
+    (255255 = 3 * 5 * 7 * 11 * 13 * 17): the call on f' strips nothing, and
+    the search that follows lifts from 19."""
+    calls = _recording_finder(monkeypatch)
+    assert modpoly._TRIES == 6
+    cases = [([1, -5, 4], (1, 4), 0),  # (X - 1)(X - 4)
+             ([1, -107, 106], (1, 106), 0),  # (X - 1)(X - 106)
+             ([1, -3, 2], (1, 2), 0),  # (X - 1)(X - 2), simple zeros mod 3
+             ([2, -7, 3], (Fraction(1, 2), 3), 0),  # lc 2: q = 3
+             ([3, -7, 2], (Fraction(1, 3), 2), 0),  # lc 3: meets itself mod 5, not 7
+             ([3, -772, 257], (Fraction(1, 3), 257), 0),  # lc 3
+             ([1, -4, 5, -2], (1, 1, 2), 1),  # (X - 1)^2 (X - 2)
+             ([1, -3, 2, -6, 1, -3], (3,), 0),  # (X^2 + 1)^2 (X - 3)
+             (_times([1, -2], [1, -2], [1, -2], [1, 0, 1]), (2, 2, 2), 2),  # (X - 2)^3 (X^2 + 1)
+             ([1, -255257, 255256], (1, 255256), 1)]  # (X - 1)(X - 255256)
+    for coeffs, roots, steps in cases:
         calls.clear()
         assert rational_linear_factors(coeffs) == roots, coeffs
-        assert bool(calls) == fallback, coeffs
+        assert len(calls) - 1 == steps, coeffs
+    assert calls[0][1] and all(_is_power_of(m, 19) for m in calls[0][1])
+
+
+def test_rational_roots_when_every_prime_has_a_multiple_zero(monkeypatch):
+    """2, 3 or 6 is a square mod every odd prime, so (X^2 - 2)^2 (X^2 - 3)^2
+    (X^2 - 6)^2 (X - 5) has a multiple zero mod every prime, also after the
+    call on f', which strips nothing: the second search lifts the simple
+    zeros at each of its primes, and finds 5 once.  With 5 repeated and a
+    root -1/3 added, the call on f' strips both 5s first."""
+    calls = _recording_finder(monkeypatch)
+    f = _times([1, 0, -2], [1, 0, -2], [1, 0, -3], [1, 0, -3], [1, 0, -6], [1, 0, -6], [1, -5])
+    assert rational_linear_factors(f) == (5,)
+    assert len(set(calls[0][1])) > 1  # lifts from more than one prime
+    g = [7 * c for c in _times(f, [1, -5], [3, 1])]  # and 5 repeated, and -1/3
+    assert rational_linear_factors(g) == (Fraction(-1, 3), 5, 5)
 
 
 def test_counterexample_specialization_has_no_rational_root():
