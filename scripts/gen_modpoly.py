@@ -20,7 +20,10 @@ are meaningful and all fatal on failure:
   * Phi_2 matches the classical published table exactly
   * CM evaluations: Phi_N(j1, j2) = 0 at complex-multiplication pairs where
     an N-isogeny is forced, != 0 where N is inert
-  * numeric: Phi_N(j(N*tau), j(tau)) ~ 0 at 200-digit precision for generic tau
+  * numeric: Phi_N(j(N*tau), j(tau)) ~ 0 at 220-digit precision for generic tau
+
+The numeric check needs mpmath, which the package's `test` extra declares
+(pip install -e .[test]).
 
 Run from the repository root:  python scripts/gen_modpoly.py
 """

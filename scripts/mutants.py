@@ -91,6 +91,22 @@ MUTANTS = (
            (("_powers(p)[2] if p <= _TABLE_LIMIT else",
              "_powers(p)[2] if p <= NAIVE_LIMIT else"),),
            ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
+    # the exact Gauss sum and its CLI verdict
+    Mutant("gauss-fold-drops-correction", "src/locisog/arith.py",
+           (("    coords = [(g2 >> W * i & mask) - top for i in range(ell - 1)]\n",
+             "    coords = [(g2 >> W * i & mask) for i in range(ell - 1)]\n"),),
+           ("tests/test_arith.py::test_gauss_sum_square_identity",)),
+    Mutant("gauss-target-sign", "src/locisog/cli.py",
+           (("legendre_kronecker(-1 % args.ell, args.ell)", "1"),),
+           ("tests/test_cli.py::test_gauss_pass",)),
+    # local data and primality
+    Mutant("supersingular-needs-zero-trace", "src/locisog/ecfp.py",
+           (("        return self.good and self.a_p % self.p == 0\n",
+             "        return self.good and self.a_p == 0\n"),),
+           ("tests/test_ecfp.py::test_local_data_validation",)),
+    Mutant("miller-rabin-nine-witnesses", "src/locisog/arith.py",
+           (("    for a in _MR_WITNESSES:\n", "    for a in _MR_WITNESSES[:9]:\n"),),
+           ("tests/test_arith.py::test_is_prime_rejects_strong_pseudoprimes",)),
 )
 
 # the child runs pytest if it imports the copy, not the checkout; if not, its

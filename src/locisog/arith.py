@@ -290,21 +290,21 @@ class QuadFieldElement:
         return "QuadFieldElement(%s, %s, d=%d)" % (self.a, self.b, self.d)
 
 
-def gauss_sum_square(ell: int) -> float:
-    """Re(g^2) for the quadratic Gauss sum g = sum_n exp(2 pi i n^2 / ell).
-
-    Evaluated at 100 bits of mantissa; the imaginary part of g^2 must vanish
-    to within 1e-9 or the computation aborts.
-    """
+def gauss_sum_square(ell: int) -> int:
+    """g^2 for the quadratic Gauss sum g = sum_n zeta^(n^2), zeta = exp(2 pi i / ell),
+    exactly: g = sum_n x^(n^2 mod ell) in Z[x]/(x^ell - 1) is squared by one
+    product of W-bit slots (the coefficients sum to ell^2 < 2^W), folded by
+    x^ell = 1, and reduced modulo 1 + x + ... + x^(ell-1) by subtracting the
+    coefficient of x^(ell-1).  A nonzero coordinate besides the constant, in
+    the basis 1, zeta, ..., zeta^(ell-2), raises ArithmeticError."""
     if ell == 2:
         raise ValueError("the Gauss sum identity needs an odd prime, got 2")
     _require_prime(ell)
-    import mpmath  # here, so that importing locisog does not load it
-
-    with mpmath.workprec(100):
-        g = mpmath.fsum((mpmath.expjpi(mpmath.mpf(2 * (n * n % ell)) / ell)
-                         for n in range(ell)), absolute=False)
-        g2 = g * g
-        if abs(mpmath.im(g2)) > 1e-9:
-            raise ArithmeticError("Gauss sum square has imaginary part %s" % mpmath.im(g2))
-        return float(mpmath.re(g2))
+    W = (ell * ell).bit_length() + 1
+    g2 = sum(1 << W * (n * n % ell) for n in range(ell)) ** 2
+    g2 = (g2 & (1 << W * ell) - 1) + (g2 >> W * ell)
+    top, mask = g2 >> W * (ell - 1), (1 << W) - 1
+    coords = [(g2 >> W * i & mask) - top for i in range(ell - 1)]
+    if any(coords[1:]):
+        raise ArithmeticError("Gauss sum square has irrational coordinates %s" % coords[1:])
+    return coords[0]

@@ -191,9 +191,9 @@ def test_criterion_7_gauss_sums():
         if ell == 2:
             continue
         target = legendre_kronecker(ell - 1, ell) * ell
-        ok = ok and abs(gauss_sum_square(ell) - target) < 1e-9
+        ok = ok and gauss_sum_square(ell) == target
     _verdict(ok, "criterion 7: quadratic Gauss sum squares to (-1|ell) ell "
-                 "within 1e-9 for every odd prime up to 200")
+                 "exactly in Z[zeta_l] for every odd prime up to 200")
 
 
 def _brute_subgroup_class_orders(ell):

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -131,8 +132,13 @@ def test_quad_field_nonsquares():
 
 
 def test_gauss_sum_square_identity():
-    for ell in primes_up_to(200):
-        if ell == 2:
-            continue
-        sign = legendre_kronecker(ell - 1, ell)
-        assert abs(gauss_sum_square(ell) - sign * ell) < 1e-9
+    for ell in primes_up_to(200)[1:]:
+        g2 = gauss_sum_square(ell)
+        assert type(g2) is int and g2 == legendre_kronecker(ell - 1, ell) * ell
+        # an independent oracle: the sum of complex exponentials in floats
+        g = sum(cmath.exp(2j * cmath.pi * n * n / ell) for n in range(ell))
+        assert round((g * g).real) == g2 and abs((g * g).imag) < 1e-9
+    with pytest.raises(ValueError):
+        gauss_sum_square(2)
+    with pytest.raises(ValueError):
+        gauss_sum_square(9)

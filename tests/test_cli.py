@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from locisog import cli
+from locisog.arith import primes_up_to
 from locisog.cli import main
 from locisog.errors import VerificationError
 
@@ -13,9 +14,13 @@ def _run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def _no_float(text):
+    raise AssertionError("a JSON report carries the float %s" % text)
+
+
 def _run_json(capsys, *argv):
     code, out = _run(capsys, *argv, "--json")
-    return code, json.loads(out)
+    return code, json.loads(out, parse_float=_no_float)
 
 
 def test_gauss_pass(capsys):
@@ -25,13 +30,20 @@ def test_gauss_pass(capsys):
     assert doc["command"] == "gauss" and doc["status"] == "pass"
     assert doc["findings"][0]["ok"] is True
     assert doc["findings"][0]["target"] == -7
+    g2 = doc["findings"][0]["g_squared"]
+    assert g2 == -7 and type(g2) is int
+    for ell in primes_up_to(200)[1:]:
+        code, doc = _run_json(capsys, "gauss", "--ell", str(ell))
+        want = ell if ell % 4 == 1 else -ell
+        assert code == 0 and doc["findings"][0]["g_squared"] == want, ell
 
 
 def test_gauss_rejects_composite(capsys):
-    code, doc = _run_json(capsys, "gauss", "--ell", "4")
-    assert code == 2
-    assert doc["status"] == "error"
-    assert doc["findings"][0]["error"]
+    for ell in ("4", "2"):  # 2 is prime, but has no quadratic character
+        code, doc = _run_json(capsys, "gauss", "--ell", ell)
+        assert code == 2
+        assert doc["status"] == "error"
+        assert doc["findings"][0]["error"]
 
 
 def test_text_rendering(capsys):
