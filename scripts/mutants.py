@@ -99,6 +99,16 @@ MUTANTS = (
     Mutant("gauss-target-sign", "src/locisog/cli.py",
            (("legendre_kronecker(-1 % args.ell, args.ell)", "1"),),
            ("tests/test_cli.py::test_gauss_pass",)),
+    # the witness-group check and the counterexample replay, shared by the
+    # CLI and acceptance criteria 3 and 4
+    Mutant("witness-shape-fixed-bound", "src/locisog/localglobal.py",
+           (("min_fixed >= 2", "min_fixed >= 3"),),
+           ("tests/test_cli.py::test_group_shape",
+            "tests/test_acceptance.py::test_criterion_3_dihedral_witness_groups")),
+    Mutant("replay-ignores-certificate-product", "src/locisog/cli.py",
+           (('step("certificate-product", cert.product_matches,',
+             'step("certificate-product", True,'),),
+           ("tests/test_cli.py::test_counterexample_fails_on_wrong_factors",)),
     # local data and primality
     Mutant("supersingular-needs-zero-trace", "src/locisog/ecfp.py",
            (("        return self.good and self.a_p % self.p == 0\n",

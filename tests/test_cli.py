@@ -95,6 +95,9 @@ def test_counterexample_fails_on_wrong_factors(tmp_path, capsys):
                           "--factors", str(bad))
     assert code == 1
     assert doc["status"] == "fail"
+    # the discriminant step fails too; the product step must fail on its own
+    product = [f for f in doc["findings"] if f["step"] == "certificate-product"]
+    assert product[0]["ok"] is False and "differs" in product[0]["detail"]
 
 
 def test_counterexample_errors_on_corrupt_modpoly(tmp_path, capsys):
@@ -125,6 +128,13 @@ def test_curve_local_scan(capsys):
 def test_curve_local_needs_a_curve(capsys):
     code, doc = _run_json(capsys, "curve", "local", "--ell", "7")
     assert code == 2
+    # local mode scans a curve; a j-invariant or a modular polynomial is a
+    # conflict, not ignored
+    for extra in (("--j", "-3375"), ("--curve", "1,-1,0,-107,-379", "--j", "-3375"),
+                  ("--curve", "1,-1,0,-107,-379", "--modpoly", "phi7.txt")):
+        code, doc = _run_json(capsys, "curve", "local", *extra, "--ell", "7")
+        assert code == 2
+        assert "no --j or --modpoly" in doc["findings"][0]["error"]
 
 
 def test_curve_global_verdicts(capsys):
@@ -157,6 +167,11 @@ def test_curve_global_needs_j_or_a_curve(capsys):
     code, doc = _run_json(capsys, "curve", "global", "--ell", "7")
     assert code == 2
     assert doc["status"] == "error" and "--j" in doc["findings"][0]["error"]
+    # both is a conflict: neither input is dropped in favour of the other
+    code, doc = _run_json(capsys, "curve", "global", "--curve", "1,-1,0,-107,-379",
+                          "--j", "-3375", "--ell", "7")
+    assert code == 2
+    assert doc["findings"][0]["error"].endswith("--j and --curve, got both")
 
 
 def test_verification_error_exits_one(monkeypatch, capsys):
@@ -197,6 +212,12 @@ def test_curve_malformed_coefficients(capsys):
     assert code == 2
     code, doc = _run_json(capsys, "curve", "global", "--j", "x", "--ell", "5")
     assert code == 2
+    code, doc = _run_json(capsys, "curve", "global", "--j", "1/0", "--ell", "5")
+    assert code == 2
+    assert doc["findings"][0]["error"] == "j = 1/0 has a zero denominator"
+    code, doc = _run_json(capsys, "curve", "local", "--curve", "1/0,0,0,1,1", "--ell", "5")
+    assert code == 2
+    assert doc["findings"][0]["error"] == "a1 = 1/0 has a zero denominator"
 
 
 def test_ratio_paths(capsys):
@@ -213,6 +234,7 @@ def test_group_shape(capsys):
     assert code == 0
     f = doc["findings"][0]
     assert f["order"] == 36 and f["orbit_sizes"] == [2, 3, 3]
+    assert f["min_fixed_points"] == 2 and f["hypothesis"] is True and f["ok"] is True
     code, doc = _run_json(capsys, "group", "--ell", "7", "--n", "4")
     assert code == 2
 
