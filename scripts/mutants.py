@@ -80,13 +80,22 @@ MUTANTS = (
            (("    g = _pgcd(f, _ptrim(g), p)", "    g = _pgcd(f, g, p)"),),
            (MODPOLY_TESTS + "test_fp_counts_match_brute_force",)),
     Mutant("no-record-rule", MODPOLY,
-           (("    if p <= NAIVE_LIMIT and (M, j) not in _root_layers_cache:\n",
-             "    if p <= NAIVE_LIMIT:\n"),),
+           (("    if p > NAIVE_LIMIT or (M, j) in _root_layers_cache:\n",
+             "    if p > NAIVE_LIMIT:\n"),),
            (MODPOLY_TESTS + "test_root_count_reads_a_fresh_record",)),
     Mutant("tables-to-naive-limit", MODPOLY,
            (("    if q <= _TABLE_LIMIT and len(f) <= _POWERS:\n",
              "    if q <= NAIVE_LIMIT and len(f) <= _POWERS:\n"),),
            ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
+    # the bilinear form over the kept tables
+    Mutant("rows-past-table-limit", MODPOLY,
+           (("    if p <= _TABLE_LIMIT and d < _POWERS and M.level % p:\n",
+             "    if p <= NAIVE_LIMIT and d < _POWERS and M.level % p:\n"),),
+           ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
+    Mutant("bilinear-skips-reduction", MODPOLY,
+           (("        return T[:, j.value] @ _rows_mod(M, p) @ T % p\n",
+             "        return T[:, j.value] @ _rows_mod(M, p) @ T\n"),),
+           (MODPOLY_TESTS + "test_phi_values_match_the_specialization",)),
     Mutant("naive-count-tables-to-naive-limit", "src/locisog/ecfp.py",
            (("_powers(p)[2] if p <= _TABLE_LIMIT else",
              "_powers(p)[2] if p <= NAIVE_LIMIT else"),),

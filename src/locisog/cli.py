@@ -100,16 +100,19 @@ def _cmd_curve(args) -> tuple[str, list]:
     if args.mode == "local":
         if args.curve is None or args.j is not None or args.modpoly:
             raise ValueError("local mode needs --curve and takes no --j or --modpoly")
-        scan = local_scan(parse_curve(args.curve), args.ell, args.bound)
+        bound = 10000 if args.bound is None else args.bound
+        scan = local_scan(parse_curve(args.curve), args.ell, bound)
         findings = [{"p": e.p, "status": e.status,
                      **({"a_p": e.a_p} if e.a_p is not None else {}),
                      **({"note": e.note} if e.note else {})}
                     for e in scan.entries]
         findings.append({"all_admitted": scan.all_admitted,
                          "admitted_count": len(scan.admitted),
-                         "rejected": list(scan.rejected), "bound": args.bound,
+                         "rejected": list(scan.rejected), "bound": bound,
                          "ell": args.ell})
         return "pass", findings
+    if args.bound is not None:
+        raise ValueError("global mode scans no primes and takes no --bound")
     if (args.j is None) == (args.curve is None):
         raise ValueError("global mode needs one of --j and --curve, got %s"
                          % ("neither" if args.j is None else "both"))
@@ -175,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help='coefficients "a1,a2,a3,a4,a6"')
     p.add_argument("--j", help="j-invariant as p/q (global mode)")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10000)
+    p.add_argument("--bound", type=int, help="local scan bound (default 10000)")
     p.add_argument("--modpoly", help="modular polynomial file (default: shipped)")
 
     p = sub.add_parser("gauss", help="check the quadratic Gauss sum identity")

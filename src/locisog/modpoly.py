@@ -31,9 +31,12 @@ slot leaves each in [0, 2^W), and a shift and mask reads it.
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd (the one polynomial gcd, not made monic), the
 evaluator _values_mod (f at every point of F_q: the zeros mod the lifting
-prime, point counts, and root counts up to NAIVE_LIMIT; up to _TABLE_LIMIT one
-product with the table of x^k, k < 9, that _powers keeps for each such q for
-the run, above it Horner's rule) and the power kernel _xpow_mod.
+prime, point counts, and root counts above _TABLE_LIMIT; up to _TABLE_LIMIT
+one product with the table T of x^k, k < 9, that _powers keeps for each such q
+for the run, above it Horner's rule) and the power kernel _xpow_mod.  Root
+counts up to _TABLE_LIMIT do not specialize: Phi_N(x, j) at every x is the
+bilinear form (T[:, j] @ R) @ T, R Phi_N's rows mod q kept by _rows_mod,
+below (d + 1)^2 q^5 < 2^52 before one final % q (_phi_values_mod).
 _pdivmod, _pgcd and _xpow_mod take what their callers pass, trimmed lists
 (no leading zero) of residues in [0, q), and do not reduce or trim their
 inputs again.  The count of F_p-roots of f = Phi_N(X, j) with multiplicity,
@@ -262,7 +265,8 @@ def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
 _POWERS = 9  # deg Phi_7 + 1: one table serves every shipped level and point counts
 # up to this prime, tables of powers are kept for the run: at most 97, 72 q
 # bytes each, 1.55 MB in all.  Cold, a table costs 1.5 times Horner's rule,
-# warm 0.6 times (NAIVE_LIMIT): it pays from a prime's third call
+# warm 0.6 times (NAIVE_LIMIT): it pays from a prime's third call.  So are
+# Phi_N's rows mod q (_rows_mod), at most 97 per level: 0.2 MB at levels 2-7
 _TABLE_LIMIT = 1 << 9
 
 
@@ -458,6 +462,27 @@ def _specialize_mod(M: ModularPolynomial, j: PrimeFieldElement) -> list[int]:
     return [c % p for c in _specialize(M, j.value)]
 
 
+@lru_cache(maxsize=None)
+def _rows_mod(M: ModularPolynomial, q: int) -> np.ndarray:
+    """Phi_N's rows mod q, [k, s] the coefficient of Y^k X^s, read-only."""
+    r = np.array([[c % q for c in row[::-1]] for row in M._rows[::-1]], dtype=np.int64)
+    r.setflags(write=False)  # every caller shares the cached rows
+    return r
+
+
+def _phi_values_mod(M: ModularPolynomial, j: PrimeFieldElement) -> np.ndarray:
+    """Phi_N(x, j) mod p at every x in F_p, p = j.modulus.  Up to _TABLE_LIMIT,
+    for d + 1 <= _POWERS, (T[:, j] @ R) @ T with T = _powers(p)[:d + 1] below
+    p^2 and R = _rows_mod(M, p) below p: below (d + 1)^2 p^5 < 81 * 2^45 < 2^52,
+    so one % p reduces it.  Otherwise, or where p | N (_specialize_mod raises
+    then), _values_mod of the specialization."""
+    p, d = j.modulus, M.degree
+    if p <= _TABLE_LIMIT and d < _POWERS and M.level % p:
+        T = _powers(p)[:d + 1]
+        return T[:, j.value] @ _rows_mod(M, p) @ T % p
+    return _values_mod(_specialize_mod(M, j), p)
+
+
 # the last (M, j) asked, j with its modulus, and its record: both public
 # counts asked at one prime share one
 _root_layers_cache: dict = {}
@@ -487,12 +512,12 @@ def _root_layers(M: ModularPolynomial, j: PrimeFieldElement) -> tuple[int, int]:
 def fp_root_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
     """Number of distinct roots of Phi_N(X, j) in F_p: the degree of the
     first layer gcd(X^p - X, f) of the record it shares with
-    fp_linear_factor_count, or, up to NAIVE_LIMIT where that record is not
-    there yet, the zeros among its values at every x."""
+    fp_linear_factor_count, above NAIVE_LIMIT or where that record is there
+    already; otherwise the zeros among its values at every x (_phi_values_mod)."""
     p = j.modulus
-    if p <= NAIVE_LIMIT and (M, j) not in _root_layers_cache:
-        return p - int(np.count_nonzero(_values_mod(_specialize_mod(M, j), p)))
-    return _root_layers(M, j)[0]
+    if p > NAIVE_LIMIT or (M, j) in _root_layers_cache:
+        return _root_layers(M, j)[0]
+    return p - int(np.count_nonzero(_phi_values_mod(M, j)))
 
 
 def fp_linear_factor_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:

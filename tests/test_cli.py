@@ -123,6 +123,9 @@ def test_curve_local_scan(capsys):
     assert summary["rejected"] == []
     assert {f["p"] for f in doc["findings"][:-1]} == {
         p for p in range(2, 51) if all(p % d for d in range(2, p))}
+    # without --bound the scan runs to its default, and says so
+    code, doc = _run_json(capsys, "curve", "local", "--curve", "0,0,0,1,1", "--ell", "3")
+    assert code == 0 and doc["findings"][-1]["bound"] == 10000
 
 
 def test_curve_local_needs_a_curve(capsys):
@@ -172,6 +175,11 @@ def test_curve_global_needs_j_or_a_curve(capsys):
                           "--j", "-3375", "--ell", "7")
     assert code == 2
     assert doc["findings"][0]["error"].endswith("--j and --curve, got both")
+    # global mode scans no primes, so a --bound is a conflict too
+    for given in (("--j", "3"), ("--curve", "1,-1,0,-107,-379")):
+        code, doc = _run_json(capsys, "curve", "global", *given, "--ell", "7", "--bound", "1")
+        assert code == 2
+        assert doc["findings"][0]["error"].endswith("takes no --bound")
 
 
 def test_verification_error_exits_one(monkeypatch, capsys):

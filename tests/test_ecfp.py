@@ -9,7 +9,8 @@ from locisog.ecfp import (LocalData, ScanReport, count_points, local_isogeny_adm
                           local_scan, reduce_and_count)
 from locisog.ecq import COUNTEREXAMPLE_CURVE, WeierstrassCurve
 from locisog.errors import DenominatorError, VerificationError
-from locisog.modpoly import _TABLE_LIMIT, NAIVE_LIMIT, fp_root_count, shipped_modpoly
+from locisog.modpoly import (_TABLE_LIMIT, NAIVE_LIMIT, SHIPPED_LEVELS, fp_root_count,
+                             shipped_modpoly)
 
 
 def _dumb_count(E, p):
@@ -126,22 +127,30 @@ def test_one_reduction_per_curve_across_calls(monkeypatch):
 
 def test_power_tables_stay_at_or_below_table_limit():
     # naive point counts (reduce_and_count counts naively up to NAIVE_LIMIT)
-    # and Phi_7 root counts at every prime up to NAIVE_LIMIT keep at most one
-    # table per prime up to _TABLE_LIMIT, 97 in all, and none above it:
-    # asking for all 97 afterwards leaves exactly 97
+    # and Phi_N root counts at every prime up to NAIVE_LIMIT keep at most one
+    # table of powers per prime up to _TABLE_LIMIT (97 in all) and one table
+    # of Phi_N's rows mod p per level and such prime, and none above it:
+    # asking for all of them afterwards leaves exactly 97, and 97 per level
     small = [p for p in range(2, _TABLE_LIMIT + 1) if is_prime(p)]
     assert len(small) == 97
-    M = shipped_modpoly(7)
+    Ms = [shipped_modpoly(N) for N in SHIPPED_LEVELS]
     modpoly._powers.cache_clear()
+    modpoly._rows_mod.cache_clear()
     modpoly._root_layers_cache.clear()
     for p in range(3, NAIVE_LIMIT + 1):
         if is_prime(p) and p != 7:
             reduce_and_count(COUNTEREXAMPLE_CURVE, p)
-            fp_root_count(M, PrimeFieldElement(2268945 * pow(128, -1, p), p))
+            for M in Ms:
+                if M.level % p:
+                    fp_root_count(M, PrimeFieldElement(2268945 * pow(128, -1, p), p))
     assert 0 < modpoly._powers.cache_info().currsize <= 97
+    assert 0 < modpoly._rows_mod.cache_info().currsize <= 97 * len(Ms)
     for q in small:
         modpoly._powers(q)
+        for M in Ms:
+            modpoly._rows_mod(M, q)
     assert modpoly._powers.cache_info().currsize == 97
+    assert modpoly._rows_mod.cache_info().currsize == 97 * len(Ms)
 
 
 def test_bsgs_matches_naive():

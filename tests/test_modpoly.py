@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locisog import modpoly
@@ -397,6 +398,58 @@ def test_values_mod_matches_horner():
                 assert modpoly._values_mod(g, q).tolist() == want, (q, g)
 
 
+def test_phi_values_match_the_specialization():
+    # the bilinear form over the kept tables equals the values of the
+    # specialization at every prime up to _TABLE_LIMIT and the first above
+    # it, at every level: every j below 100, and j = 0, 1, 1728, p - 1 (the
+    # largest entries, and at 509 the bound's worst case) and seeded j above
+    rng = random.Random(2027)
+    primes = [p for p in range(2, _TABLE_LIMIT + 1) if is_prime(p)]
+    primes.append(min(p for p in range(_TABLE_LIMIT + 1, 2 * _TABLE_LIMIT) if is_prime(p)))
+    for N in SHIPPED_LEVELS:
+        M = shipped_modpoly(N)
+        for p in primes:
+            if N % p == 0:
+                with pytest.raises(ValueError, match="divides the level"):
+                    modpoly._phi_values_mod(M, PrimeFieldElement(1, p))
+                continue
+            js = range(p) if p < 100 else {0, 1, 1728 % p, p - 1, *rng.sample(range(p), 6)}
+            for v in js:
+                jp = PrimeFieldElement(v, p)
+                got = modpoly._phi_values_mod(M, jp)
+                assert got.dtype == np.int64, (N, p, v)
+                want = modpoly._values_mod(_specialize_mod(M, jp), p)
+                assert got.tolist() == want.tolist(), (N, p, v)
+
+
+def test_phi_values_fall_back_past_the_table():
+    # a monic symmetric polynomial of level 8 and degree 9, so d + 1 > _POWERS
+    # as at Phi_11 and Phi_13, takes the specialization and keeps no rows, and
+    # its counts still equal brute force
+    rng = random.Random(2028)
+    d = modpoly._POWERS
+    half = {(d, 0): 1}
+    for i in range(d):
+        for k in range(i + 1):
+            half[i, k] = rng.choice((-1, 1)) * rng.randrange(1, 1 << 40)
+    M = ModularPolynomial(d - 1, half)
+    assert M.degree + 1 > modpoly._POWERS
+    modpoly._rows_mod.cache_clear()
+    for p in (5, 7, 11, 97, 509, 521):
+        for v in (0, 1, 1728 % p, p - 1, rng.randrange(p)):
+            jp = PrimeFieldElement(v, p)
+            f = _specialize_mod(M, jp)
+            assert modpoly._phi_values_mod(M, jp).tolist() == [_eval_mod(f, x, p)
+                                                              for x in range(p)]
+            modpoly._root_layers_cache.clear()
+            distinct, mult = _brute_counts(f, p)
+            assert fp_root_count(M, jp) == distinct, (p, v)
+            assert fp_linear_factor_count(M, jp) == mult, (p, v)
+    assert modpoly._rows_mod.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="divides the level"):
+        fp_root_count(M, PrimeFieldElement(1, 2))
+
+
 def test_values_and_root_part_agree_at_small_p():
     # the value-table distinct count and the public count with multiplicity
     # equal the X^p root-layer pair at every j of every odd prime below 200,
@@ -425,15 +478,15 @@ def test_values_and_root_part_agree_at_small_p():
 def test_root_count_reads_a_fresh_record(monkeypatch):
     # up to NAIVE_LIMIT, fp_root_count right after fp_linear_factor_count at
     # the same (M, j) reads that record: it evaluates nothing, builds no table
-    # of powers, and gives the value path's answer
+    # of powers or of rows, and gives the value path's answer
     calls = []
-    values = modpoly._values_mod
+    values = modpoly._phi_values_mod
 
-    def recording(f, q):
-        calls.append(q)
-        return values(f, q)
+    def recording(M, j):
+        calls.append(j.modulus)
+        return values(M, j)
 
-    monkeypatch.setattr(modpoly, "_values_mod", recording)
+    monkeypatch.setattr(modpoly, "_phi_values_mod", recording)
     js = (0, 1, 1728, J_TARGET.numerator * pow(J_TARGET.denominator, -1, 509))
     primes = [p for p in range(3, _TABLE_LIMIT + 1) if is_prime(p)] + [521, 1009, 4093]
     for N in SHIPPED_LEVELS:
@@ -442,14 +495,19 @@ def test_root_count_reads_a_fresh_record(monkeypatch):
             for v in js:
                 jp = PrimeFieldElement(v % p, p)
                 modpoly._powers.cache_clear()
+                modpoly._rows_mod.cache_clear()
                 calls.clear()
                 fp_linear_factor_count(M, jp)
                 got = fp_root_count(M, jp)
-                assert (calls, modpoly._powers.cache_info().misses) == ([], 0), (N, p, v)
+                misses = (modpoly._powers.cache_info().misses,
+                          modpoly._rows_mod.cache_info().misses)
+                assert (calls, misses) == ([], (0, 0)), (N, p, v)
                 modpoly._root_layers_cache.clear()
                 assert fp_root_count(M, jp) == got, (N, p, v)
                 assert calls == [p], (N, p, v)
-                assert modpoly._powers.cache_info().misses == (p <= _TABLE_LIMIT), (N, p, v)
+                misses = (modpoly._powers.cache_info().misses,
+                          modpoly._rows_mod.cache_info().misses)
+                assert misses == ((p <= _TABLE_LIMIT,) * 2), (N, p, v)
 
 
 def _first_primes_above_naive_limit(k):
