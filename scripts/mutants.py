@@ -79,22 +79,29 @@ MUTANTS = (
     Mutant("root-layer-untrimmed", MODPOLY,
            (("    g = _pgcd(f, _ptrim(g), p)", "    g = _pgcd(f, g, p)"),),
            (MODPOLY_TESTS + "test_fp_counts_match_brute_force",)),
+    # the two routes of fp_root_count: the record, or the bilinear form over
+    # the kept tables.  modpoly does not define ecfp's NAIVE_LIMIT, so its
+    # value is written out as 1 << 12
     Mutant("no-record-rule", MODPOLY,
-           (("    if p > NAIVE_LIMIT or (M, j) in _root_layers_cache:\n",
-             "    if p > NAIVE_LIMIT:\n"),),
+           (("            or _root_layers_cache and (M, j) in _root_layers_cache):\n",
+             "            or p > 1 << 12):\n"),),
            (MODPOLY_TESTS + "test_root_count_reads_a_fresh_record",)),
     Mutant("tables-to-naive-limit", MODPOLY,
            (("    if q <= _TABLE_LIMIT and len(f) <= _POWERS:\n",
-             "    if q <= NAIVE_LIMIT and len(f) <= _POWERS:\n"),),
+             "    if q <= 1 << 12 and len(f) <= _POWERS:\n"),),
            ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
-    # the bilinear form over the kept tables
     Mutant("rows-past-table-limit", MODPOLY,
-           (("    if p <= _TABLE_LIMIT and d < _POWERS and M.level % p:\n",
-             "    if p <= NAIVE_LIMIT and d < _POWERS and M.level % p:\n"),),
+           (("    if (p > _TABLE_LIMIT or M.degree", "    if (p > 1 << 12 or M.degree"),),
            ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
+    Mutant("route-ignores-level-divisor", MODPOLY,
+           ((" or M.level % p == 0\n", "\n"),),
+           (MODPOLY_TESTS + "test_phi_values_match_the_specialization",)),
+    Mutant("route-ignores-degree", MODPOLY,
+           ((" or M.degree >= _POWERS or", " or"),),
+           (MODPOLY_TESTS + "test_phi_values_fall_back_past_the_table",)),
     Mutant("bilinear-skips-reduction", MODPOLY,
-           (("        return T[:, j.value] @ _rows_mod(M, p) @ T % p\n",
-             "        return T[:, j.value] @ _rows_mod(M, p) @ T\n"),),
+           (("    return T[:, j.value] @ _rows_mod(M, p) @ T % p\n",
+             "    return T[:, j.value] @ _rows_mod(M, p) @ T\n"),),
            (MODPOLY_TESTS + "test_phi_values_match_the_specialization",)),
     Mutant("naive-count-tables-to-naive-limit", "src/locisog/ecfp.py",
            (("_powers(p)[2] if p <= _TABLE_LIMIT else",

@@ -31,17 +31,18 @@ slot leaves each in [0, 2^W), and a shift and mask reads it.
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd (the one polynomial gcd, not made monic), the
 evaluator _values_mod (f at every point of F_q: the zeros mod the lifting
-prime, point counts, and root counts above _TABLE_LIMIT; up to _TABLE_LIMIT
-one product with the table T of x^k, k < 9, that _powers keeps for each such q
-for the run, above it Horner's rule) and the power kernel _xpow_mod.  Root
-counts up to _TABLE_LIMIT do not specialize: Phi_N(x, j) at every x is the
-bilinear form (T[:, j] @ R) @ T, R Phi_N's rows mod q kept by _rows_mod,
-below (d + 1)^2 q^5 < 2^52 before one final % q (_phi_values_mod).
-_pdivmod, _pgcd and _xpow_mod take what their callers pass, trimmed lists
-(no leading zero) of residues in [0, q), and do not reduce or trim their
-inputs again.  The count of F_p-roots of f = Phi_N(X, j) with multiplicity,
-and the distinct count too above NAIVE_LIMIT or where the record is there
-already, read one record per prime, _root_layers.  Its first layer
+prime and point counts; up to _TABLE_LIMIT one product with the table T of
+x^k, k < 9, that _powers keeps for each such q for the run, above it Horner's
+rule) and the power kernel _xpow_mod.  Distinct root counts switch where the
+kept tables end: up to _TABLE_LIMIT, for d + 1 <= _POWERS and q not dividing
+N, with no record there already, Phi_N(x, j) at every x is the bilinear form
+(T[:, j] @ R) @ T, R Phi_N's rows mod q kept by _rows_mod, below
+(d + 1)^2 q^5 < 2^52 before one final % q (_phi_values_mod), and no
+specialization is made.  _pdivmod, _pgcd and _xpow_mod take what their
+callers pass, trimmed lists (no leading zero) of residues in [0, q), and do
+not reduce or trim their inputs again.  Every other count of F_p-roots of
+f = Phi_N(X, j), distinct or with multiplicity, reads one record per prime,
+_root_layers.  Its first layer
 L_1 = gcd(X^p - X, f) is the product of X - r over the distinct roots; with
 f_0 = f and f_k = f_(k-1) / L_k, each later layer L_(k+1) = gcd(L_k, f_k)
 keeps the roots of multiplicity above k, even a multiplicity above p.  So
@@ -77,27 +78,6 @@ from .errors import ModPolyFormatError
 
 SHIPPED_LEVELS = (2, 3, 5, 7)
 _DATA = Path(__file__).parent / "data"
-
-# At or below this prime, a per-prime question is answered from a
-# polynomial's values at every x in F_p (_values_mod): #E(F_p) from the
-# cubic's, the F_p-roots of Phi_N(X, j) as its zeros.  Above it, BSGS point
-# counts (ecfp) and deg gcd(X^p - X, f) run.  Median microseconds per call,
-# 6 curves or j at each of the 8 primes from p on (best of 3 each, median of
-# 3 runs), on a 2-vCPU VM (CPython 3.11, numpy 2.4).  At 256 a value call
-# builds its table of powers (cold), finds it built (warm) or runs Horner's
-# rule; above _TABLE_LIMIT it always runs Horner's rule:
-#
-#   p                             256      1k      4k      8k     16k
-#   #E(F_p) naive, cold/warm/H  43/17/28    43     100     175     331
-#   #E(F_p) BSGS                  318      350     386     393     413
-#   Phi_2 roots, values         41/15/20    27      50      79     141
-#   Phi_2 roots, X^p               55       60      60      66      63
-#   Phi_7 roots, values         50/24/43    57     102     197     364
-#   Phi_7 roots, X^p              107      119     125     130     134
-#
-# Root counts cross between 4k and 8k and point counts above 16k; the limit
-# sits at the first.  _TABLE_LIMIT, below, bounds only the tables kept.
-NAIVE_LIMIT = 1 << 12
 
 
 class ModularPolynomial:
@@ -265,8 +245,9 @@ def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
 _POWERS = 9  # deg Phi_7 + 1: one table serves every shipped level and point counts
 # up to this prime, tables of powers are kept for the run: at most 97, 72 q
 # bytes each, 1.55 MB in all.  Cold, a table costs 1.5 times Horner's rule,
-# warm 0.6 times (NAIVE_LIMIT): it pays from a prime's third call.  So are
-# Phi_N's rows mod q (_rows_mod), at most 97 per level: 0.2 MB at levels 2-7
+# warm 0.6 times (measured in ecfp): it pays from a prime's third call.  So
+# are Phi_N's rows mod q (_rows_mod), at most 97 per level: 0.2 MB at levels
+# 2-7.  Above it, distinct root counts read the X^p record (fp_root_count)
 _TABLE_LIMIT = 1 << 9
 
 
@@ -286,13 +267,13 @@ def _powers(q: int) -> np.ndarray:
 
 
 def _values_mod(f: list[int], q: int) -> np.ndarray:
-    """f(x) mod q at every x in F_q; f is descending with integer
-    coefficients, and q^2 must fit in int64.  Up to _TABLE_LIMIT, for f of at
-    most _POWERS coefficients, one product of f's residues with the table of
-    powers, below _POWERS q^3 < 2^63 before the final % q.  Otherwise
-    Horner's rule on one array: a step takes entries at most t to at most
-    (t + 1)(q - 1) <= t q, so it is reduced only where the next could
-    overflow."""
+    """f(x) mod q at every x in F_q, for the lifting prime's zeros and point
+    counts; f is descending with integer coefficients, and q^2 must fit in
+    int64.  Up to _TABLE_LIMIT, for f of at most _POWERS coefficients, one
+    product of f's residues with the table of powers, below _POWERS q^3 < 2^63
+    before the final % q.  Otherwise Horner's rule on one array: a step takes
+    entries at most t to at most (t + 1)(q - 1) <= t q, so it is reduced only
+    where the next could overflow."""
     if q <= _TABLE_LIMIT and len(f) <= _POWERS:
         c = np.array([a % q for a in reversed(f)], dtype=np.int64)
         return c @ _powers(q)[:len(f)] % q
@@ -471,16 +452,14 @@ def _rows_mod(M: ModularPolynomial, q: int) -> np.ndarray:
 
 
 def _phi_values_mod(M: ModularPolynomial, j: PrimeFieldElement) -> np.ndarray:
-    """Phi_N(x, j) mod p at every x in F_p, p = j.modulus.  Up to _TABLE_LIMIT,
-    for d + 1 <= _POWERS, (T[:, j] @ R) @ T with T = _powers(p)[:d + 1] below
-    p^2 and R = _rows_mod(M, p) below p: below (d + 1)^2 p^5 < 81 * 2^45 < 2^52,
-    so one % p reduces it.  Otherwise, or where p | N (_specialize_mod raises
-    then), _values_mod of the specialization."""
-    p, d = j.modulus, M.degree
-    if p <= _TABLE_LIMIT and d < _POWERS and M.level % p:
-        T = _powers(p)[:d + 1]
-        return T[:, j.value] @ _rows_mod(M, p) @ T % p
-    return _values_mod(_specialize_mod(M, j), p)
+    """Phi_N(x, j) mod p at every x in F_p, p = j.modulus, for the p, d that
+    fp_root_count sends here (p <= _TABLE_LIMIT, d + 1 <= _POWERS, p not
+    dividing N): (T[:, j] @ R) @ T with T = _powers(p)[:d + 1] below p^2 and
+    R = _rows_mod(M, p) below p, so below (d + 1)^2 p^5 < 81 * 2^45 < 2^52,
+    and one % p reduces it."""
+    p = j.modulus
+    T = _powers(p)[:M.degree + 1]
+    return T[:, j.value] @ _rows_mod(M, p) @ T % p
 
 
 # the last (M, j) asked, j with its modulus, and its record: both public
@@ -510,12 +489,14 @@ def _root_layers(M: ModularPolynomial, j: PrimeFieldElement) -> tuple[int, int]:
 
 
 def fp_root_count(M: ModularPolynomial, j: PrimeFieldElement) -> int:
-    """Number of distinct roots of Phi_N(X, j) in F_p: the degree of the
-    first layer gcd(X^p - X, f) of the record it shares with
-    fp_linear_factor_count, above NAIVE_LIMIT or where that record is there
-    already; otherwise the zeros among its values at every x (_phi_values_mod)."""
+    """Number of distinct roots of Phi_N(X, j) in F_p: up to _TABLE_LIMIT,
+    for d + 1 <= _POWERS and p not dividing N, with no record there already,
+    the zeros among its values at every x (_phi_values_mod); otherwise the
+    degree of the first layer gcd(X^p - X, f) of the record it shares with
+    fp_linear_factor_count, which raises where p divides N."""
     p = j.modulus
-    if p > NAIVE_LIMIT or (M, j) in _root_layers_cache:
+    if (p > _TABLE_LIMIT or M.degree >= _POWERS or M.level % p == 0
+            or _root_layers_cache and (M, j) in _root_layers_cache):
         return _root_layers(M, j)[0]
     return p - int(np.count_nonzero(_phi_values_mod(M, j)))
 

@@ -60,7 +60,7 @@ PUBLIC = {
     ],
     "ecfp": [
         "LocalData", "LocalData.a_p", "LocalData.count", "LocalData.good",
-        "LocalData.p", "LocalData.supersingular", "ScanEntry",
+        "LocalData.p", "LocalData.supersingular", "NAIVE_LIMIT", "ScanEntry",
         "ScanEntry.a_p", "ScanEntry.note", "ScanEntry.p", "ScanEntry.status",
         "ScanReport", "ScanReport.admitted", "ScanReport.all_admitted",
         "ScanReport.bound", "ScanReport.ell", "ScanReport.entries",
@@ -74,7 +74,7 @@ PUBLIC = {
         "FactorDiscriminant.matches_shape", "FactorizationCertificate",
         "FactorizationCertificate.factors", "FactorizationCertificate.target",
         "ModularPolynomial", "ModularPolynomial.coefficient",
-        "ModularPolynomial.degree", "ModularPolynomial.half_terms", "NAIVE_LIMIT",
+        "ModularPolynomial.degree", "ModularPolynomial.half_terms",
         "SHIPPED_LEVELS",
         "evaluate_at_j", "fp_linear_factor_count", "fp_root_count", "load_factors",
         "load_modpoly", "rational_linear_factors", "shipped_certificate_factors",

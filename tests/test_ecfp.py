@@ -5,12 +5,11 @@ import pytest
 
 from locisog import arith, ecfp, modpoly
 from locisog.arith import PrimeFieldElement, is_prime, primes_up_to
-from locisog.ecfp import (LocalData, ScanReport, count_points, local_isogeny_admitted,
-                          local_scan, reduce_and_count)
+from locisog.ecfp import (NAIVE_LIMIT, LocalData, ScanReport, count_points,
+                          local_isogeny_admitted, local_scan, reduce_and_count)
 from locisog.ecq import COUNTEREXAMPLE_CURVE, WeierstrassCurve
 from locisog.errors import DenominatorError, VerificationError
-from locisog.modpoly import (_TABLE_LIMIT, NAIVE_LIMIT, SHIPPED_LEVELS, fp_root_count,
-                             shipped_modpoly)
+from locisog.modpoly import _TABLE_LIMIT, SHIPPED_LEVELS, fp_root_count, shipped_modpoly
 
 
 def _dumb_count(E, p):

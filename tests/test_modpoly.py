@@ -6,8 +6,9 @@ import pytest
 
 from locisog import modpoly
 from locisog.arith import PrimeFieldElement, is_prime
+from locisog.ecfp import NAIVE_LIMIT
 from locisog.errors import ModPolyFormatError
-from locisog.modpoly import (_TABLE_LIMIT, NAIVE_LIMIT, SHIPPED_LEVELS,
+from locisog.modpoly import (_TABLE_LIMIT, SHIPPED_LEVELS,
                              FactorizationCertificate, ModularPolynomial, _disc_shape,
                              _slot_bits, _specialize, _specialize_mod, _xpow_mod,
                              evaluate_at_j, fp_linear_factor_count, fp_root_count, load_factors,
@@ -310,12 +311,14 @@ def _seeded_j(rng, height):
 
 def test_fp_counts_match_brute_force():
     # the counterexample's Phi_7 to 500, and every level at j = 0, 1728 and
-    # seeded j to 300; brute force strips each root layer by deflation.  The
-    # first three primes above NAIVE_LIMIT keep fp_root_count's X^p path tested
+    # seeded j to 300; brute force strips each root layer by deflation.  At
+    # 521, 1009, 4093 and the first three primes above NAIVE_LIMIT the root
+    # count, asked first with the memo empty, takes the X^p record itself
     rng = random.Random(2024)
     js = [Fraction(0), Fraction(1728)] + [_seeded_j(rng, 1000) for _ in range(4)]
     cases = [(7, J_TARGET, 500)] + [(ell, j, 300) for ell in SHIPPED_LEVELS for j in js]
-    above = [p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p)][:3]
+    above = [521, 1009, 4093]
+    above += [p for p in range(NAIVE_LIMIT + 1, 2 * NAIVE_LIMIT) if is_prime(p)][:3]
     for ell, j, bound in cases:
         M = shipped_modpoly(ell)
         coeffs = evaluate_at_j(M, j)
@@ -325,6 +328,7 @@ def test_fp_counts_match_brute_force():
             jp = PrimeFieldElement(j.numerator * pow(j.denominator, -1, p), p)
             f = [(c.numerator * pow(c.denominator, -1, p)) % p for c in coeffs]
             distinct, mult = _brute_counts(f, p)
+            modpoly._root_layers_cache.clear()
             assert fp_root_count(M, jp) == distinct, (ell, j, p)
             assert fp_linear_factor_count(M, jp) == mult, (ell, j, p)
             assert mult >= distinct
@@ -400,9 +404,11 @@ def test_values_mod_matches_horner():
 
 def test_phi_values_match_the_specialization():
     # the bilinear form over the kept tables equals the values of the
-    # specialization at every prime up to _TABLE_LIMIT and the first above
-    # it, at every level: every j below 100, and j = 0, 1, 1728, p - 1 (the
-    # largest entries, and at 509 the bound's worst case) and seeded j above
+    # specialization at every prime up to _TABLE_LIMIT, at every level: every
+    # j below 100, and j = 0, 1, 1728, p - 1 (the largest entries, and at 509
+    # the bound's worst case) and seeded j above.  The root count is their
+    # zeros there and, from the record, at the first prime above the limit;
+    # it raises at every p dividing the level
     rng = random.Random(2027)
     primes = [p for p in range(2, _TABLE_LIMIT + 1) if is_prime(p)]
     primes.append(min(p for p in range(_TABLE_LIMIT + 1, 2 * _TABLE_LIMIT) if is_prime(p)))
@@ -410,22 +416,26 @@ def test_phi_values_match_the_specialization():
         M = shipped_modpoly(N)
         for p in primes:
             if N % p == 0:
+                modpoly._root_layers_cache.clear()
                 with pytest.raises(ValueError, match="divides the level"):
-                    modpoly._phi_values_mod(M, PrimeFieldElement(1, p))
+                    fp_root_count(M, PrimeFieldElement(1, p))
                 continue
             js = range(p) if p < 100 else {0, 1, 1728 % p, p - 1, *rng.sample(range(p), 6)}
             for v in js:
                 jp = PrimeFieldElement(v, p)
-                got = modpoly._phi_values_mod(M, jp)
-                assert got.dtype == np.int64, (N, p, v)
                 want = modpoly._values_mod(_specialize_mod(M, jp), p)
-                assert got.tolist() == want.tolist(), (N, p, v)
+                if p <= _TABLE_LIMIT:
+                    got = modpoly._phi_values_mod(M, jp)
+                    assert got.dtype == np.int64, (N, p, v)
+                    assert got.tolist() == want.tolist(), (N, p, v)
+                assert fp_root_count(M, jp) == p - np.count_nonzero(want), (N, p, v)
 
 
 def test_phi_values_fall_back_past_the_table():
     # a monic symmetric polynomial of level 8 and degree 9, so d + 1 > _POWERS
-    # as at Phi_11 and Phi_13, takes the specialization and keeps no rows, and
-    # its counts still equal brute force
+    # as at Phi_11 and Phi_13, is counted from the X^p record even up to
+    # _TABLE_LIMIT: no table of powers or of rows is asked for, and its
+    # counts still equal brute force
     rng = random.Random(2028)
     d = modpoly._POWERS
     half = {(d, 0): 1}
@@ -434,18 +444,17 @@ def test_phi_values_fall_back_past_the_table():
             half[i, k] = rng.choice((-1, 1)) * rng.randrange(1, 1 << 40)
     M = ModularPolynomial(d - 1, half)
     assert M.degree + 1 > modpoly._POWERS
+    modpoly._powers.cache_clear()
     modpoly._rows_mod.cache_clear()
     for p in (5, 7, 11, 97, 509, 521):
         for v in (0, 1, 1728 % p, p - 1, rng.randrange(p)):
             jp = PrimeFieldElement(v, p)
-            f = _specialize_mod(M, jp)
-            assert modpoly._phi_values_mod(M, jp).tolist() == [_eval_mod(f, x, p)
-                                                              for x in range(p)]
             modpoly._root_layers_cache.clear()
-            distinct, mult = _brute_counts(f, p)
+            distinct, mult = _brute_counts(_specialize_mod(M, jp), p)
             assert fp_root_count(M, jp) == distinct, (p, v)
             assert fp_linear_factor_count(M, jp) == mult, (p, v)
-    assert modpoly._rows_mod.cache_info().currsize == 0
+    for cached in (modpoly._powers, modpoly._rows_mod):
+        assert cached.cache_info()[:2] == (0, 0)  # no hit and no miss
     with pytest.raises(ValueError, match="divides the level"):
         fp_root_count(M, PrimeFieldElement(1, 2))
 
@@ -476,9 +485,10 @@ def test_values_and_root_part_agree_at_small_p():
 
 
 def test_root_count_reads_a_fresh_record(monkeypatch):
-    # up to NAIVE_LIMIT, fp_root_count right after fp_linear_factor_count at
-    # the same (M, j) reads that record: it evaluates nothing, builds no table
-    # of powers or of rows, and gives the value path's answer
+    # fp_root_count right after fp_linear_factor_count at the same (M, j)
+    # reads that record: it evaluates nothing, builds no table of powers or
+    # of rows, and gives the value path's answer.  With the memo emptied it
+    # evaluates once up to _TABLE_LIMIT, and above it reads a new record
     calls = []
     values = modpoly._phi_values_mod
 
@@ -504,7 +514,7 @@ def test_root_count_reads_a_fresh_record(monkeypatch):
                 assert (calls, misses) == ([], (0, 0)), (N, p, v)
                 modpoly._root_layers_cache.clear()
                 assert fp_root_count(M, jp) == got, (N, p, v)
-                assert calls == [p], (N, p, v)
+                assert calls == ([p] if p <= _TABLE_LIMIT else []), (N, p, v)
                 misses = (modpoly._powers.cache_info().misses,
                           modpoly._rows_mod.cache_info().misses)
                 assert misses == ((p <= _TABLE_LIMIT,) * 2), (N, p, v)
@@ -516,8 +526,8 @@ def _first_primes_above_naive_limit(k):
 
 def test_one_power_per_prime(monkeypatch):
     # both counts at one prime share one X^p, in either order: above
-    # NAIVE_LIMIT, and at or below it, where fp_root_count asked first counts
-    # by values (from a table up to _TABLE_LIMIT, by Horner's rule above)
+    # _TABLE_LIMIT, and at or below it, where fp_root_count asked first counts
+    # by values
     calls = []
     xpow = modpoly._xpow_mod
 
@@ -541,7 +551,7 @@ def test_one_power_per_prime(monkeypatch):
 def test_root_layer_memo_key():
     # interleaved levels, j values and primes each get their own record: a
     # memo keyed on j.value alone, or without the level, answers wrongly;
-    # at or below NAIVE_LIMIT, fp_root_count reads only its own (M, j)'s
+    # at or below _TABLE_LIMIT, fp_root_count reads only its own (M, j)'s
     # record
     p, p2 = _first_primes_above_naive_limit(2)
     Ms = {N: shipped_modpoly(N) for N in (2, 7)}
