@@ -20,18 +20,14 @@ are meaningful and all fatal on failure:
   * Phi_2 matches the classical published table exactly
   * CM evaluations: Phi_N(j1, j2) = 0 at complex-multiplication pairs where
     an N-isogeny is forced, != 0 where N is inert
-  * numeric: Phi_N(j(N*tau), j(tau)) ~ 0 at 220-digit precision for generic tau
-
-The numeric check needs mpmath, which the package's `test` extra declares
-(pip install -e .[test]).
+  * exact: Phi_N(j(N*tau), j(tau)) vanishes through q^K, which proves it is 0
+    (see check_relation), from a j-series whose head matches the published one
 
 Run from the repository root:  python scripts/gen_modpoly.py
 """
 
 from fractions import Fraction
 import os
-
-import mpmath
 
 LEVELS = (2, 3, 5, 7)
 
@@ -48,6 +44,9 @@ PHI2_KNOWN = {
     (1, 0): 8748000000,
     (0, 0): -157464000000000,
 }
+
+# j = 1/q + 744 + 196884 q + ..., e.g. OEIS A000521; a wrong E4 or Delta fails here.
+J_HEAD = {-1: 1, 0: 744, 1: 196884, 2: 21493760, 3: 864299970, 4: 20245856256}
 
 # (level, j1, j2, expect_zero): CM discriminants with h = 1; an N-isogeny
 # exists iff N is split or ramified in the order, i.e. iff disc is a square
@@ -106,67 +105,74 @@ def ser_mul(s, t, hi):
 
 
 def j_series(prec):
-    """Coefficients of j(q) = 1/q + 744 + 196884 q + ... through q^prec."""
-    # eta-product: prod (1 - q^n) via Euler's pentagonal number theorem
-    euler = [0] * (prec + 2)
-    euler[0] = 1
-    k = 1
-    while True:
-        for m in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if m <= prec + 1:
-                euler[m] += -1 if k % 2 else 1
-        if k * (3 * k - 1) // 2 > prec + 1:
-            break
-        k += 1
+    """Coefficients of j(q) = 1/q + 744 + 196884 q + ... through q^prec, as
+    E4^3 / Delta with Delta = q prod (1 - q^n)^24."""
+    hi = prec + 1
+    # prod (1 - q^n) = sum over k in Z of (-1)^k q^(k (3k - 1) / 2) (Euler)
+    eta = {k * (3 * k - 1) // 2: -1 if k % 2 else 1 for k in range(-hi, hi + 1)
+           if k * (3 * k - 1) // 2 <= hi}
+    for _ in range(3):
+        eta = ser_mul(eta, eta, hi)                 # ^2, ^4, ^8
+    eta = ser_mul(ser_mul(eta, eta, hi), eta, hi)   # ^24 = Delta / q
+    e4 = {0: 1}
+    for d in range(1, hi + 1):
+        for m in range(d, hi + 1, d):
+            e4[m] = e4.get(m, 0) + 240 * d ** 3
+    inv = [1]                                       # q / Delta
+    for n in range(1, hi + 1):
+        inv.append(-sum(c * inv[n - e] for e, c in eta.items() if 0 < e <= n))
+    h = ser_mul(ser_mul(ser_mul(e4, e4, hi), e4, hi), dict(enumerate(inv)), hi)
+    j = {e - 1: c for e, c in h.items()}            # shift by q^-1
+    check(all(j[e] == c for e, c in J_HEAD.items() if e <= prec),
+          "j-series disagrees with its published head")
+    return j
 
-    def poly_mul(a, b):
-        out = [0] * (prec + 2)
-        for i, ai in enumerate(a):
-            if ai:
-                for jx, bj in enumerate(b):
-                    if i + jx <= prec + 1 and bj:
-                        out[i + jx] += ai * bj
-        return out
 
-    # (prod (1-q^n))^24, computed by squaring
-    e2 = list(euler)
-    for _ in range(3):          # euler^2, ^4, ^8
-        e2 = poly_mul(e2, e2)
-    e16 = poly_mul(e2, e2)      # ^16
-    disc = poly_mul(e16, e2)    # ^24
+def j_powers(N):
+    """[1, j, j^2, ..., j^(N+1)] as series.  j starts at q^-1, so j^m is exact
+    only through q^(top + 1 - m).  top = 2 (N+1)^2 - 1 covers the Newton
+    identities in compute_phi, which read j^N up to q^(N (N+4)), and
+    check_relation for any candidate with exponents up to N + 1."""
+    top = 2 * (N + 1) ** 2 - 1
+    j = j_series(top)
+    jpow = [{0: 1}, j]
+    for m in range(2, N + 2):
+        jpow.append(ser_mul(jpow[-1], j, top + 1 - m))
+    return jpow
 
-    sigma3 = [0] * (prec + 2)
-    for d in range(1, prec + 2):
-        for m in range(d, prec + 2, d):
-            sigma3[m] += d ** 3
-    e4 = [1] + [240 * sigma3[n] for n in range(1, prec + 2)]
-    num = poly_mul(poly_mul(e4, e4), e4)
 
-    # invert disc (constant term 1)
-    inv = [0] * (prec + 2)
-    inv[0] = 1
-    for n in range(1, prec + 2):
-        acc = 0
-        for k2 in range(1, n + 1):
-            if disc[k2]:
-                acc += disc[k2] * inv[n - k2]
-        inv[n] = -acc
-    h = poly_mul(num, inv)
+def check_relation(N, coeffs, jpow):
+    """Fail unless F(tau) = sum c(i, d) j(N tau)^i j(tau)^d is identically 0,
+    for the candidate coeffs {(i, d): c} and jpow = j_powers(N).
 
-    return {n - 1: h[n] for n in range(prec + 2) if h[n]}  # shift by q^-1
+    This is a proof, not a tolerance.  F is a modular function for Gamma0(N)
+    and is holomorphic on H, so its poles lie at the cusps, infinity and 0 for
+    prime N.  In the width-N parameter at 0, j(N tau) has a simple pole and
+    j(tau) one of order N, so F has a pole of order at most K = max(i + N d)
+    there.  If F's q-expansion at infinity vanishes through q^K, a nonzero F
+    would have more zeros than poles on the compact curve X0(N); so F = 0.
+    A candidate monic of degree N + 1 in X that kills j(N tau) is then
+    Phi_N, the minimal polynomial of j(N tau) over C(j(tau)).
+    """
+    terms = {k: c for k, c in coeffs.items() if c}
+    K = max(i + N * d for i, d in terms)
+    pole = max(N * i + d for i, d in terms)     # F's pole order at infinity
+    check(max(jpow[1]) >= K + pole - 1, "j-series too short for the relation check")
+    F = {}
+    for i in {i for i, _ in terms}:
+        row = {}
+        for (i2, d), c in terms.items():
+            if i2 == i:
+                row = ser_add(row, ser_scale(jpow[d], c))
+        big = {N * e: c for e, c in jpow[i].items() if N * e <= K + pole}  # j(N tau)^i
+        F = ser_add(F, ser_mul(big, ser_trim(row, K + N * i), K))
+    check(not F, f"Phi_{N}(j({N} tau), j(tau)) does not vanish through q^{K}")
 
 
 def compute_phi(N):
     hi_e = N + 4                    # precision carried through Newton's identities
-    prec_j = N * hi_e + N + 2
-    top = prec_j + N + 2
-    j = j_series(top)
-
-    # powers j^m for m = 1..N+1: j starts at q^-1, so j^m is exact only
-    # through q^(top + 1 - m), and the power sums read j^N up to q^(N*hi_e)
-    jpow = [None, dict(j)]
-    for m in range(2, N + 2):
-        jpow.append(ser_mul(jpow[-1], j, top + 1 - m))
+    jpow = j_powers(N)
+    j = jpow[1]
 
     # power sums of the N small conjugates: p_m = N * sum_{N|n} c^(m)_n q^(n/N)
     psums = [None]
@@ -213,8 +219,7 @@ def compute_phi(N):
             a = s.get(-d, 0)
             if a:
                 coeffs[(i, d)] = a
-                base = {0: a} if d == 0 else ser_scale(jpow[d], a)
-                s = ser_add(s, ser_scale(ser_trim(base, hi_chk), -1))
+                s = ser_add(s, ser_scale(ser_trim(jpow[d], hi_chk), -a))
         check(not any(s.values()), f"nonzero residual for X^{i}: {s}")
 
     # checks ------------------------------------------------------------
@@ -245,19 +250,7 @@ def compute_phi(N):
         v = phi_eval(j1, j2)
         check((v == 0) == expect, f"CM check ({lev}, {j1}, {j2}) -> {v}")
 
-    # numeric: Phi_N(j(N*tau), j(tau)) ~ 0 for generic tau
-    with mpmath.workdps(220):  # leaves the caller's mpmath precision alone
-        jc = sorted(j_series(150).items())
-        for tau in (mpmath.mpc(0.31, 1.27), mpmath.mpc(-0.123, 1.618)):
-            qq = mpmath.exp(2j * mpmath.pi * tau)
-            jt = sum(c * qq ** e for e, c in jc)
-            qN = mpmath.exp(2j * mpmath.pi * (N * tau))
-            jNt = sum(c * qN ** e for e, c in jc)
-            val = sum(c * jNt ** i * jt ** d for (i, d), c in coeffs.items())
-            scale = max(abs(c) * abs(jNt) ** i * abs(jt) ** d for (i, d), c in coeffs.items())
-            check(abs(val) / scale < mpmath.mpf(10) ** -60,
-                  f"numeric check N={N}: {abs(val) / scale}")
-
+    check_relation(N, coeffs, jpow)
     return {k: v for k, v in coeffs.items() if k[0] >= k[1]}
 
 
