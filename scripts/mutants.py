@@ -23,6 +23,8 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODPOLY = "src/locisog/modpoly.py"
 MODPOLY_TESTS = "tests/test_modpoly.py::"
+SUBGROUPS = "src/locisog/subgroups.py"
+SUBGROUPS_TESTS = "tests/test_subgroups.py::"
 TIMEOUT = 300  # seconds per mutant; a timeout kills it
 
 
@@ -125,6 +127,29 @@ MUTANTS = (
            (('step("certificate-product", cert.product_matches,',
              'step("certificate-product", True,'),),
            ("tests/test_cli.py::test_counterexample_fails_on_wrong_factors",)),
+    # the subgroup enumeration engine.  Each conjugate H' of a class arises
+    # from every coset representative in g N(H), so skipping one
+    # representative's slab row loses no key; the conjugate mutant drops
+    # one conjugate key instead
+    Mutant("enumeration-drops-a-generator", SUBGROUPS,
+           (('        for c in rec["gens"]:\n', '        for c in rec["gens"][1:]:\n'),),
+           (SUBGROUPS_TESTS + "test_enumeration_matches_brute_force_ell3",
+            SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
+    Mutant("conjugates-drop-one-conjugate", SUBGROUPS,
+           (("    return keys, normal\n",
+             "    return (keys - {max(keys)} if len(keys) > 1 else keys), normal\n"),),
+           (SUBGROUPS_TESTS + "test_enumeration_class_counts",
+            SUBGROUPS_TESTS + "test_cyclic_subgroup_count_oracle[5]")),
+    Mutant("classes-of-equal-order-merged", SUBGROUPS,
+           (("    order = sorted(range(len(classes)),\n",
+             '    order = sorted({len(c["idx"]): i for i, c in enumerate(classes)}.values(),\n'),),
+           (SUBGROUPS_TESTS + "test_enumeration_matches_brute_force_ell3",
+            SUBGROUPS_TESTS + "test_enumeration_class_counts")),
+    Mutant("fold-axes-swapped", SUBGROUPS,
+           (("    out = out[:, :, :, None] * base + digit\n",
+             "    out = out[:, :, None, :] * base + digit[:, None]\n"),),
+           (SUBGROUPS_TESTS + "test_conj_tables_are_int32_and_fold_decodes_every_index[3]",
+            SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
     # local data and primality
     Mutant("supersingular-needs-zero-trace", "src/locisog/ecfp.py",
            (("        return self.good and self.a_p % self.p == 0\n",

@@ -21,7 +21,14 @@ tried, since <H, y h> = <H, y^-1> = <H, y>.  A new class is registered by a
 single pass of conjugation slabs over GL_2 modulo scalars (which act
 trivially); that pass records every conjugate element set, for exact
 identification of later extensions, and the class's normalizer, for
-choosing its candidates.  Conjugation is table-driven (_conj_tables).
+choosing its candidates.
+
+Conjugation is table-driven (_conj_tables) and works in the scalar
+quotient: one table row per _scalar_cosets representative, ell (ell^2 - 1)
+rows in all, and every table and conjugate row holds int32 codes.  The
+normalizer is kept per class as a mask over those representatives, ell - 1
+times smaller than a mask over GL_2, and is expanded to the codes of N(H)
+only where its generators are picked.
 """
 
 from __future__ import annotations
@@ -37,7 +44,12 @@ from .gl2 import (GL2Element, _decode, _det, _encode, _group_codes, _id_code, _i
 
 ENUMERABLE = (2, 3, 5, 7, 11)
 
-_CHUNK = 1 << 17  # element budget per vectorized conjugation slab
+# element budget per vectorized conjugation slab.  Measured on 2 vCPU at
+# 2^15 / 2^16 / 2^17: one-pass benchmark `lemma` peak RSS 37.4-37.5 /
+# 37.7-38.0 / 38.8-39.1 MB (three runs each); `lemma --ell 11` 4.5-5.8 /
+# 4.2-5.5 / 3.9-5.4 s (six runs each, overlapping on that host; an earlier
+# pair read 5.2 s at 2^16 against 5.6 s at 2^15)
+_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -247,33 +259,41 @@ def _conj_tables(ell: int):
     two such matrices add without carries: top[i, r] and bottom[i, r] hold
     the conjugates of row r (r = a*ell + b) by the i-th _scalar_cosets
     representative in that base, and fold maps a sum back to the code of its
-    entries mod ell.
+    entries mod ell.  All three are int32, and spread and fold are built by
+    broadcasting one digit per axis, with no decode of every index.
     """
-    reps = _group_codes(ell)[_scalar_cosets(ell)[0]]
+    reps = _group_codes(ell)[_scalar_cosets(ell)[0]].astype(np.int32)
     q, m = ell * ell, 2 * ell - 1
-    a, b, c, d = _decode(np.arange(ell ** 4), ell)
-    spread = (((a * m + b) * m + c) * m + d).astype(np.int32)
+    spread = _digits(np.arange(ell, dtype=np.int32), m)
+    fold = _digits(np.arange(m, dtype=np.int32) % ell, ell)
+    row = np.arange(q, dtype=np.int32)
     top = np.empty((len(reps), q), dtype=np.int32)
     bottom = np.empty_like(top)
     step = max(1, _CHUNK // q)
     for i in range(0, len(reps), step):
         g = reps[i:i + step, None]
-        gi = _inv_codes(g, ell)
-        for out, rows in ((top, np.arange(q) * q), (bottom, np.arange(q))):
+        gi = _inv_codes(g, ell).astype(np.int32)
+        for out, rows in ((top, row * q), (bottom, row)):
             out[i:i + step] = spread[_mul_codes(_mul_codes(g, rows, ell), gi, ell)]
-    s = np.arange(m ** 4)
-    fold = _encode(s // m ** 3 % ell, s // m ** 2 % m % ell, s // m % m % ell,
-                   s % m % ell, ell)
     return top, bottom, fold
+
+
+def _digits(digit, base):
+    """The flat array of ((w*base + x)*base + y)*base + z over all digit
+    quadruples (digit[w], digit[x], digit[y], digit[z]), in index order."""
+    out = digit[:, None] * base + digit
+    out = out[:, :, None] * base + digit
+    out = out[:, :, :, None] * base + digit
+    return out.ravel()
 
 
 def _conjugates(els, ell):
     """One pass of conjugation slabs over the sorted code array els: the
-    _row_keys key of every conjugate, and the normalizer as a mask over
-    _group_codes(ell)."""
+    _row_keys key of every conjugate, and the normalizer as a mask over the
+    _scalar_cosets representatives (N(H) contains the scalars, so it is the
+    union of the cosets marked)."""
     top, bottom, fold = _conj_tables(ell)
-    reps, coset = _scalar_cosets(ell)
-    normal = np.empty(len(reps), dtype=bool)
+    normal = np.empty(len(top), dtype=bool)
     keys: set[bytes] = set()
     hi, lo = np.divmod(els, ell * ell)
     step = max(1, _CHUNK // max(1, len(els)))
@@ -283,7 +303,12 @@ def _conjugates(els, ell):
         rows.sort(axis=1)
         normal[sl] = (rows == els[None, :]).all(axis=1)
         keys.update(_row_keys(rows))
-    return keys, normal[coset]
+    return keys, normal
+
+
+def _normalizer_codes(normal, ell):
+    """The sorted codes of N(H) from _conjugates' per-representative mask."""
+    return _group_codes(ell)[normal[_scalar_cosets(ell)[1]]]
 
 
 def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
@@ -326,10 +351,10 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
     seen: set[bytes] = set()
 
     def register(idx, gen_codes):
-        keys, nmask = _conjugates(group[idx], ell)
+        keys, normal = _conjugates(group[idx], ell)
         seen.update(keys)
         classes.append({"idx": idx, "gens": tuple(int(c) for c in gen_codes),
-                        "key": min(keys), "nmask": nmask})
+                        "key": min(keys), "normal": normal})
 
     register(_code_index(ell)[[_id_code(ell)]], ())
     qi = 0
@@ -339,7 +364,7 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
         idx = rec["idx"]
         if len(idx) == n:
             continue
-        ngens = _greedy_generators(group[rec["nmask"]], ell)
+        ngens = _greedy_generators(_normalizer_codes(rec["normal"], ell), ell)
         member = np.zeros(n, dtype=bool)
         member[idx] = True
         gperms = []
@@ -375,6 +400,5 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
 
 def normalizer(G: Subgroup) -> Subgroup:
     """N_{GL_2}(G) as a subgroup (explicit scan; small ell only)."""
-    mask = _conjugates(G._codes, G.ell)[1]
-    codes = _group_codes(G.ell)[mask]
+    codes = _normalizer_codes(_conjugates(G._codes, G.ell)[1], G.ell)
     return Subgroup(G.ell, codes, _greedy_generators(codes, G.ell))

@@ -1,13 +1,15 @@
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from locisog import subgroups
-from locisog.gl2 import GL2Element
+from locisog.gl2 import GL2Element, _encode, _group_codes, _inv_codes, _mul_codes
 from locisog.localglobal import construct_prop3_group
 from locisog.subgroups import (Subgroup, closure, conjugacy_key, enumerate_subgroups,
                                from_elements, normalizer)
@@ -93,8 +95,11 @@ def test_enumeration_is_shared_and_read_only():
 # sha256 over (order, generator codes, element codes) of every class, in
 # enumeration order, as the packed-code engine returned them
 _CLASS_DIGESTS = {
+    2: "8cfb68b7568046cac5ece46d8bb92b940c56eeba41b5b397f83b0fd9eefab3b7",
+    3: "9124358ce5a03b08ebe73c98d2ecd791ee4a14087e74cfe1f0c86511ea87069f",
     5: "b1e9e80aea49898593bf51ad0942d36a589d37ca23a9c4308d000a51e765b29f",
     7: "bbd2c250df4e45d9b337c85c3f01b4a8047ce6dee683bd581295dd4fe2ad1f35",
+    11: "17e5d2a2ec29ade63e19e1395203ab8c1e5dd3e9e13d7dfca49f6965fe339fba",
 }
 
 
@@ -104,6 +109,52 @@ def test_enumeration_regression_pin(ell):
     for G in enumerate_subgroups(ell):
         h.update(repr((G.order, G._gen_codes, tuple(G.codes.tolist()))).encode())
     assert h.hexdigest() == _CLASS_DIGESTS[ell]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11])
+def test_conj_tables_are_int32_and_fold_decodes_every_index(ell):
+    """fold, built by broadcasting one residue per axis, maps every
+    base-(2 ell - 1) index to the code of its digits mod ell, as decoding
+    each index does."""
+    tables = subgroups._conj_tables(ell)
+    assert [t.dtype for t in tables] == [np.int32] * 3
+    m = 2 * ell - 1
+    s = np.arange(m ** 4)
+    expected = _encode(s // m ** 3 % ell, s // m ** 2 % m % ell, s // m % m % ell,
+                       s % m % ell, ell)
+    assert (tables[2] == expected).all()
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_normalizer_mask_per_coset_representative(ell):
+    """_conjugates marks N(H) once per scalar coset; expanded, the mask is
+    {g : g H g^-1 = H} by plain conjugation of every element, and normalizer()
+    returns exactly those codes."""
+    group = _group_codes(ell)
+    reps, coset = subgroups._scalar_cosets(ell)
+    inverse = _inv_codes(group, ell)
+    for G in enumerate_subgroups(ell):
+        normal = subgroups._conjugates(G.codes, ell)[1]
+        assert len(normal) == len(reps)
+        conj = _mul_codes(_mul_codes(group[:, None], G.codes[None, :], ell),
+                          inverse[:, None], ell)
+        brute = (np.sort(conj, axis=1) == G.codes[None, :]).all(axis=1)
+        assert (normal[coset] == brute).all()
+        assert normalizer(G).codes.tolist() == group[brute].tolist()
+
+
+def test_conj_tables_build_peaks_near_what_it_keeps():
+    """A cold build of the conjugation tables at ell = 13, past ENUMERABLE,
+    has a traced peak of at most 2.5 times the bytes it keeps: no
+    intermediate array spans the (2 ell - 1)^4 fold indices in int64."""
+    subgroups._scalar_cosets(13)
+    tracemalloc.start()
+    try:
+        tables = subgroups._conj_tables.__wrapped__(13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sum(t.nbytes for t in tables)
 
 
 def _phi(k):
