@@ -127,6 +127,10 @@ MUTANTS = (
            (('step("certificate-product", cert.product_matches,',
              'step("certificate-product", True,'),),
            ("tests/test_cli.py::test_counterexample_fails_on_wrong_factors",)),
+    # the lemma verifier's conclusions
+    Mutant("validate-accepts-nonsplit", "src/locisog/localglobal.py",
+           (('        if self.cartan_kind != "split":\n', "        if False:\n"),),
+           ("tests/test_localglobal.py::test_lemma_report_validation_catches_corruption",)),
     # the subgroup enumeration engine.  Each conjugate H' of a class arises
     # from every coset representative in g N(H), so skipping one
     # representative's slab row loses no key; the conjugate mutant drops

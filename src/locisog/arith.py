@@ -76,8 +76,11 @@ def primes_up_to(n: int) -> list[int]:
     return out
 
 
-def factorize(n: int, limit: int = 10 ** 7) -> dict[int, int]:
-    """Prime factorization of |n| by trial division up to `limit`.
+_TRIAL_LIMIT = 10 ** 7
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| by trial division up to _TRIAL_LIMIT.
 
     A leftover cofactor is accepted if it passes the deterministic primality
     test; otherwise the input is rejected as too hard for this tool.
@@ -91,7 +94,7 @@ def factorize(n: int, limit: int = 10 ** 7) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 7
-    while f * f <= n and f <= limit:
+    while f * f <= n and f <= _TRIAL_LIMIT:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f

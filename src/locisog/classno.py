@@ -22,19 +22,23 @@ def _check_discriminant(D: int) -> None:
 
 @dataclass(frozen=True)
 class QuadOrder:
-    """An order in an imaginary quadratic field, keyed by its discriminant."""
+    """An order in an imaginary quadratic field, keyed by its discriminant D
+    and conductor: it is the maximal order (fundamental) iff the conductor
+    is 1, and it has w units."""
 
     D: int
-    fundamental: bool
     conductor: int
-    w: int  # number of units
 
     def __post_init__(self):
         _check_discriminant(self.D)
-        if self.w != {(-3): 6, (-4): 4}.get(self.D, 2):
-            raise ValueError("w = %d is wrong for D = %d" % (self.w, self.D))
-        if self.fundamental != (self.conductor == 1):
-            raise ValueError("fundamental flag disagrees with conductor %d" % self.conductor)
+
+    @property
+    def fundamental(self) -> bool:
+        return self.conductor == 1
+
+    @property
+    def w(self) -> int:
+        return {(-3): 6, (-4): 4}.get(self.D, 2)
 
 
 def quad_order(D: int) -> QuadOrder:
@@ -44,7 +48,7 @@ def quad_order(D: int) -> QuadOrder:
         f *= p ** (e // 2)
     while f % 2 == 0 and (D // (f * f)) % 4 not in (0, 1):
         f //= 2
-    return QuadOrder(D, f == 1, f, {(-3): 6, (-4): 4}.get(D, 2))
+    return QuadOrder(D, f)
 
 
 @dataclass(frozen=True)

@@ -76,25 +76,25 @@ NAIVE_LIMIT = 1 << 12
 
 @dataclass(frozen=True)
 class LocalData:
-    """Reduction data at one prime: count and trace are None iff bad."""
+    """Reduction data at one prime: the trace a_p of Frobenius, None iff the
+    reduction is bad; good and the count #E(F_p) = p + 1 - a_p follow."""
 
     p: int
-    good: bool
-    count: int | None = None
     a_p: int | None = None
 
     def __post_init__(self):
-        if self.good:
-            if self.count is None or self.a_p is None:
-                raise ValueError("good reduction needs count and a_p")
-            if self.count != self.p + 1 - self.a_p:
-                raise VerificationError("count %d != p + 1 - a_p at p = %d"
-                                        % (self.count, self.p))
-            if self.a_p * self.a_p > 4 * self.p:
-                raise VerificationError("|a_p| = %d breaks the Hasse bound at p = %d"
-                                        % (abs(self.a_p), self.p))
-        elif self.count is not None or self.a_p is not None:
-            raise ValueError("bad reduction carries no count data")
+        if self.good and self.a_p * self.a_p > 4 * self.p:
+            raise VerificationError("|a_p| = %d breaks the Hasse bound at p = %d"
+                                    % (abs(self.a_p), self.p))
+
+    @property
+    def good(self) -> bool:
+        return self.a_p is not None
+
+    @property
+    def count(self) -> int | None:
+        """#E(F_p), or None when the reduction is bad."""
+        return None if self.a_p is None else self.p + 1 - self.a_p
 
     @property
     def supersingular(self) -> bool:
@@ -370,12 +370,8 @@ def reduce_and_count(E: WeierstrassCurve, p: int) -> LocalData:
     """Reduce E mod an odd prime and package count, trace, and flags."""
     inv = _reduce(E, p)
     if inv is None:
-        return LocalData(p, False)
-    return _local_data(p, _count(inv, p, "auto", 0))
-
-
-def _local_data(p: int, n: int) -> LocalData:
-    return LocalData(p, True, n, p + 1 - n)
+        return LocalData(p)
+    return LocalData(p, p + 1 - _count(inv, p, "auto", 0))
 
 
 def local_isogeny_admitted(data: LocalData, ell: int) -> bool:
@@ -457,13 +453,13 @@ def local_scan(E: WeierstrassCurve, ell: int, bound: int) -> ScanReport:
                 v.append(new)
             entries.append(None)  # filled in from the batch count
         else:
-            data = LocalData(p, False) if inv is None else _local_data(p, _naive_count(inv, p))
+            data = LocalData(p) if inv is None else LocalData(p, p + 1 - _naive_count(inv, p))
             entries.append(_scan_entry(data, ell))
     ps, a, b = batch
     if ps:
-        counted = iter(zip(ps, _bsgs_counts(ps, a, b)))
+        counts = _bsgs_counts(ps, a, b)
         a.clear()  # freed before the entries are made, which lowers the
         b.clear()  # scan's peak memory
-        entries = [_scan_entry(_local_data(*next(counted)), ell) if e is None else e
-                   for e in entries]
+        counted = (LocalData(p, p + 1 - n) for p, n in zip(ps, counts))
+        entries = [_scan_entry(next(counted), ell) if e is None else e for e in entries]
     return ScanReport(ell, bound, tuple(entries))

@@ -219,16 +219,26 @@ def projective_order(g: GL2Element) -> int:
 class ElementActionProfile:
     """Orbit statistics of one matrix on P^1(F_ell).
 
-    r: order of the image in PGL_2; k: fixed points; s: number of orbits;
-    sigma: sign of the permutation; orbit_sizes: sorted orbit sizes.
+    r: order of the image in PGL_2; orbit_sizes: sorted orbit sizes.  From
+    the sizes follow k, the fixed points; s, the number of orbits; and
+    sigma = (-1)^(ell + 1 - s), the sign of the permutation.
     """
 
     ell: int
     r: int
-    k: int
-    s: int
-    sigma: int
     orbit_sizes: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return self.orbit_sizes.count(1)
+
+    @property
+    def s(self) -> int:
+        return len(self.orbit_sizes)
+
+    @property
+    def sigma(self) -> int:
+        return (-1) ** (self.ell + 1 - self.s)
 
     def validate(self) -> None:
         n = self.ell + 1
@@ -236,21 +246,14 @@ class ElementActionProfile:
             raise VerificationError("profile %r: k not in {0, 1, 2, ell+1}" % (self,))
         if sum(self.orbit_sizes) != n:
             raise VerificationError("profile %r: orbit sizes do not cover P^1" % (self,))
-        if sum(1 for t in self.orbit_sizes if t == 1) != self.k:
-            raise VerificationError("profile %r: fixed-point count mismatch" % (self,))
         if any(t != self.r for t in self.orbit_sizes if t > 1):
             raise VerificationError("profile %r: non-trivial orbit size differs from r" % (self,))
-        if self.sigma != (-1) ** (n - self.s):
-            raise VerificationError("profile %r: sign inconsistent with orbit count" % (self,))
 
 
 def action_profile(g: GL2Element) -> ElementActionProfile:
     """Full orbit decomposition of <g> acting on P^1(F_ell)."""
-    n = g.ell + 1
-    sizes = _orbit_sizes([_line_perm(g.code(), g.ell)], n)
-    s = len(sizes)
-    prof = ElementActionProfile(g.ell, projective_order(g), sizes.count(1), s,
-                                (-1) ** (n - s), sizes)
+    sizes = _orbit_sizes([_line_perm(g.code(), g.ell)], g.ell + 1)
+    prof = ElementActionProfile(g.ell, projective_order(g), sizes)
     prof.validate()
     return prof
 

@@ -534,9 +534,6 @@ class CertificateReport:
     detail: str
     discriminants: tuple[FactorDiscriminant, ...]
 
-    def __bool__(self) -> bool:
-        return self.product_matches
-
 
 def _is_power_of_4(n: int) -> bool:
     return n & (n - 1) == 0 and (n.bit_length() - 1) % 2 == 0

@@ -112,14 +112,13 @@ def _row_keys(rows) -> list[bytes]:
 class Subgroup:
     """A subgroup of GL_2(F_ell) held as the sorted array of element codes."""
 
-    __slots__ = ("ell", "_codes", "_gen_codes", "_el_cache")
+    __slots__ = ("ell", "_codes", "_gen_codes")
 
     def __init__(self, ell: int, codes, gen_codes: tuple[int, ...]):
         codes.flags.writeable = False  # enumerate_subgroups shares its results
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_gen_codes", tuple(int(c) for c in gen_codes))
-        object.__setattr__(self, "_el_cache", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Subgroup is immutable")
@@ -135,10 +134,8 @@ class Subgroup:
 
     @property
     def elements(self) -> tuple[GL2Element, ...]:
-        if self._el_cache is None:
-            els = tuple(GL2Element._view(c, self.ell) for c in self._codes.tolist())
-            object.__setattr__(self, "_el_cache", els)
-        return self._el_cache
+        """One GL2Element view per code, built afresh at each call."""
+        return tuple(GL2Element._view(c, self.ell) for c in self._codes.tolist())
 
     @property
     def generators(self) -> tuple[GL2Element, ...]:
@@ -146,14 +143,6 @@ class Subgroup:
 
     def det_image_size(self) -> int:
         return len(np.unique(_det(self._codes, self.ell)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup) and self.ell == other.ell
-                and len(self._codes) == len(other._codes)
-                and bool((self._codes == other._codes).all()))
-
-    def __hash__(self):
-        return hash((self.ell, _row_keys(self._codes[None])[0]))
 
     def __repr__(self):
         return "Subgroup(ell=%d, order=%d)" % (self.ell, self.order)

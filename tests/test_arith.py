@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from locisog import arith
 from locisog.arith import (PrimeFieldElement, QuadFieldElement, TrivialGroupError,
                            factorize, gauss_sum_square, is_prime, is_rational_square,
                            legendre_kronecker, primes_up_to, primitive_root,
@@ -49,10 +50,14 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
-def test_factorize_rejects_unfactorable_composite():
-    p = 2 ** 61 - 1
-    with pytest.raises(ValueError):
-        factorize(p * p, limit=10 ** 5)
+def test_factorize_rejects_unfactorable_composite(monkeypatch):
+    p = 1_000_003  # prime; p^2 lies below 2^64, where is_prime is deterministic
+    assert factorize(p * p) == {p: 2}
+    monkeypatch.setattr(arith, "_TRIAL_LIMIT", 10 ** 5)
+    with pytest.raises(ValueError, match="composite cofactor %d" % (p * p)):
+        factorize(p * p)
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        factorize(0)
 
 
 def test_legendre_against_square_table():
@@ -64,6 +69,8 @@ def test_legendre_against_square_table():
             assert legendre_kronecker(a, ell) == want
         a = rng.randrange(1, ell)
         assert legendre_kronecker(a + 7 * ell, ell) == legendre_kronecker(a, ell)
+    with pytest.raises(ValueError, match="needs an odd prime, got 2"):
+        legendre_kronecker(3, 2)
 
 
 def test_smallest_nonresidue():
@@ -118,6 +125,10 @@ def test_quad_field_axioms_and_squares():
             assert (w / z) * z == w
         assert (w * w).is_square()
         assert w.norm() == (w * w.conjugate()).a
+        # equal to the rational w.a when w.b = 0, so it must hash alike
+        assert hash(QuadFieldElement(w.a, 0, d)) == hash(w.a)
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            w / QuadFieldElement(0, 0, d)
 
 
 def test_quad_field_nonsquares():

@@ -84,16 +84,19 @@ def test_discriminant_domain_checks():
         class_number(-6)  # 2 mod 4
     with pytest.raises(ValueError):
         quad_order(-5)
+    with pytest.raises(ValueError, match="0 or 1 mod 4"):
+        QuadOrder(-5, 1)
 
 
 def test_quad_order_conductors():
-    assert quad_order(-7) == QuadOrder(-7, True, 1, 2)
+    assert quad_order(-7) == QuadOrder(-7, 1)
     assert quad_order(-3).w == 6
     assert quad_order(-4).w == 4
-    assert quad_order(-12) == QuadOrder(-12, False, 2, 2)
+    assert quad_order(-12) == QuadOrder(-12, 2)
+    assert quad_order(-7).w == quad_order(-12).w == 2
     assert quad_order(-16).conductor == 2
     assert quad_order(-343).conductor == 7
-    assert quad_order(-75) == QuadOrder(-75, False, 5, 2)
+    assert quad_order(-75) == QuadOrder(-75, 5)
     for D0 in (-3, -4, -7, -8, -11, -15, -20):
         for f in (1, 2, 3, 5):
             order = quad_order(D0 * f * f)
@@ -109,6 +112,9 @@ def test_ratio_check_examples():
     r = ratio_check(-3, 5)
     assert r.predicted == 2 and r.direct == Fraction(2, 1) and r.agree
     assert ratio_check(-7, 2).agree
+    # even D0: (D0|2) = 0 in the Kronecker symbol
+    assert ratio_check(-4, 2) == RatioCheck(1, 1, True)
+    assert ratio_check(-8, 2) == RatioCheck(2, 2, True)
     assert ratio_check(-8, 13).agree
 
 

@@ -213,6 +213,14 @@ def test_curve_global_level_mismatch(tmp_path, capsys):
                           "--modpoly", str(phi))
     assert code == 2
     assert "level 2" in doc["findings"][0]["error"]
+    # files that parse line by line but describe no modular polynomial
+    for text in ("level 1\n2 0 1\n", "level 2\n4 0 1\n", "level 2\n3 0 1\n1 0 0\n",
+                 "level 2\n3 0 1\n3 1 5\n"):
+        phi.write_text(text)
+        code, doc = _run_json(capsys, "curve", "global", "--j", "3", "--ell", "2",
+                              "--modpoly", str(phi))
+        assert code == 2
+        assert doc["findings"][0]["error"].startswith(str(phi) + ": ")
 
 
 def test_curve_malformed_coefficients(capsys):

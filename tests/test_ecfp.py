@@ -373,16 +373,17 @@ def test_supersingular_reduction_of_the_counterexample():
 
 
 def test_local_data_validation():
-    with pytest.raises(VerificationError):
-        LocalData(11, True, count=12, a_p=5)  # 12 != 11 + 1 - 5
-    with pytest.raises(VerificationError):
-        LocalData(11, True, count=25, a_p=-13)  # |a_p| > 2 sqrt(11)
-    with pytest.raises(ValueError):
-        LocalData(11, False, count=12, a_p=0)
-    assert LocalData(11, True, count=12, a_p=0).supersingular is True
-    assert LocalData(11, True, count=13, a_p=-1).supersingular is False
-    assert LocalData(3, True, count=1, a_p=3).supersingular is True  # 3 = 0 mod 3
-    assert LocalData(11, False).supersingular is False
+    with pytest.raises(VerificationError, match="Hasse bound at p = 11"):
+        LocalData(11, a_p=-13)  # |a_p| > 2 sqrt(11)
+    with pytest.raises(VerificationError, match="Hasse bound at p = 11"):
+        LocalData(11, a_p=7)
+    # good and count follow from a_p, so no object holds them inconsistently
+    assert LocalData(11, a_p=-6).count == 18 and LocalData(11, a_p=-6).good
+    assert LocalData(11).count is None and not LocalData(11).good
+    assert LocalData(11, a_p=0).supersingular is True
+    assert LocalData(11, a_p=-1).supersingular is False
+    assert LocalData(3, a_p=3).supersingular is True  # 3 = 0 mod 3
+    assert LocalData(11).supersingular is False
 
 
 def test_admission_matches_eigenvalue_search():
@@ -395,16 +396,16 @@ def test_admission_matches_eigenvalue_search():
         a_p = rng.randrange(-20, 21)
         if a_p * a_p > 4 * p:
             continue
-        data = LocalData(p, True, count=p + 1 - a_p, a_p=a_p)
+        data = LocalData(p, a_p)
         brute = any((t * t - a_p * t + p) % ell == 0 for t in range(ell))
         assert local_isogeny_admitted(data, ell) == brute
 
 
 def test_admission_rejects_bad_and_equal_primes():
     with pytest.raises(ValueError):
-        local_isogeny_admitted(LocalData(11, False), 7)
+        local_isogeny_admitted(LocalData(11), 7)
     with pytest.raises(ValueError):
-        local_isogeny_admitted(LocalData(7, True, count=8, a_p=0), 7)
+        local_isogeny_admitted(LocalData(7, a_p=0), 7)
 
 
 def test_local_scan_structure():
@@ -421,6 +422,8 @@ def test_local_scan_structure():
         assert by_p[p].status == "admitted"
     assert report.all_admitted
     assert set(report.admitted) | set(report.skipped) | {5} == set(primes)
+    with pytest.raises(ValueError, match="bound must be at least 2, got 1"):
+        local_scan(COUNTEREXAMPLE_CURVE, 7, bound=1)
 
 
 def test_local_scan_finds_rejections():

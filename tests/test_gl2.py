@@ -5,8 +5,8 @@ import pytest
 
 from locisog.arith import legendre_kronecker, primes_up_to
 from locisog.errors import VerificationError
-from locisog.gl2 import (CartanSpec, GL2Element, _cartan_theta, _fixed_line_counts,
-                         _group_codes, _line_perm, _mul_codes,
+from locisog.gl2 import (CartanSpec, ElementActionProfile, GL2Element, _cartan_theta,
+                         _fixed_line_counts, _group_codes, _line_perm, _mul_codes,
                          action_profile, cartan, fixed_point_count, projective_order)
 from locisog.subgroups import from_elements, normalizer
 
@@ -217,6 +217,9 @@ def test_cartan_masks_match_cartan_and_normalizer():
 
 def test_profile_validation_catches_lies():
     good = action_profile(GL2Element(1, 1, 0, 1, 5))
-    bad = type(good)(good.ell, good.r, 3, good.s, good.sigma, good.orbit_sizes)
-    with pytest.raises(VerificationError):
-        bad.validate()
+    assert (good.r, good.orbit_sizes, good.k, good.s, good.sigma) == (5, (1, 5), 1, 2, 1)
+    for sizes, r, message in (((1, 1, 1, 3), 3, "k not in"),
+                              ((1, 2), 2, "do not cover"),
+                              ((1, 1, 2, 2), 4, "differs from r")):
+        with pytest.raises(VerificationError, match=message):
+            ElementActionProfile(5, r, sizes).validate()

@@ -4,14 +4,15 @@ from collections import Counter
 
 import pytest
 
+from locisog import localglobal
 from locisog.arith import primitive_root
 from locisog.errors import NotSemisimpleError, VerificationError
 from locisog.gl2 import GL2Element, cartan, fixed_point_count
 from locisog.localglobal import (CASE_CARTAN, CASE_EXCEPTIONAL, CASE_NORMALIZER,
-                                 brute_cartan_witness, classify, common_fixed_count,
-                                 construct_prop3_group, lemma1_hypothesis, lemma1_verify,
-                                 lemma_report, omega_orbit_sizes, projective_image_order,
-                                 sigma_nontrivial)
+                                 ClassificationResult, brute_cartan_witness, classify,
+                                 common_fixed_count, construct_prop3_group, lemma1_hypothesis,
+                                 lemma1_verify, lemma_report, omega_orbit_sizes,
+                                 projective_image_order, sigma_nontrivial)
 from locisog.subgroups import closure, enumerate_subgroups, from_elements, normalizer
 
 
@@ -236,8 +237,27 @@ def test_lemma_report_requires_hypothesis():
         lemma_report(C)
 
 
-def test_lemma_report_validation_catches_corruption():
+def test_lemma_report_validation_catches_corruption(monkeypatch):
     rep = lemma_report(construct_prop3_group(7, 3))
-    for bad in (dataclasses.replace(rep, n=4), dataclasses.replace(rep, ell=13)):
-        with pytest.raises(VerificationError):
-            bad.validate()
+    rep.validate()
+    for change, message in (({"n": 4}, r"twice-odd order \(n=4\)"),
+                            ({"ell": 13}, "ell = 13 is not 3 mod 4"),
+                            ({"n": 5}, r"n = 5 does not divide \(ell-1\)/2 = 3"),
+                            ({"cartan_kind": "nonsplit"}, r"split Cartan \(kind='nonsplit'\)"),
+                            ({"proper_containment": False}, "containment .* is not proper"),
+                            ({"has_orbit_of_size_2": False}, "no orbit of size 2")):
+        with pytest.raises(VerificationError, match=message):
+            dataclasses.replace(rep, **change).validate()
+    # lemma_report's fallbacks: a group that classify finds not semisimple,
+    # or inside a Cartan, has no dihedral image, and the verifier says so
+
+    def not_semisimple(G):
+        raise NotSemisimpleError("|G| divisible by ell")
+
+    monkeypatch.setattr(localglobal, "classify", not_semisimple)
+    with pytest.raises(VerificationError, match="kind='none'"):
+        lemma1_verify(7)
+    monkeypatch.setattr(localglobal, "classify",
+                        lambda G: ClassificationResult(CASE_CARTAN, "cyclic(3)", None, 3))
+    with pytest.raises(VerificationError, match="kind='none'"):
+        lemma1_verify(7)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,15 @@ from locisog.modpoly import (_TABLE_LIMIT, SHIPPED_LEVELS,
                              verify_certificate)
 
 J_TARGET = Fraction(2268945, 128)
+
+# (file text, the start of ModularPolynomial's message) for files that parse
+# line by line but do not describe a modular polynomial
+BAD_MODPOLY_FILES = (
+    ("level 1\n2 0 1\n", "level must be at least 2"),
+    ("level 2\n4 0 1\n", "exponent pair \\(4, 0\\) out of range"),
+    ("level 2\n3 0 1\n1 0 0\n", "coefficient at \\(1, 0\\) must be a nonzero integer"),
+    ("level 2\n3 0 1\n3 1 5\n", "degree in X exceeds 2 \\+ 1 with Y present"),
+)
 
 # good odd primes below 1100 where distinct roots of the level-7 specialization
 # collapse to a single point because isogenous j-invariants collide mod p
@@ -65,6 +75,12 @@ def test_load_modpoly_roundtrip(tmp_path):
     assert M.coefficient(1, 1) == 4
     with pytest.raises(OSError):
         load_modpoly(tmp_path / "absent.txt")
+    # what ModularPolynomial rejects, named with the file it came from
+    bad = tmp_path / "bad.txt"
+    for text, message in BAD_MODPOLY_FILES:
+        bad.write_text(text)
+        with pytest.raises(ModPolyFormatError, match="^%s: %s" % (re.escape(str(bad)), message)):
+            load_modpoly(bad)
 
 
 def test_shipped_levels_are_symmetric():
@@ -697,7 +713,7 @@ def test_certificate_verifies_and_has_the_right_discriminants():
     target = tuple(evaluate_at_j(shipped_modpoly(7), J_TARGET))
     factors = shipped_certificate_factors()
     rep = verify_certificate(FactorizationCertificate(target, factors))
-    assert rep and rep.product_matches and rep.detail == ""
+    assert rep.product_matches and rep.detail == ""
     assert sorted(d.degree for d in rep.discriminants) == [2, 3, 3]
     assert all(d.matches_shape for d in rep.discriminants)
     assert all(d.disc < 0 for d in rep.discriminants)
@@ -710,8 +726,18 @@ def test_certificate_catches_perturbations():
     bad[-1] += 1
     factors[0] = tuple(bad)
     rep = verify_certificate(FactorizationCertificate(target, tuple(factors)))
-    assert not rep
+    assert not rep.product_matches
     assert rep.detail
+    good = shipped_certificate_factors()
+    rep = verify_certificate(FactorizationCertificate(target, ((Fraction(0), Fraction(1)),) + good))
+    assert not rep.product_matches and rep.discriminants == ()
+    assert rep.detail == "factor with zero leading coefficient"
+    rep = verify_certificate(FactorizationCertificate(target, good[1:]))
+    assert not rep.product_matches
+    assert rep.detail == "degree mismatch: product %d vs target 8" % (8 - (len(good[0]) - 1))
+    # leading zeros of the target are not part of its degree
+    rep = verify_certificate(FactorizationCertificate((Fraction(0), Fraction(0)) + target, good))
+    assert rep.product_matches and rep.detail == ""
 
 
 def test_disc_shape():

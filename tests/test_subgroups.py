@@ -224,6 +224,8 @@ def test_closure_edge_cases():
         closure(())
     with pytest.raises(ValueError):
         closure((GL2Element.identity(3), GL2Element.identity(5)))
+    with pytest.raises(ValueError, match="generators live over F_5, not F_7"):
+        closure((GL2Element.identity(5),), ell=7)
 
 
 def test_subgroup_queries():
@@ -249,6 +251,10 @@ def test_from_elements_validation():
         from_elements([GL2Element(1, 0, 0, 2, 7)])  # not closed, no identity
     with pytest.raises(ValueError):
         from_elements([GL2Element.identity(7), GL2Element(1, 0, 0, 2, 7)])  # not closed
+    with pytest.raises(ValueError, match="at least the identity"):
+        from_elements([])
+    with pytest.raises(ValueError, match="mixed moduli"):
+        from_elements([GL2Element.identity(5), GL2Element.identity(7)])
 
 
 def test_from_elements_needs_no_group_wide_tables(monkeypatch):
