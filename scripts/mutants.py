@@ -131,19 +131,31 @@ MUTANTS = (
     Mutant("validate-accepts-nonsplit", "src/locisog/localglobal.py",
            (('        if self.cartan_kind != "split":\n', "        if False:\n"),),
            ("tests/test_localglobal.py::test_lemma_report_validation_catches_corruption",)),
-    # the subgroup enumeration engine.  Each conjugate H' of a class arises
-    # from every coset representative in g N(H), so skipping one
-    # representative's slab row loses no key; the conjugate mutant drops
-    # one conjugate key instead
+    # the subgroup enumeration engine.  One slab row per coset g N(H) builds
+    # each conjugate of a class once, so a skipped row loses a conjugate
     Mutant("enumeration-drops-a-generator", SUBGROUPS,
            (('        for c in rec["gens"]:\n', '        for c in rec["gens"][1:]:\n'),),
            (SUBGROUPS_TESTS + "test_enumeration_matches_brute_force_ell3",
             SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
     Mutant("conjugates-drop-one-conjugate", SUBGROUPS,
-           (("    return keys, normal\n",
-             "    return (keys - {max(keys)} if len(keys) > 1 else keys), normal\n"),),
+           (("    return keys\n", "    return keys - {max(keys)} if len(keys) > 1 else keys\n"),),
            (SUBGROUPS_TESTS + "test_enumeration_class_counts",
             SUBGROUPS_TESTS + "test_cyclic_subgroup_count_oracle[5]")),
+    Mutant("conjugates-skip-a-coset", SUBGROUPS,
+           (("    cosets = _transversal(ngens, ell)\n",
+             "    cosets = _transversal(ngens, ell)\n"
+             "    cosets = cosets[1:] if len(cosets) > 1 else cosets\n"),),
+           (SUBGROUPS_TESTS + "test_conjugates_one_row_per_coset_of_the_normalizer[3]",
+            SUBGROUPS_TESTS + "test_enumeration_class_counts")),
+    Mutant("normalizer-from-first-generator", SUBGROUPS,
+           (("np.divmod(np.array(gens, dtype=np.int64), ell * ell)",
+             "np.divmod(np.array(gens[:1], dtype=np.int64), ell * ell)"),),
+           (SUBGROUPS_TESTS + "test_normalizer_mask_per_coset_representative[3]",
+            SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
+    Mutant("lagrange-stop-at-half", SUBGROUPS,
+           (("        if size > half:\n", "        if size >= half:\n"),),
+           (SUBGROUPS_TESTS + "test_extension_closure_stops_only_past_half[3]",
+            SUBGROUPS_TESTS + "test_enumeration_class_counts")),
     Mutant("classes-of-equal-order-merged", SUBGROUPS,
            (("    order = sorted(range(len(classes)),\n",
              '    order = sorted({len(c["idx"]): i for i, c in enumerate(classes)}.values(),\n'),),
@@ -154,6 +166,16 @@ MUTANTS = (
              "    out = out[:, :, None, :] * base + digit[:, None]\n"),),
            (SUBGROUPS_TESTS + "test_conj_tables_are_int32_and_fold_decodes_every_index[3]",
             SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
+    # point counting: the differential addition in its multiplicative form,
+    # which divides by x(M - N) and so reads M + N as O where x(M - N) = 0
+    Mutant("xadd-divides-by-difference", "src/locisog/ecfp.py",
+           (("    num = (2 * ((s + t) * ((X1 * X2 + a * ZZ) % p) % p) + 4 * (b * ZZ % p * ZZ % p)) % p\n"
+             "    return (ZD * num - XD * dd) % p, ZD * dd % p\n",
+             "    u = (X1 * X2 - a * ZZ) % p\n"
+             "    num = (u * u - 4 * (b * ZZ % p) % p * ((s + t) % p)) % p\n"
+             "    return ZD * num % p, XD * dd % p\n"),),
+           ("tests/test_ecfp.py::test_x_only_kernels_match_affine_multiples[11]",
+            "tests/test_ecfp.py::test_bsgs_matches_naive")),
     # local data and primality
     Mutant("supersingular-needs-zero-trace", "src/locisog/ecfp.py",
            (("        return self.good and self.a_p % self.p == 0\n",

@@ -17,18 +17,19 @@ representative H by one element x at a time until a fixpoint.  Candidates
 are taken one per orbit of the normalizer N(H) acting on the complement by
 conjugation (conjugate candidates generate conjugate extensions), and an
 orbit is skipped when it meets H y H or H y^-1 H for a candidate y already
-tried, since <H, y h> = <H, y^-1> = <H, y>.  A new class is registered by a
-single pass of conjugation slabs over GL_2 modulo scalars (which act
-trivially); that pass records every conjugate element set, for exact
-identification of later extensions, and the class's normalizer, for
-choosing its candidates.
+tried, since <H, y h> = <H, y^-1> = <H, y>.  One BFS serves a candidate:
+its mask of H u H x H marks what is tried, then, continued by x, closes
+<H, x>, and stops once it holds more than half of GL_2 (Lagrange).  A new
+class is registered with N(H), found from H's generators, and its conjugate
+element sets, which identify later extensions exactly: conjugation by one
+representative of each coset g N(H) builds each conjugate once.
 
 Conjugation is table-driven (_conj_tables) and works in the scalar
-quotient: one table row per _scalar_cosets representative, ell (ell^2 - 1)
-rows in all, and every table and conjugate row holds int32 codes.  The
-normalizer is kept per class as a mask over those representatives, ell - 1
-times smaller than a mask over GL_2, and is expanded to the codes of N(H)
-only where its generators are picked.
+quotient (scalars act trivially): one table row per _scalar_cosets
+representative, ell (ell^2 - 1) rows in all, and every table and conjugate
+row holds int32 codes.  N(H) is found as a mask over those representatives,
+one table column per generator of H, and expanded to its codes only to pick
+its generators.
 """
 
 from __future__ import annotations
@@ -81,23 +82,30 @@ def _right_perm(code: int, ell: int):
     return _code_index(ell)[row[hi] * (ell * ell) + row[lo]]
 
 
-def _close(member, seeds, perms):
+def _close(member, seeds, perms, whole=False):
     """Close the boolean mask `member` (over the positions of a sorted code
     array, which the permutations `perms` act on) in place.
 
     `member` must already be closed under right multiplication by `perms`
     except for the products listed in `seeds` (positions, marked or not); the
     BFS starts from the unmarked seeds only.  Closing a subgroup H with a new
-    element x is then close(H, H*x, gens(H) + [x]).
+    element x is then close(H, H*x, gens(H) + [x]).  With whole=True the
+    positions are a group's, and a mask past half of them is returned full:
+    by Lagrange the subgroup it grows is then the whole group.
     """
     fresh = np.zeros_like(member)
     fresh[seeds] = True
+    size, half = int(member.sum()), len(member) // 2 if whole else len(member)
     while True:
         np.greater(fresh, member, out=fresh)  # fresh &= ~member
         frontier = fresh.nonzero()[0]
         if not len(frontier):
             return member
         member |= fresh
+        size += len(frontier)
+        if size > half:
+            member[:] = True
+            return member
         for p in perms:
             fresh[p[frontier]] = True
 
@@ -276,33 +284,53 @@ def _digits(digit, base):
     return out.ravel()
 
 
-def _conjugates(els, ell):
-    """One pass of conjugation slabs over the sorted code array els: the
-    _row_keys key of every conjugate, and the normalizer as a mask over the
-    _scalar_cosets representatives (N(H) contains the scalars, so it is the
-    union of the cosets marked)."""
+def _normalizer_mask(els, gens, ell):
+    """N(H), for H with sorted codes els and generators gens, as a mask over
+    the _scalar_cosets representatives (N(H) contains the scalars): g
+    normalizes H exactly when g h g^-1 lies in H for each generator h."""
     top, bottom, fold = _conj_tables(ell)
-    normal = np.empty(len(top), dtype=bool)
+    hi, lo = np.divmod(np.array(gens, dtype=np.int64), ell * ell)
+    conj = fold[top[:, hi] + bottom[:, lo]]
+    pos = np.minimum(np.searchsorted(els, conj), len(els) - 1)
+    return (els[pos] == conj).all(axis=1)
+
+
+def _transversal(ngens, ell):
+    """One _scalar_cosets representative per left coset g N(H), where the
+    codes ngens generate N(H): the orbits of right multiplication by them."""
+    reps, coset = _scalar_cosets(ell)
+    g = _group_codes(ell)[reps]
+    perms = [coset[_code_index(ell)[_mul_codes(g, n, ell)]] for n in ngens]
+    return np.flatnonzero(_orbit_minima(perms, len(reps)) == np.arange(len(reps)))
+
+
+def _conjugates(els, ngens, ell):
+    """The _row_keys key of every conjugate of the subgroup with sorted codes
+    els, whose normalizer the codes ngens generate: g H g^-1 depends only on
+    g N(H), so one slab row per coset builds each conjugate once."""
+    top, bottom, fold = _conj_tables(ell)
+    cosets = _transversal(ngens, ell)
     keys: set[bytes] = set()
     hi, lo = np.divmod(els, ell * ell)
     step = max(1, _CHUNK // max(1, len(els)))
-    for i in range(0, len(top), step):
-        sl = slice(i, i + step)
-        rows = fold[top[sl][:, hi] + bottom[sl][:, lo]]
+    for i in range(0, len(cosets), step):
+        t = cosets[i:i + step]
+        rows = fold[top[t][:, hi] + bottom[t][:, lo]]
         rows.sort(axis=1)
-        normal[sl] = (rows == els[None, :]).all(axis=1)
         keys.update(_row_keys(rows))
-    return keys, normal
+    return keys
 
 
-def _normalizer_codes(normal, ell):
-    """The sorted codes of N(H) from _conjugates' per-representative mask."""
-    return _group_codes(ell)[normal[_scalar_cosets(ell)[1]]]
+def _normalizer(els, gens, ell):
+    """The sorted codes of N(H), for H as in _normalizer_mask, and the
+    generators _greedy_generators picks for them."""
+    codes = _group_codes(ell)[_normalizer_mask(els, gens, ell)[_scalar_cosets(ell)[1]]]
+    return codes, _greedy_generators(codes, ell)
 
 
 def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
-    """The lexicographically least element-code tuple among all conjugates."""
-    best = min(_conjugates(G._codes, G.ell)[0])
+    """The least element-code tuple among all conjugates, one per coset of N(G)."""
+    best = min(_conjugates(G._codes, _normalizer(G._codes, G._gen_codes, G.ell)[1], G.ell))
     return tuple(int(v) for v in np.frombuffer(best, dtype=">i4"))
 
 
@@ -320,7 +348,7 @@ def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
     """All conjugacy classes of subgroups of GL_2(F_ell), one representative
     each, sorted by (order, conjugacy key).
 
-    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in a few seconds;
+    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in about 3 s (2 vCPU);
     the result is computed once per ell and shared by every later call.
     """
     if ell not in ENUMERABLE:
@@ -340,10 +368,11 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
     seen: set[bytes] = set()
 
     def register(idx, gen_codes):
-        keys, normal = _conjugates(group[idx], ell)
+        ngens = _normalizer(group[idx], gen_codes, ell)[1]
+        keys = _conjugates(group[idx], ngens, ell)
         seen.update(keys)
         classes.append({"idx": idx, "gens": tuple(int(c) for c in gen_codes),
-                        "key": min(keys), "normal": normal})
+                        "key": min(keys), "ngens": ngens})
 
     register(_code_index(ell)[[_id_code(ell)]], ())
     qi = 0
@@ -353,7 +382,6 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
         idx = rec["idx"]
         if len(idx) == n:
             continue
-        ngens = _greedy_generators(_normalizer_codes(rec["normal"], ell), ell)
         member = np.zeros(n, dtype=bool)
         member[idx] = True
         gperms = []
@@ -361,7 +389,7 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
             if c not in perms:
                 perms[c] = _right_perm(c, ell)
             gperms.append(perms[c])
-        labels = _orbit_minima(_conj_perms(ngens, ell), n)
+        labels = _orbit_minima(_conj_perms(rec["ngens"], ell), n)
         # tried[m] marks orbit minima m whose extension is a conjugate of
         # one already closed, so already in `seen`: for x' in H x H or
         # H x^-1 H, <H, x'> = <H, x>; for x' in the N(H)-orbit of such an
@@ -371,10 +399,12 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
             if tried[pos]:
                 continue
             px = _right_perm(group[pos], ell)
-            double = np.flatnonzero(_close(member.copy(), px[idx], gperms))
+            reach = _close(member.copy(), px[idx], gperms)  # H u HxH
+            double = np.flatnonzero(reach)
             tried[labels[double]] = True
             tried[labels[inverse[double]]] = True
-            ext = np.flatnonzero(_close(member.copy(), px[idx], gperms + [px]))
+            # <H, x> continues H u HxH by x, from the seeds (H u HxH) x
+            ext = np.flatnonzero(_close(reach, px[double], gperms + [px], whole=True))
             if _row_keys(group[ext][None])[0] in seen:
                 continue
             if len(rec["gens"]) + 1 > 3:
@@ -388,6 +418,5 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
 
 
 def normalizer(G: Subgroup) -> Subgroup:
-    """N_{GL_2}(G) as a subgroup (explicit scan; small ell only)."""
-    codes = _normalizer_codes(_conjugates(G._codes, G.ell)[1], G.ell)
-    return Subgroup(G.ell, codes, _greedy_generators(codes, G.ell))
+    """N_{GL_2}(G) as a subgroup, found from G's generators (small ell only)."""
+    return Subgroup(G.ell, *_normalizer(G._codes, G._gen_codes, G.ell))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from locisog import subgroups
-from locisog.gl2 import GL2Element, _encode, _group_codes, _inv_codes, _mul_codes
+from locisog.gl2 import (GL2Element, _det, _encode, _group_codes, _id_code, _inv_codes,
+                         _mul_codes)
 from locisog.localglobal import construct_prop3_group
 from locisog.subgroups import (Subgroup, closure, conjugacy_key, enumerate_subgroups,
                                from_elements, normalizer)
@@ -125,22 +126,78 @@ def test_conj_tables_are_int32_and_fold_decodes_every_index(ell):
     assert (tables[2] == expected).all()
 
 
+def _brute_conjugates(codes, g, ell):
+    """Every conjugate g h g^-1 of the sorted codes, one sorted row per g,
+    by plain _mul_codes."""
+    conj = _mul_codes(_mul_codes(g[:, None], codes[None, :], ell),
+                      _inv_codes(g, ell)[:, None], ell)
+    return np.sort(conj, axis=1)
+
+
+def _subgroups_to_check(ell):
+    """First subgroups whose generators are not the enumeration's, then
+    every enumerated class.  The first are closures of a scalar and a seeded
+    random element (so the first generator alone says nothing of N(H)) and
+    of a random pair, and from_elements of a conjugate of each."""
+    rng = random.Random(ell)
+    els = _all_elements(ell)
+    for _ in range(3):
+        x, y, w = rng.sample(els, 3)
+        for G in (closure((GL2Element(ell - 1, 0, 0, ell - 1, ell), x)), closure((x, y))):
+            yield G
+            yield from_elements(g.conjugate_by(w) for g in G.elements)
+    yield from enumerate_subgroups(ell)
+
+
 @pytest.mark.parametrize("ell", [3, 5])
 def test_normalizer_mask_per_coset_representative(ell):
-    """_conjugates marks N(H) once per scalar coset; expanded, the mask is
-    {g : g H g^-1 = H} by plain conjugation of every element, and normalizer()
-    returns exactly those codes."""
+    """The mask built from H's generators marks N(H) once per scalar coset;
+    expanded, it is {g : g H g^-1 = H} by plain conjugation of every
+    element, and normalizer() returns exactly those codes."""
     group = _group_codes(ell)
     reps, coset = subgroups._scalar_cosets(ell)
-    inverse = _inv_codes(group, ell)
-    for G in enumerate_subgroups(ell):
-        normal = subgroups._conjugates(G.codes, ell)[1]
+    for G in _subgroups_to_check(ell):
+        normal = subgroups._normalizer_mask(G.codes, G._gen_codes, ell)
         assert len(normal) == len(reps)
-        conj = _mul_codes(_mul_codes(group[:, None], G.codes[None, :], ell),
-                          inverse[:, None], ell)
-        brute = (np.sort(conj, axis=1) == G.codes[None, :]).all(axis=1)
+        brute = (_brute_conjugates(G.codes, group, ell) == G.codes[None, :]).all(axis=1)
         assert (normal[coset] == brute).all()
         assert normalizer(G).codes.tolist() == group[brute].tolist()
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_conjugates_one_row_per_coset_of_the_normalizer(ell):
+    """The transversal has one row per coset of N(H), ell (ell^2 - 1)
+    (ell - 1) / |N(H)| in all, and conjugating by it gives exactly the
+    conjugates that all ell (ell^2 - 1) scalar-coset representatives give."""
+    reps = _group_codes(ell)[subgroups._scalar_cosets(ell)[0]]
+    for G in _subgroups_to_check(ell):
+        N = normalizer(G)
+        rows = subgroups._transversal(N._gen_codes, ell)
+        assert len(rows) == len(reps) * (ell - 1) // N.order
+        keys = subgroups._conjugates(G.codes, N._gen_codes, ell)
+        brute = {row.astype(">i4").tobytes() for row in _brute_conjugates(G.codes, reps, ell)}
+        assert keys == brute and len(keys) == len(rows)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_extension_closure_stops_only_past_half(ell):
+    """By Lagrange a subgroup closure that marks more than half of GL_2 is
+    all of it.  The subgroup of square determinants has exactly half and
+    comes out unfilled; a generating pair comes out full."""
+    group = _group_codes(ell)
+    squares = {x * x % ell for x in range(1, ell)}
+    half = np.isin(_det(group, ell), list(squares))
+    root = {3: 2, 5: 2, 7: 3}[ell]  # a primitive root mod ell
+    pair = (GL2Element(root, 0, 0, 1, ell), GL2Element(ell - 1, 1, ell - 1, 0, ell))
+    assert closure(pair).order == len(group)
+    ident = subgroups._code_index(ell)[_id_code(ell)]
+    for gens, expected in ((subgroups._greedy_generators(group[half], ell), half),
+                           ([g.code() for g in pair], np.ones(len(group), dtype=bool))):
+        perms = [subgroups._right_perm(c, ell) for c in gens]
+        member = np.zeros(len(group), dtype=bool)
+        member[ident] = True
+        out = subgroups._close(member, [p[ident] for p in perms], perms, whole=True)
+        assert (out == expected).all()
 
 
 def test_conj_tables_build_peaks_near_what_it_keeps():
