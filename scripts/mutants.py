@@ -106,8 +106,8 @@ MUTANTS = (
              "    return T[:, j.value] @ _rows_mod(M, p) @ T\n"),),
            (MODPOLY_TESTS + "test_phi_values_match_the_specialization",)),
     Mutant("naive-count-tables-to-naive-limit", "src/locisog/ecfp.py",
-           (("_powers(p)[2] if p <= _TABLE_LIMIT else",
-             "_powers(p)[2] if p <= NAIVE_LIMIT else"),),
+           (("    if p <= _TABLE_LIMIT:\n        chi = np.full(p, -1, dtype=np.int64)\n",
+             "    if p <= NAIVE_LIMIT:\n        chi = np.full(p, -1, dtype=np.int64)\n"),),
            ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
     # the exact Gauss sum and its CLI verdict
     Mutant("gauss-fold-drops-correction", "src/locisog/arith.py",
@@ -134,7 +134,7 @@ MUTANTS = (
     # the subgroup enumeration engine.  One slab row per coset g N(H) builds
     # each conjugate of a class once, so a skipped row loses a conjugate
     Mutant("enumeration-drops-a-generator", SUBGROUPS,
-           (('        for c in rec["gens"]:\n', '        for c in rec["gens"][1:]:\n'),),
+           (('rec["ngens"], rec["gperms"], ell)', 'rec["ngens"], rec["gperms"][1:], ell)'),),
            (SUBGROUPS_TESTS + "test_enumeration_matches_brute_force_ell3",
             SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
     Mutant("conjugates-drop-one-conjugate", SUBGROUPS,
@@ -166,6 +166,32 @@ MUTANTS = (
              "    out = out[:, :, None, :] * base + digit[:, None]\n"),),
            (SUBGROUPS_TESTS + "test_conj_tables_are_int32_and_fold_decodes_every_index[3]",
             SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
+    # the extension step: <H, x> is det^-1(det <H, x>) only when it fixes no
+    # line, and its dets include H's; candidates are one per orbit of
+    # conjugation by N(H), right multiplication by H and inversion, and no
+    # more than N(H) may conjugate
+    Mutant("sl2-step-ignores-fixed-lines", SUBGROUPS,
+           (("    reducible = fixed[:, fixed[index[list(gens)]].all(axis=0)].any(axis=1)\n",
+             "    reducible = np.zeros(len(group), dtype=bool)\n"),),
+           (SUBGROUPS_TESTS + "test_borel_extension_takes_the_bfs",
+            SUBGROUPS_TESTS + "test_sl2_step_equals_closure[3]")),
+    Mutant("sl2-step-det-of-x-only", SUBGROUPS,
+           (("    dets = np.bincount(det[idx], minlength=ell) > 0  # det H\n",
+             "    dets = np.arange(ell) == 1\n"),),
+           (SUBGROUPS_TESTS + "test_sl2_step_equals_closure[5]",
+            SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
+    Mutant("gamma-conjugates-past-normalizer", SUBGROUPS,
+           (("[index[[c for c in ngens if c not in gens]]]]",
+             "[index[[c for c in ngens if c not in gens]"
+             " + [_encode(1, 1, 0, 1, ell)]]]]"),),
+           (SUBGROUPS_TESTS + "test_gamma_orbit_candidates_match_double_coset_marking[5]",
+            SUBGROUPS_TESTS + "test_enumeration_class_counts")),
+    # the action on lines, which the fixed-line table of the extension step
+    # reads: rows acted on in place of columns
+    Mutant("line-action-transposed", "src/locisog/gl2.py",
+           (("    u = (a * x + b * y) % ell\n    v = (c * x + d * y) % ell\n",
+             "    u = (a * x + c * y) % ell\n    v = (b * x + d * y) % ell\n"),),
+           ("tests/test_gl2.py::test_projective_action_is_action",)),
     # point counting: the differential addition in its multiplicative form,
     # which divides by x(M - N) and so reads M + N as O where x(M - N) = 0
     Mutant("xadd-divides-by-difference", "src/locisog/ecfp.py",

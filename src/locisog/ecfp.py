@@ -72,6 +72,7 @@ from .modpoly import _TABLE_LIMIT, _powers, _values_mod
 # Single counts cross above 16k.  The limit sits lower because moving it also
 # moves where _count_chunk may raise "group order ambiguous".
 NAIVE_LIMIT = 1 << 12
+_BLOCK = 1 << 14  # values of x per block of a naive count above _TABLE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,24 @@ def _reduce(E: WeierstrassCurve, p: int) -> tuple[int, ...] | None:
 
 def _naive_count(inv: tuple[int, ...], p: int) -> int:
     """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p; up to
-    modpoly's _TABLE_LIMIT the squares are row 2 of its table of powers."""
+    modpoly's _TABLE_LIMIT the squares are row 2 of its table of powers, and
+    above it chi is int8 and read _BLOCK x at a time (b2 < 2p, b4 < 4p, 10 p^2 < 2^63)."""
     b2, b4, b6, _, _ = inv
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[_powers(p)[2] if p <= _TABLE_LIMIT else np.arange(p, dtype=np.int64) ** 2 % p] = 1
+    if p <= _TABLE_LIMIT:
+        chi = np.full(p, -1, dtype=np.int64)
+        chi[_powers(p)[2]] = 1
+        chi[0] = 0
+        return p + 1 + int(chi[_values_mod([4, b2, 2 * b4, b6], p)].sum())
+    chi = np.full(p, -1, dtype=np.int8)
+    x = np.arange(min(p, _BLOCK), dtype=np.int64)
+    for s in range(0, p // 2 + 1, _BLOCK):  # x^2 = (p - x)^2
+        chi[(x[:p // 2 + 1 - s] + s) ** 2 % p] = 1
     chi[0] = 0
-    return p + 1 + int(chi[_values_mod([4, b2, 2 * b4, b6], p)].sum())
+    count = p + 1
+    for s in range(0, p, _BLOCK):
+        y = x[:p - s] + s
+        count += int(chi[(((4 * y + b2) * y % p + 2 * b4) * y + b6) % p].sum())
+    return count
 
 
 # primes per numpy batch, ascending, with s from the largest: at p <= 10^5,

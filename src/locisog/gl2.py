@@ -172,8 +172,11 @@ def _line_perm(codes, ell):
 
 def _orbit_minima(perms, n: int):
     """The least index in the orbit of each of 0..n-1 under the group that
-    the permutations `perms` (index arrays of length n) generate."""
-    steps = [q for p in perms for q in (p, np.argsort(p))]
+    the permutations `perms` (index arrays of length n; inverted by scatter) generate."""
+    steps = []
+    for p in perms:
+        steps += [p, np.empty_like(p)]
+        steps[-1][p] = np.arange(n)
     labels = np.arange(n)
     while True:
         before = labels

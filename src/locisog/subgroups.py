@@ -6,21 +6,24 @@ A Subgroup holds the sorted numpy array of its elements' codes (the packed
 integers of gl2).  Enumeration closes subgroups on positions in the sorted
 code list of GL_2 (_group_codes): each generator becomes its
 right-multiplication permutation of those positions, and a BFS marks new
-elements in a boolean mask over the group.  Adding one element x to a
-subgroup H that is already closed starts the BFS from H*x, not from the
-identity.  The closure of explicit generators, and the check that an
-explicit element set is a subgroup, run their BFS on the set's own sorted
-codes, so their cost follows the size of the set, not of GL_2.
+elements in a boolean mask over the group, from H*x when it adds x to a
+closed subgroup H.  The closure of explicit generators, and the check that
+an explicit element set is a subgroup, run their BFS on the set's own
+sorted codes, so their cost follows the size of the set, not of GL_2.
 
-Enumeration is the cyclic-extension method: extend each known class
-representative H by one element x at a time until a fixpoint.  Candidates
-are taken one per orbit of the normalizer N(H) acting on the complement by
-conjugation (conjugate candidates generate conjugate extensions), and an
-orbit is skipped when it meets H y H or H y^-1 H for a candidate y already
-tried, since <H, y h> = <H, y^-1> = <H, y>.  One BFS serves a candidate:
-its mask of H u H x H marks what is tried, then, continued by x, closes
-<H, x>, and stops once it holds more than half of GL_2 (Lagrange).  A new
-class is registered with N(H), found from H's generators, and its conjugate
+Enumeration is the cyclic-extension method: extend each class representative
+H by one element x at a time until a fixpoint.  <H, x> is constant, up to
+conjugation by N(H), on each orbit of the group Gamma that conjugation by
+N(H), right multiplication by H and inversion generate, as
+<H, h x h'> = <H, x^-1> = <H, x>: the candidates are the least of each orbit
+outside H.  By Dickson (Linear Groups, 1901; Serre, Invent. Math. 15, 1972,
+section 2) a subgroup that fixes no line and has an element of order
+divisible by ell contains SL_2(F_ell), so it is det^-1 of its determinants.
+<H, x> fixes a line exactly when x fixes one that all of H fixes; if it
+fixes none, and H or x has such an element, no BFS runs.  Otherwise one
+BFS from H x closes <H, x>, stopping at the first such element when no line
+is fixed, or once it holds more than half of GL_2 (Lagrange).  A new class
+is registered with N(H), found from H's generators, and its conjugate
 element sets, which identify later extensions exactly: conjugation by one
 representative of each coset g N(H) builds each conjugate once.
 
@@ -41,7 +44,7 @@ import numpy as np
 from .arith import _require_prime
 from .errors import VerificationError
 from .gl2 import (GL2Element, _decode, _det, _encode, _group_codes, _id_code, _inv_codes,
-                  _inv_table, _mul_codes, _orbit_minima)
+                  _inv_table, _is_scalar, _line_perm, _mul_codes, _orbit_minima)
 
 ENUMERABLE = (2, 3, 5, 7, 11)
 
@@ -82,17 +85,20 @@ def _right_perm(code: int, ell: int):
     return _code_index(ell)[row[hi] * (ell * ell) + row[lo]]
 
 
-def _close(member, seeds, perms, whole=False):
+def _close(member, seeds, perms, whole=False, stop=None):
     """Close the boolean mask `member` (over the positions of a sorted code
-    array, which the permutations `perms` act on) in place.
+    array, which the rows of `perms` permute) in place: each BFS level is
+    one gather and one scatter.
 
     `member` must already be closed under right multiplication by `perms`
     except for the products listed in `seeds` (positions, marked or not); the
     BFS starts from the unmarked seeds only.  Closing a subgroup H with a new
     element x is then close(H, H*x, gens(H) + [x]).  With whole=True the
     positions are a group's, and a mask past half of them is returned full:
-    by Lagrange the subgroup it grows is then the whole group.
+    by Lagrange the subgroup it grows is then the whole group.  None is
+    returned as soon as the BFS reaches a position in the mask `stop`.
     """
+    perms = np.asarray(perms)
     fresh = np.zeros_like(member)
     fresh[seeds] = True
     size, half = int(member.sum()), len(member) // 2 if whole else len(member)
@@ -101,13 +107,14 @@ def _close(member, seeds, perms, whole=False):
         frontier = fresh.nonzero()[0]
         if not len(frontier):
             return member
+        if stop is not None and stop[frontier].any():
+            return None
         member |= fresh
         size += len(frontier)
         if size > half:
             member[:] = True
             return member
-        for p in perms:
-            fresh[p[frontier]] = True
+        fresh[perms[:, frontier]] = True
 
 
 def _row_keys(rows) -> list[bytes]:
@@ -208,15 +215,16 @@ def from_elements(elements) -> Subgroup:
     return Subgroup(ell, codes, gen_codes)
 
 
-def _greedy_generators(codes, ell):
+def _greedy_generators(codes, ell, seeds=()):
     """Generators of the element set with sorted codes `codes`, which holds
-    the identity: each code, in order, that the earlier ones do not already
-    generate.  None when the set is not closed under multiplication."""
+    the identity: each code of `seeds` (in the set), then of `codes`, that
+    the earlier ones do not generate.  None when the set is not closed."""
     member = codes == _id_code(ell)
     size = 1
     gens: list[int] = []
     perms = []
-    for i, c in enumerate(codes.tolist()):
+    seeded = zip(np.searchsorted(codes, seeds).tolist(), seeds)
+    for i, c in [*seeded, *enumerate(codes.tolist())]:
         if size == len(codes):
             break
         if member[i]:
@@ -323,9 +331,9 @@ def _conjugates(els, ngens, ell):
 
 def _normalizer(els, gens, ell):
     """The sorted codes of N(H), for H as in _normalizer_mask, and the
-    generators _greedy_generators picks for them."""
+    generators _greedy_generators picks for them, H's own first."""
     codes = _group_codes(ell)[_normalizer_mask(els, gens, ell)[_scalar_cosets(ell)[1]]]
-    return codes, _greedy_generators(codes, ell)
+    return codes, _greedy_generators(codes, ell, gens)
 
 
 def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
@@ -334,21 +342,62 @@ def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
     return tuple(int(v) for v in np.frombuffer(best, dtype=">i4"))
 
 
-def _conj_perms(ngens, ell):
-    """Conjugation by each code in ngens, as a permutation of the positions
-    in _group_codes(ell)."""
+@lru_cache(maxsize=None)
+def _position_tables(ell: int):
+    """Over the positions in _group_codes(ell): inversion as a permutation,
+    the determinant (int32), whether the order is divisible by ell (not
+    scalar, and tr^2 = 4 det), and which of the ell + 1 lines are fixed."""
+    group = _group_codes(ell)
+    a, _, _, d = _decode(group, ell)
+    det = _det(group, ell)
+    ell_order = (((a + d) ** 2 - 4 * det) % ell == 0) & ~_is_scalar(group, ell)
+    fixed = _line_perm(group, ell) == np.arange(ell + 1)
+    return _code_index(ell)[_inv_codes(group, ell)], det.astype(np.int32), ell_order, fixed
+
+
+def _extension(idx, gens, ngens, gperms, ell):
+    """The extension step for H (positions idx, generator codes gens, their
+    right-multiplication permutations gperms; H and the codes ngens generate
+    N(H)), as the module docstring sets it out: the candidates x, ascending,
+    and a function from a candidate to the mask of <H, x>."""
+    group, index = _group_codes(ell), _code_index(ell)
+    inverse, det, ell_order, fixed = _position_tables(ell)
     top, bottom, fold = _conj_tables(ell)
-    coset = _scalar_cosets(ell)[1]
-    idx = _code_index(ell)
     hi, lo = _row_codes(ell)
-    return [idx[fold[top[i][hi] + bottom[i][lo]]] for i in coset[idx[ngens]]]
+    conj = [index[fold[top[i][hi] + bottom[i][lo]]]  # Gamma conjugates by H already
+            for i in _scalar_cosets(ell)[1][index[[c for c in ngens if c not in gens]]]]
+    least = _orbit_minima([*conj, *gperms, inverse], len(group)) == np.arange(len(group))
+    least[idx] = False
+    reducible = fixed[:, fixed[index[list(gens)]].all(axis=0)].any(axis=1)
+    has_ell_order = ell_order[idx].any()
+    member = np.zeros(len(group), dtype=bool)
+    member[idx] = True
+    perms = np.array([*gperms, np.arange(len(group), dtype=np.int32)])
+    dets = np.bincount(det[idx], minlength=ell) > 0  # det H
+    spans: dict[int, np.ndarray] = {}  # det x -> det^-1(det H <det x>)
+
+    def extend(pos):
+        x, d = group[pos], int(det[pos])
+        if reducible[pos] or not (has_ell_order or ell_order[pos]):
+            perms[-1] = _right_perm(x, ell)  # the last row is x's
+            ext = _close(member.copy(), perms[-1][idx], perms, whole=True,
+                         stop=None if reducible[pos] else ell_order)
+            if ext is not None:
+                return ext
+        if d not in spans:  # <H, x> holds SL_2
+            span = dets.copy()
+            while not span[(s := np.flatnonzero(span)) * d % ell].all():
+                span[s * d % ell] = True
+            spans[d] = span[det]
+        return spans[d]
+    return np.flatnonzero(least), extend
 
 
 def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
     """All conjugacy classes of subgroups of GL_2(F_ell), one representative
     each, sorted by (order, conjugacy key).
 
-    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in about 3 s (2 vCPU);
+    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in about 1.3 s (2 vCPU);
     the result is computed once per ell and shared by every later call.
     """
     if ell not in ENUMERABLE:
@@ -360,57 +409,31 @@ def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
 @lru_cache(maxsize=None)
 def _enumerate(ell: int) -> tuple[Subgroup, ...]:
     group = _group_codes(ell)
-    n = len(group)
-    inverse = _code_index(ell)[_inv_codes(group, ell)]
-    perms: dict[int, np.ndarray] = {}  # class generator code -> _right_perm
-
     classes: list[dict] = []
     seen: set[bytes] = set()
 
-    def register(idx, gen_codes):
+    def register(idx, gen_codes, gperms):
         ngens = _normalizer(group[idx], gen_codes, ell)[1]
         keys = _conjugates(group[idx], ngens, ell)
         seen.update(keys)
         classes.append({"idx": idx, "gens": tuple(int(c) for c in gen_codes),
-                        "key": min(keys), "ngens": ngens})
+                        "key": min(keys), "ngens": ngens, "gperms": gperms})
 
-    register(_code_index(ell)[[_id_code(ell)]], ())
-    qi = 0
-    while qi < len(classes):
-        rec = classes[qi]
-        qi += 1
+    register(_code_index(ell)[[_id_code(ell)]], (), [])
+    for rec in classes:  # classes grows as it is read
         idx = rec["idx"]
-        if len(idx) == n:
+        if len(idx) == len(group):
             continue
-        member = np.zeros(n, dtype=bool)
-        member[idx] = True
-        gperms = []
-        for c in rec["gens"]:
-            if c not in perms:
-                perms[c] = _right_perm(c, ell)
-            gperms.append(perms[c])
-        labels = _orbit_minima(_conj_perms(rec["ngens"], ell), n)
-        # tried[m] marks orbit minima m whose extension is a conjugate of
-        # one already closed, so already in `seen`: for x' in H x H or
-        # H x^-1 H, <H, x'> = <H, x>; for x' in the N(H)-orbit of such an
-        # element, <H, x'> is a conjugate of <H, x>
-        tried = member.copy()
-        for pos in np.flatnonzero(labels == np.arange(n)):
-            if tried[pos]:
-                continue
-            px = _right_perm(group[pos], ell)
-            reach = _close(member.copy(), px[idx], gperms)  # H u HxH
-            double = np.flatnonzero(reach)
-            tried[labels[double]] = True
-            tried[labels[inverse[double]]] = True
-            # <H, x> continues H u HxH by x, from the seeds (H u HxH) x
-            ext = np.flatnonzero(_close(reach, px[double], gperms + [px], whole=True))
+        candidates, extend = _extension(idx, rec["gens"], rec["ngens"], rec["gperms"], ell)
+        for pos in candidates:
+            ext = np.flatnonzero(extend(pos))
             if _row_keys(group[ext][None])[0] in seen:
                 continue
             if len(rec["gens"]) + 1 > 3:
                 raise VerificationError(
                     "subgroup of GL2(F_%d) needed more than 3 generators" % ell)
-            register(ext, rec["gens"] + (int(group[pos]),))
+            register(ext, rec["gens"] + (int(group[pos]),),
+                     rec["gperms"] + [_right_perm(group[pos], ell)])
 
     order = sorted(range(len(classes)),
                    key=lambda i: (len(classes[i]["idx"]), classes[i]["key"]))

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locisog import arith, ecfp, modpoly
@@ -125,11 +127,13 @@ def test_one_reduction_per_curve_across_calls(monkeypatch):
 
 
 def test_power_tables_stay_at_or_below_table_limit():
-    # naive point counts (reduce_and_count counts naively up to NAIVE_LIMIT)
-    # and Phi_N root counts at every prime up to NAIVE_LIMIT keep at most one
-    # table of powers per prime up to _TABLE_LIMIT (97 in all) and one table
-    # of Phi_N's rows mod p per level and such prime, and none above it:
-    # asking for all of them afterwards leaves exactly 97, and 97 per level
+    # naive point counts (reduce_and_count counts naively up to NAIVE_LIMIT),
+    # the value kernel _values_mod on a cubic (which naive counts call only
+    # up to _TABLE_LIMIT) and Phi_N root counts at every prime up to
+    # NAIVE_LIMIT keep at most one table of powers per prime up to
+    # _TABLE_LIMIT (97 in all) and one table of Phi_N's rows mod p per level
+    # and such prime, and none above it: asking for all of them afterwards
+    # leaves exactly 97, and 97 per level
     small = [p for p in range(2, _TABLE_LIMIT + 1) if is_prime(p)]
     assert len(small) == 97
     Ms = [shipped_modpoly(N) for N in SHIPPED_LEVELS]
@@ -139,6 +143,7 @@ def test_power_tables_stay_at_or_below_table_limit():
     for p in range(3, NAIVE_LIMIT + 1):
         if is_prime(p) and p != 7:
             reduce_and_count(COUNTEREXAMPLE_CURVE, p)
+            modpoly._values_mod([4, 1, 2, 3], p)
             for M in Ms:
                 if M.level % p:
                     fp_root_count(M, PrimeFieldElement(2268945 * pow(128, -1, p), p))
@@ -166,6 +171,34 @@ def test_bsgs_matches_naive():
             n_naive = count_points(E, p, method="naive")
             for seed in range(3):
                 assert count_points(E, p, method="bsgs", seed=seed) == n_naive, (E, p, seed)
+
+
+def test_naive_count_in_blocks_matches_one_array():
+    """Above _TABLE_LIMIT the character sum runs in blocks of ecfp._BLOCK
+    values of x against an int8 table: at primes around block edges it
+    equals the sum over one array of all squares and all cubic values."""
+    rng = random.Random(61)
+    for p in (521, 16381, 16411, 32771, 65537, 99991):
+        assert p > _TABLE_LIMIT and is_prime(p)
+        inv = (rng.randrange(p), rng.randrange(p), rng.randrange(p), 0, 0)
+        chi = np.full(p, -1)
+        chi[np.arange(p) ** 2 % p] = 1
+        chi[0] = 0
+        values = modpoly._values_mod([4, inv[0], 2 * inv[1], inv[2]], p)
+        assert ecfp._naive_count(inv, p) == p + 1 + int(chi[values].sum()), p
+
+
+def test_naive_count_memory_stays_near_its_int8_table():
+    """A count at p near 2^20 peaks at under twice the p bytes of its
+    character table, where arrays of p int64 would take 8 p bytes each."""
+    p = 1048573
+    tracemalloc.start()
+    try:
+        ecfp._naive_count((1, 2, 3, 0, 0), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * p
 
 
 def test_bsgs_needs_no_factorization(monkeypatch):

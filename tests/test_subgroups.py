@@ -200,6 +200,117 @@ def test_extension_closure_stops_only_past_half(ell):
         assert (out == expected).all()
 
 
+def _extension_inputs(G, ell):
+    """The extension step for the class G as _enumerate builds it: its
+    candidate positions and its function from a candidate to a mask."""
+    idx = subgroups._code_index(ell)[G.codes]
+    gperms = [subgroups._right_perm(c, ell) for c in G._gen_codes]
+    ngens = subgroups._normalizer(G.codes, G._gen_codes, ell)[1]
+    return subgroups._extension(idx, G._gen_codes, ngens, gperms, ell)
+
+
+def _spy_close(monkeypatch):
+    """Record (stop given, result is None) for every _close call."""
+    calls = []
+    real = subgroups._close
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((kwargs.get("stop") is not None, out is None))
+        return out
+
+    monkeypatch.setattr(subgroups, "_close", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_sl2_step_equals_closure(ell, monkeypatch):
+    """Wherever the extension step settles <H, x> as det^-1(det <H, x>),
+    with no BFS or with one that stopped at an element of order divisible
+    by ell, that mask is closure() of H's generators and x.  At ell = 7 it
+    settles 674 of the 1,228 candidates."""
+    group = _group_codes(ell)
+    classes = [G for G in enumerate_subgroups(ell) if G.order < len(group)]
+    calls = _spy_close(monkeypatch)
+    settled = 0
+    for G in classes:
+        candidates, extend = _extension_inputs(G, ell)
+        for pos in candidates.tolist():
+            del calls[:]
+            mask = extend(pos)
+            if calls and not calls[-1][1]:
+                continue  # the BFS ran to its end
+            settled += 1
+            K = closure(G.generators + (GL2Element.from_code(group[pos], ell),))
+            assert group[mask].tolist() == K.codes.tolist()
+    assert settled > 0
+    if ell == 7:
+        assert settled == 674
+
+
+def test_borel_extension_takes_the_bfs(monkeypatch):
+    """x = [[1, 1], [0, 1]] has order 7 but fixes the line (1 : 0), which
+    H = <diag(3, 1)> fixes too: <H, x> is the order-42 group of upper
+    triangular matrices with a 1 in the corner, not det^-1(F_7^*) = GL_2.
+    The step must close it by a BFS without a stop mask."""
+    ell = 7
+    H = closure((GL2Element(3, 0, 0, 1, ell),))
+    x = GL2Element(1, 1, 0, 1, ell)
+    _, extend = _extension_inputs(H, ell)
+    calls = _spy_close(monkeypatch)
+    mask = extend(subgroups._code_index(ell)[x.code()])
+    assert calls == [(False, False)]
+    K = closure((*H.generators, x))
+    assert K.order == 42
+    assert _group_codes(ell)[mask].tolist() == K.codes.tolist()
+
+
+def _double_coset_candidates(G, ell):
+    """The candidates of the sequential marking the extension loop used
+    before: the N(H)-orbit minima outside H, ascending, each skipped when an
+    earlier candidate y put its orbit in H u H y H or in the inverses of
+    those elements.  By plain products, with N(H) from normalizer()."""
+    group = _group_codes(ell)
+    H = G.codes
+    N = normalizer(G).codes
+    a, b = N // ell ** 3, N // ell ** 2 % ell
+    N = N[np.where(a != 0, a, b) == 1]  # conjugation ignores scalars
+    label = group.copy()
+    for i in range(0, len(N), 64):
+        g = N[i:i + 64, None]
+        conj = _mul_codes(_mul_codes(g, group[None, :], ell), _inv_codes(g, ell), ell)
+        label = np.minimum(label, conj.min(axis=0))
+
+    def labels(codes):
+        return label[np.searchsorted(group, codes)].tolist()
+
+    tried = set(H.tolist())
+    out = []
+    for x in group[label == group].tolist():
+        if x in tried:
+            continue
+        out.append(x)
+        double = np.union1d(H, _mul_codes(_mul_codes(H[:, None], x, ell), H[None, :], ell))
+        tried.update(labels(double))
+        tried.update(labels(_inv_codes(double, ell)))
+    return out
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_gamma_orbit_candidates_match_double_coset_marking(ell):
+    """One candidate per orbit of Gamma (conjugation by N(H), right
+    multiplication by H, inversion) is exactly what the sequential marking
+    of double cosets closed, in the same order: 1,228 candidates at ell = 7."""
+    group = _group_codes(ell)
+    total = 0
+    for G in enumerate_subgroups(ell):
+        candidates = _extension_inputs(G, ell)[0]
+        assert group[candidates].tolist() == _double_coset_candidates(G, ell)
+        total += len(candidates)
+    if ell == 7:
+        assert total == 1228
+
+
 def test_conj_tables_build_peaks_near_what_it_keeps():
     """A cold build of the conjugation tables at ell = 13, past ENUMERABLE,
     has a traced peak of at most 2.5 times the bytes it keeps: no
