@@ -131,12 +131,16 @@ MUTANTS = (
     Mutant("validate-accepts-nonsplit", "src/locisog/localglobal.py",
            (('        if self.cartan_kind != "split":\n', "        if False:\n"),),
            ("tests/test_localglobal.py::test_lemma_report_validation_catches_corruption",)),
+    Mutant("validate-accepts-n-one", "src/locisog/localglobal.py",
+           (("self.n <= 1", "self.n < 1"),),
+           ("tests/test_localglobal.py::test_lemma_report_validation_catches_corruption",)),
     # the subgroup enumeration engine.  One slab row per coset g N(H) builds
     # each conjugate of a class once, so a skipped row loses a conjugate
     Mutant("enumeration-drops-a-generator", SUBGROUPS,
-           (('rec["ngens"], rec["gperms"], ell)', 'rec["ngens"], rec["gperms"][1:], ell)'),),
-           (SUBGROUPS_TESTS + "test_enumeration_matches_brute_force_ell3",
-            SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
+           (("    gperms = [_right_perm(c, ell) for c in gens]\n",
+             "    gperms = [_right_perm(c, ell) for c in gens][1:]\n"),),
+           (SUBGROUPS_TESTS + "test_extension_equals_closure[3]",
+            SUBGROUPS_TESTS + "test_extension_equals_closure[5]")),
     Mutant("conjugates-drop-one-conjugate", SUBGROUPS,
            (("    return keys\n", "    return keys - {max(keys)} if len(keys) > 1 else keys\n"),),
            (SUBGROUPS_TESTS + "test_enumeration_class_counts",
@@ -157,8 +161,8 @@ MUTANTS = (
            (SUBGROUPS_TESTS + "test_extension_closure_stops_only_past_half[3]",
             SUBGROUPS_TESTS + "test_enumeration_class_counts")),
     Mutant("classes-of-equal-order-merged", SUBGROUPS,
-           (("    order = sorted(range(len(classes)),\n",
-             '    order = sorted({len(c["idx"]): i for i, c in enumerate(classes)}.values(),\n'),),
+           (("    return tuple(H for H, _, _ in classes)\n",
+             "    return tuple({H.order: H for H, _, _ in classes}.values())\n"),),
            (SUBGROUPS_TESTS + "test_enumeration_matches_brute_force_ell3",
             SUBGROUPS_TESTS + "test_enumeration_class_counts")),
     Mutant("fold-axes-swapped", SUBGROUPS,

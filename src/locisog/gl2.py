@@ -194,13 +194,8 @@ def _orbit_sizes(perms, n: int) -> tuple[int, ...]:
 
 
 def _fixed_line_counts(codes, ell):
-    """|Omega^g| for every code g: ell + 1 for a scalar; otherwise each
-    eigenline is fixed, one per root of x^2 - tr(g) x + det(g) in F_ell."""
-    codes = np.asarray(codes, dtype=np.int64)
-    a, _, _, d = _decode(codes, ell)
-    x = np.arange(ell)
-    roots = ((x * (x - (a + d)[..., None]) + _det(codes, ell)[..., None]) % ell == 0).sum(axis=-1)
-    return np.where(_is_scalar(codes, ell), ell + 1, roots)
+    """|Omega^g| for every code g: the fixed points of its action on lines."""
+    return (_line_perm(codes, ell) == np.arange(ell + 1)).sum(axis=-1)
 
 
 def fixed_point_count(g: GL2Element) -> int:

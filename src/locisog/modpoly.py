@@ -175,8 +175,7 @@ def shipped_modpoly(level: int) -> ModularPolynomial:
     if level not in SHIPPED_LEVELS:
         raise ValueError("no modular polynomial shipped for level %d (have %s)"
                          % (level, ", ".join(map(str, SHIPPED_LEVELS))))
-    text = (_DATA / ("phi%d.txt" % level)).read_text(encoding="ascii")
-    return _parse_modpoly(text.splitlines(), "phi%d.txt" % level)
+    return load_modpoly(_DATA / ("phi%d.txt" % level))
 
 
 @lru_cache(maxsize=None)
@@ -616,5 +615,4 @@ def load_factors(path) -> tuple[tuple[Fraction, ...], ...]:
 
 def shipped_certificate_factors() -> tuple[tuple[Fraction, ...], ...]:
     """The bundled factorization of Phi_7(X, 2268945/128)."""
-    text = (_DATA / "phi7_factors.txt").read_text(encoding="ascii")
-    return _parse_factor_lines(text.splitlines(), "phi7_factors.txt")
+    return load_factors(_DATA / "phi7_factors.txt")

@@ -22,10 +22,11 @@ divisible by ell contains SL_2(F_ell), so it is det^-1 of its determinants.
 <H, x> fixes a line exactly when x fixes one that all of H fixes; if it
 fixes none, and H or x has such an element, no BFS runs.  Otherwise one
 BFS from H x closes <H, x>, stopping at the first such element when no line
-is fixed, or once it holds more than half of GL_2 (Lagrange).  A new class
-is registered with N(H), found from H's generators, and its conjugate
-element sets, which identify later extensions exactly: conjugation by one
-representative of each coset g N(H) builds each conjugate once.
+is fixed, or once it holds more than half of GL_2 (Lagrange).  A class is
+kept as (Subgroup, generators of N(H), least conjugate key); registering it
+records its conjugate element sets, which identify later extensions
+exactly: conjugation by one representative of each coset g N(H) builds
+each conjugate once.
 
 Conjugation is table-driven (_conj_tables) and works in the scalar
 quotient (scalars act trivially): one table row per _scalar_cosets
@@ -44,7 +45,7 @@ import numpy as np
 from .arith import _require_prime
 from .errors import VerificationError
 from .gl2 import (GL2Element, _decode, _det, _encode, _group_codes, _id_code, _inv_codes,
-                  _inv_table, _is_scalar, _line_perm, _mul_codes, _orbit_minima)
+                  _inv_table, _line_perm, _mul_codes, _orbit_minima)
 
 ENUMERABLE = (2, 3, 5, 7, 11)
 
@@ -292,10 +293,11 @@ def _digits(digit, base):
     return out.ravel()
 
 
-def _normalizer_mask(els, gens, ell):
-    """N(H), for H with sorted codes els and generators gens, as a mask over
-    the _scalar_cosets representatives (N(H) contains the scalars): g
-    normalizes H exactly when g h g^-1 lies in H for each generator h."""
+def _normalizer_mask(H: Subgroup):
+    """N(H) as a mask over the _scalar_cosets representatives (N(H) contains
+    the scalars): g normalizes H exactly when g h g^-1 lies in H for each
+    generator h."""
+    els, gens, ell = H._codes, H._gen_codes, H.ell
     top, bottom, fold = _conj_tables(ell)
     hi, lo = np.divmod(np.array(gens, dtype=np.int64), ell * ell)
     conj = fold[top[:, hi] + bottom[:, lo]]
@@ -312,10 +314,11 @@ def _transversal(ngens, ell):
     return np.flatnonzero(_orbit_minima(perms, len(reps)) == np.arange(len(reps)))
 
 
-def _conjugates(els, ngens, ell):
-    """The _row_keys key of every conjugate of the subgroup with sorted codes
-    els, whose normalizer the codes ngens generate: g H g^-1 depends only on
-    g N(H), so one slab row per coset builds each conjugate once."""
+def _conjugates(H: Subgroup, ngens):
+    """The _row_keys key of every conjugate of H, whose normalizer the codes
+    ngens generate: g H g^-1 depends only on g N(H), so one slab row per
+    coset builds each conjugate once."""
+    els, ell = H._codes, H.ell
     top, bottom, fold = _conj_tables(ell)
     cosets = _transversal(ngens, ell)
     keys: set[bytes] = set()
@@ -329,38 +332,40 @@ def _conjugates(els, ngens, ell):
     return keys
 
 
-def _normalizer(els, gens, ell):
-    """The sorted codes of N(H), for H as in _normalizer_mask, and the
-    generators _greedy_generators picks for them, H's own first."""
-    codes = _group_codes(ell)[_normalizer_mask(els, gens, ell)[_scalar_cosets(ell)[1]]]
-    return codes, _greedy_generators(codes, ell, gens)
+def _normalizer(H: Subgroup):
+    """The sorted codes of N(H) and the generators _greedy_generators picks
+    for them, H's own first."""
+    ell = H.ell
+    codes = _group_codes(ell)[_normalizer_mask(H)[_scalar_cosets(ell)[1]]]
+    return codes, _greedy_generators(codes, ell, H._gen_codes)
 
 
 def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
     """The least element-code tuple among all conjugates, one per coset of N(G)."""
-    best = min(_conjugates(G._codes, _normalizer(G._codes, G._gen_codes, G.ell)[1], G.ell))
+    best = min(_conjugates(G, _normalizer(G)[1]))
     return tuple(int(v) for v in np.frombuffer(best, dtype=">i4"))
 
 
 @lru_cache(maxsize=None)
 def _position_tables(ell: int):
     """Over the positions in _group_codes(ell): inversion as a permutation,
-    the determinant (int32), whether the order is divisible by ell (not
-    scalar, and tr^2 = 4 det), and which of the ell + 1 lines are fixed."""
+    the determinant (int32), whether the order is divisible by ell (exactly
+    when one line is fixed), and which of the ell + 1 lines are fixed."""
     group = _group_codes(ell)
-    a, _, _, d = _decode(group, ell)
-    det = _det(group, ell)
-    ell_order = (((a + d) ** 2 - 4 * det) % ell == 0) & ~_is_scalar(group, ell)
     fixed = _line_perm(group, ell) == np.arange(ell + 1)
-    return _code_index(ell)[_inv_codes(group, ell)], det.astype(np.int32), ell_order, fixed
+    return (_code_index(ell)[_inv_codes(group, ell)], _det(group, ell).astype(np.int32),
+            fixed.sum(axis=1) == 1, fixed)
 
 
-def _extension(idx, gens, ngens, gperms, ell):
-    """The extension step for H (positions idx, generator codes gens, their
-    right-multiplication permutations gperms; H and the codes ngens generate
-    N(H)), as the module docstring sets it out: the candidates x, ascending,
-    and a function from a candidate to the mask of <H, x>."""
+def _extension(H: Subgroup, ngens):
+    """The extension step for H, whose normalizer the codes ngens generate,
+    as the module docstring sets it out: the candidates x, ascending, and a
+    function from a candidate to the mask of <H, x>.  H's positions and its
+    generators' right-multiplication permutations are built here."""
+    ell, gens = H.ell, H._gen_codes
     group, index = _group_codes(ell), _code_index(ell)
+    idx = index[H._codes]
+    gperms = [_right_perm(c, ell) for c in gens]
     inverse, det, ell_order, fixed = _position_tables(ell)
     top, bottom, fold = _conj_tables(ell)
     hi, lo = _row_codes(ell)
@@ -409,37 +414,34 @@ def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
 @lru_cache(maxsize=None)
 def _enumerate(ell: int) -> tuple[Subgroup, ...]:
     group = _group_codes(ell)
-    classes: list[dict] = []
+    classes: list[tuple[Subgroup, list[int], bytes]] = []  # (H, gens of N(H), least key)
     seen: set[bytes] = set()
 
-    def register(idx, gen_codes, gperms):
-        ngens = _normalizer(group[idx], gen_codes, ell)[1]
-        keys = _conjugates(group[idx], ngens, ell)
+    def register(codes, gen_codes):
+        H = Subgroup(ell, codes, gen_codes)
+        ngens = _normalizer(H)[1]
+        keys = _conjugates(H, ngens)
         seen.update(keys)
-        classes.append({"idx": idx, "gens": tuple(int(c) for c in gen_codes),
-                        "key": min(keys), "ngens": ngens, "gperms": gperms})
+        classes.append((H, ngens, min(keys)))
 
-    register(_code_index(ell)[[_id_code(ell)]], (), [])
-    for rec in classes:  # classes grows as it is read
-        idx = rec["idx"]
-        if len(idx) == len(group):
+    register(np.array([_id_code(ell)], dtype=np.int64), ())
+    for H, ngens, _ in classes:  # classes grows as it is read
+        if H.order == len(group):
             continue
-        candidates, extend = _extension(idx, rec["gens"], rec["ngens"], rec["gperms"], ell)
+        candidates, extend = _extension(H, ngens)
         for pos in candidates:
-            ext = np.flatnonzero(extend(pos))
-            if _row_keys(group[ext][None])[0] in seen:
+            ext = group[extend(pos)]
+            if _row_keys(ext[None])[0] in seen:
                 continue
-            if len(rec["gens"]) + 1 > 3:
+            if len(H._gen_codes) + 1 > 3:
                 raise VerificationError(
                     "subgroup of GL2(F_%d) needed more than 3 generators" % ell)
-            register(ext, rec["gens"] + (int(group[pos]),),
-                     rec["gperms"] + [_right_perm(group[pos], ell)])
+            register(ext, H._gen_codes + (int(group[pos]),))
 
-    order = sorted(range(len(classes)),
-                   key=lambda i: (len(classes[i]["idx"]), classes[i]["key"]))
-    return tuple(Subgroup(ell, group[classes[i]["idx"]], classes[i]["gens"]) for i in order)
+    classes.sort(key=lambda c: (c[0].order, c[2]))
+    return tuple(H for H, _, _ in classes)
 
 
 def normalizer(G: Subgroup) -> Subgroup:
     """N_{GL_2}(G) as a subgroup, found from G's generators (small ell only)."""
-    return Subgroup(G.ell, *_normalizer(G._codes, G._gen_codes, G.ell))
+    return Subgroup(G.ell, *_normalizer(G))

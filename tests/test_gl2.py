@@ -87,19 +87,26 @@ def test_projective_action_is_action():
                 == _line_perm(g.code(), ell)[_line_perm(h.code(), ell)]).all()
 
 
+def _eigenline_counts(codes, ell):
+    """ell + 1 for a scalar; otherwise one fixed line per root of
+    x^2 - tr x + det in F_ell, the root's eigenline."""
+    a, b, c, d = (np.asarray(codes) // ell ** k % ell for k in (3, 2, 1, 0))
+    x = np.arange(ell)
+    roots = ((x * (x - (a + d)[..., None]) + (a * d - b * c)[..., None]) % ell == 0).sum(axis=-1)
+    return np.where((b == 0) & (c == 0) & (a == d), ell + 1, roots)
+
+
 def test_fixed_points_match_action():
-    """The fixed-line formula counts the fixed points of the permutation:
-    every element at small ell, a random sample up to 97."""
+    """The fixed points of the line action are the eigenlines: every
+    element at small ell, a random sample up to 97."""
     for ell in EXHAUSTIVE:
         group = _group_codes(ell)
-        fixed = (_line_perm(group, ell) == np.arange(ell + 1)).sum(axis=1)
-        assert (_fixed_line_counts(group, ell) == fixed).all()
+        assert (_fixed_line_counts(group, ell) == _eigenline_counts(group, ell)).all()
     rng = random.Random(6)
     for _ in range(300):
         ell = rng.choice(PRIMES)
         g = _random_gl2(rng, ell)
-        fixed = int((_line_perm(g.code(), ell) == np.arange(ell + 1)).sum())
-        assert fixed_point_count(g) == fixed
+        assert fixed_point_count(g) == _eigenline_counts(g.code(), ell)
 
 
 # profile constraints: k in {0, 1, 2, ell+1}, non-trivial orbits all of size r,

@@ -241,6 +241,7 @@ def test_lemma_report_validation_catches_corruption(monkeypatch):
     rep = lemma_report(construct_prop3_group(7, 3))
     rep.validate()
     for change, message in (({"n": 4}, r"twice-odd order \(n=4\)"),
+                            ({"n": 1}, r"twice-odd order \(n=1\)"),
                             ({"ell": 13}, "ell = 13 is not 3 mod 4"),
                             ({"n": 5}, r"n = 5 does not divide \(ell-1\)/2 = 3"),
                             ({"cartan_kind": "nonsplit"}, r"split Cartan \(kind='nonsplit'\)"),

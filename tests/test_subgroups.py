@@ -2,7 +2,7 @@ import hashlib
 import random
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import numpy as np
@@ -157,7 +157,7 @@ def test_normalizer_mask_per_coset_representative(ell):
     group = _group_codes(ell)
     reps, coset = subgroups._scalar_cosets(ell)
     for G in _subgroups_to_check(ell):
-        normal = subgroups._normalizer_mask(G.codes, G._gen_codes, ell)
+        normal = subgroups._normalizer_mask(G)
         assert len(normal) == len(reps)
         brute = (_brute_conjugates(G.codes, group, ell) == G.codes[None, :]).all(axis=1)
         assert (normal[coset] == brute).all()
@@ -174,7 +174,7 @@ def test_conjugates_one_row_per_coset_of_the_normalizer(ell):
         N = normalizer(G)
         rows = subgroups._transversal(N._gen_codes, ell)
         assert len(rows) == len(reps) * (ell - 1) // N.order
-        keys = subgroups._conjugates(G.codes, N._gen_codes, ell)
+        keys = subgroups._conjugates(G, N._gen_codes)
         brute = {row.astype(">i4").tobytes() for row in _brute_conjugates(G.codes, reps, ell)}
         assert keys == brute and len(keys) == len(rows)
 
@@ -198,15 +198,6 @@ def test_extension_closure_stops_only_past_half(ell):
         member[ident] = True
         out = subgroups._close(member, [p[ident] for p in perms], perms, whole=True)
         assert (out == expected).all()
-
-
-def _extension_inputs(G, ell):
-    """The extension step for the class G as _enumerate builds it: its
-    candidate positions and its function from a candidate to a mask."""
-    idx = subgroups._code_index(ell)[G.codes]
-    gperms = [subgroups._right_perm(c, ell) for c in G._gen_codes]
-    ngens = subgroups._normalizer(G.codes, G._gen_codes, ell)[1]
-    return subgroups._extension(idx, G._gen_codes, ngens, gperms, ell)
 
 
 def _spy_close(monkeypatch):
@@ -234,7 +225,7 @@ def test_sl2_step_equals_closure(ell, monkeypatch):
     calls = _spy_close(monkeypatch)
     settled = 0
     for G in classes:
-        candidates, extend = _extension_inputs(G, ell)
+        candidates, extend = subgroups._extension(G, normalizer(G)._gen_codes)
         for pos in candidates.tolist():
             del calls[:]
             mask = extend(pos)
@@ -248,6 +239,34 @@ def test_sl2_step_equals_closure(ell, monkeypatch):
         assert settled == 674
 
 
+@pytest.mark.parametrize("ell", [3, 5])
+def test_extension_equals_closure(ell):
+    """On subgroups the enumeration did not build, each candidate's mask is
+    closure() of H's generators and x: after a full BFS, one that stopped at
+    an element of order divisible by ell, or none."""
+    group = _group_codes(ell)
+    checked = 0
+    for G in islice(_subgroups_to_check(ell), 12):
+        candidates, extend = subgroups._extension(G, normalizer(G)._gen_codes)
+        for pos in candidates.tolist():
+            K = closure(G.generators + (GL2Element.from_code(group[pos], ell),))
+            assert group[extend(pos)].tolist() == K.codes.tolist()
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11])
+def test_order_divisible_by_ell_fixes_one_line(ell):
+    """The position tables read "order divisible by ell" as "fixes exactly
+    one line".  At every position that is the closed form: not scalar, and
+    tr^2 - 4 det = 0 mod ell.  At ell = 2 it marks the three transvections."""
+    a, b, c, d = (_group_codes(ell) // ell ** k % ell for k in (3, 2, 1, 0))
+    expected = ~((b == 0) & (c == 0) & (a == d)) & (((a + d) ** 2 - 4 * (a * d - b * c)) % ell == 0)
+    assert (subgroups._position_tables(ell)[2] == expected).all()
+    if ell == 2:
+        assert expected.sum() == 3
+
+
 def test_borel_extension_takes_the_bfs(monkeypatch):
     """x = [[1, 1], [0, 1]] has order 7 but fixes the line (1 : 0), which
     H = <diag(3, 1)> fixes too: <H, x> is the order-42 group of upper
@@ -256,7 +275,7 @@ def test_borel_extension_takes_the_bfs(monkeypatch):
     ell = 7
     H = closure((GL2Element(3, 0, 0, 1, ell),))
     x = GL2Element(1, 1, 0, 1, ell)
-    _, extend = _extension_inputs(H, ell)
+    _, extend = subgroups._extension(H, normalizer(H)._gen_codes)
     calls = _spy_close(monkeypatch)
     mask = extend(subgroups._code_index(ell)[x.code()])
     assert calls == [(False, False)]
@@ -304,7 +323,7 @@ def test_gamma_orbit_candidates_match_double_coset_marking(ell):
     group = _group_codes(ell)
     total = 0
     for G in enumerate_subgroups(ell):
-        candidates = _extension_inputs(G, ell)[0]
+        candidates = subgroups._extension(G, normalizer(G)._gen_codes)[0]
         assert group[candidates].tolist() == _double_coset_candidates(G, ell)
         total += len(candidates)
     if ell == 7:
