@@ -8,7 +8,8 @@ The exit code is 1 if a mutant survives, if a run goes wrong, or if a snippet
 no longer occurs exactly once in the checkout: a refactor that moves a line
 updates the table with it.  Standard library only; the tests need pytest.
 
-Run from anywhere:  python scripts/mutants.py
+Run from anywhere:  python scripts/mutants.py [NAME ...]
+With names, only those mutants run; an unknown name exits 2 before any runs.
 """
 
 import json
@@ -146,8 +147,8 @@ MUTANTS = (
            (SUBGROUPS_TESTS + "test_enumeration_class_counts",
             SUBGROUPS_TESTS + "test_cyclic_subgroup_count_oracle[5]")),
     Mutant("conjugates-skip-a-coset", SUBGROUPS,
-           (("    cosets = _transversal(ngens, ell)\n",
-             "    cosets = _transversal(ngens, ell)\n"
+           (("    cosets = _transversal(perms, ell)\n",
+             "    cosets = _transversal(perms, ell)\n"
              "    cosets = cosets[1:] if len(cosets) > 1 else cosets\n"),),
            (SUBGROUPS_TESTS + "test_conjugates_one_row_per_coset_of_the_normalizer[3]",
             SUBGROUPS_TESTS + "test_enumeration_class_counts")),
@@ -185,11 +186,23 @@ MUTANTS = (
            (SUBGROUPS_TESTS + "test_sl2_step_equals_closure[5]",
             SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
     Mutant("gamma-conjugates-past-normalizer", SUBGROUPS,
-           (("[index[[c for c in ngens if c not in gens]]]]",
-             "[index[[c for c in ngens if c not in gens]"
-             " + [_encode(1, 1, 0, 1, ell)]]]]"),),
+           (("[index[list(new)]]]", "[index[list(new) + [_encode(1, 1, 0, 1, ell)]]]]"),),
            (SUBGROUPS_TESTS + "test_gamma_orbit_candidates_match_double_coset_marking[5]",
             SUBGROUPS_TESTS + "test_enumeration_class_counts")),
+    # right multiplication from the dot table, and N(H) found in the scalar
+    # quotient: a BFS that picks too few generators, or misses a non-group
+    Mutant("right-perm-transposed", SUBGROUPS,
+           (("    row = (D[a * ell + c] * ell + D[b * ell + d])",
+             "    row = (D[a * ell + b] * ell + D[c * ell + d])"),),
+           (SUBGROUPS_TESTS + "test_right_perm_reads_the_dot_table[3]",
+            SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
+    Mutant("quotient-bfs-stops-a-generator-early", SUBGROUPS,
+           (("        if size >= total:\n", "        if 2 * size >= total:\n"),),
+           (SUBGROUPS_TESTS + "test_quotient_normalizer_generates_the_normalizer[3]",
+            SUBGROUPS_TESTS + "test_conjugates_one_row_per_coset_of_the_normalizer[3]")),
+    Mutant("quotient-bfs-trusts-a-non-group", SUBGROUPS,
+           (("    if (member > normal).any():\n", "    if False:\n"),),
+           (SUBGROUPS_TESTS + "test_quotient_normalizer_rejects_a_non_group",)),
     # the action on lines, which the fixed-line table of the extension step
     # reads: rows acted on in place of columns
     Mutant("line-action-transposed", "src/locisog/gl2.py",
@@ -261,10 +274,15 @@ def run(m: Mutant) -> str:
     return {0: "survived", 1: "killed"}.get(code, "error")
 
 
-def main() -> int:
+def main(names=()) -> int:
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        print("unknown mutant: %s" % ", ".join(unknown), file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     start = time.monotonic()
     ok = True
-    for m in MUTANTS:
+    for m in chosen:
         t = time.monotonic()
         bad = stale(m)
         status = "stale" if bad else run(m)
@@ -273,10 +291,10 @@ def main() -> int:
             line["unmatched"] = bad
         print(json.dumps(line), flush=True)
         ok = ok and status == "killed"
-    print(json.dumps({"mutants": len(MUTANTS), "all_killed": ok,
+    print(json.dumps({"mutants": len(chosen), "all_killed": ok,
                       "seconds": round(time.monotonic() - start, 2)}))
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

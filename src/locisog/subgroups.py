@@ -31,9 +31,10 @@ each conjugate once.
 Conjugation is table-driven (_conj_tables) and works in the scalar
 quotient (scalars act trivially): one table row per _scalar_cosets
 representative, ell (ell^2 - 1) rows in all, and every table and conjugate
-row holds int32 codes.  N(H) is found as a mask over those representatives,
-one table column per generator of H, and expanded to its codes only to pick
-its generators.
+row holds int32 codes.  N(H) is found there as a mask, one table column per
+generator of H, and generated by one greedy BFS over the marked cosets from
+H's, whose right-multiplication permutations pick the cosets g N(H).  Right
+multiplication reads one ell^2 x ell^2 table of row-vector dot products.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _require_prime
+from .arith import _require_prime, primitive_root
 from .errors import VerificationError
 from .gl2 import (GL2Element, _decode, _det, _encode, _group_codes, _id_code, _inv_codes,
                   _inv_table, _line_perm, _mul_codes, _orbit_minima)
@@ -73,17 +74,29 @@ def _row_codes(ell: int):
     return g // (ell * ell), g % (ell * ell)
 
 
-def _right_perm(code: int, ell: int):
-    """Position of g * code for every g, as positions in _group_codes(ell).
+@lru_cache(maxsize=None)
+def _dot_table(ell: int):
+    """D[w, v] = v . w mod ell over the ell^2 row vectors, each coded
+    v0*ell + v1, in the smallest dtype that holds a row code."""
+    v0, v1 = np.divmod(np.arange(ell * ell), ell)
+    return ((v0[:, None] * v0 + v1[:, None] * v1) % ell).astype(np.min_scalar_type(ell * ell - 1))
 
-    Right multiplication acts on each row separately, so it is a table on
-    the ell^2 row vectors applied to both rows.
-    """
+
+def _right_perm(code: int, ell: int, at=slice(None)):
+    """Position of g * code in _group_codes(ell) for every g, or for the
+    positions `at`.  x = [[a, b], [c, d]] maps each row v of g separately, to
+    D[a*ell + c, v]*ell + D[b*ell + d, v], its dot products with x's columns."""
     a, b, c, d = _decode(int(code), ell)
-    x, y = np.divmod(np.arange(ell * ell), ell)
-    row = (x * a + y * c) % ell * ell + (x * b + y * d) % ell
+    D = _dot_table(ell)
+    row = (D[a * ell + c] * ell + D[b * ell + d]).astype(np.intp)
     hi, lo = _row_codes(ell)
-    return _code_index(ell)[row[hi] * (ell * ell) + row[lo]]
+    return _code_index(ell)[(row * (ell * ell))[hi[at]] + row[lo[at]]]
+
+
+def _coset_perm(code: int, ell: int):
+    """Right multiplication by code, on the _scalar_cosets representatives."""
+    reps, coset = _scalar_cosets(ell)
+    return coset[_right_perm(code, ell, reps)]
 
 
 def _close(member, seeds, perms, whole=False, stop=None):
@@ -216,16 +229,15 @@ def from_elements(elements) -> Subgroup:
     return Subgroup(ell, codes, gen_codes)
 
 
-def _greedy_generators(codes, ell, seeds=()):
+def _greedy_generators(codes, ell):
     """Generators of the element set with sorted codes `codes`, which holds
-    the identity: each code of `seeds` (in the set), then of `codes`, that
-    the earlier ones do not generate.  None when the set is not closed."""
+    the identity: each code that the earlier ones do not generate.  None
+    when the set is not closed."""
     member = codes == _id_code(ell)
     size = 1
     gens: list[int] = []
     perms = []
-    seeded = zip(np.searchsorted(codes, seeds).tolist(), seeds)
-    for i, c in [*seeded, *enumerate(codes.tolist())]:
+    for i, c in enumerate(codes.tolist()):
         if size == len(codes):
             break
         if member[i]:
@@ -305,22 +317,51 @@ def _normalizer_mask(H: Subgroup):
     return (els[pos] == conj).all(axis=1)
 
 
-def _transversal(ngens, ell):
-    """One _scalar_cosets representative per left coset g N(H), where the
-    codes ngens generate N(H): the orbits of right multiplication by them."""
+def _quotient_normalizer(H: Subgroup):
+    """N(H) in the scalar quotient: _normalizer_mask(H), and one greedy BFS over
+    the cosets it marks, from H's generators, giving the codes it adds (N(H)'s
+    generators new modulo H Z, ascending) and the _coset_perm rows that generate
+    right multiplication by N(H).  Raises VerificationError when it marks a
+    coset outside the mask, so H is no group."""
+    ell, normal = H.ell, _normalizer_mask(H)
     reps, coset = _scalar_cosets(ell)
-    g = _group_codes(ell)[reps]
-    perms = [coset[_code_index(ell)[_mul_codes(g, n, ell)]] for n in ngens]
-    return np.flatnonzero(_orbit_minima(perms, len(reps)) == np.arange(len(reps)))
+    index, group = _code_index(ell), _group_codes(ell)
+    member = np.arange(len(reps)) == coset[index[_id_code(ell)]]
+    size, total = 1, int(normal.sum())
+    seeds = coset[index[list(H._gen_codes)]].tolist()
+    new, perms = [], []
+    for k, i in enumerate(seeds + np.flatnonzero(normal).tolist()):
+        if size >= total:
+            break
+        if member[i]:
+            continue
+        c = int(group[reps[i]])
+        if k >= len(seeds):
+            new.append(c)
+        perms.append(_coset_perm(c, ell))
+        _close(member, perms[-1][np.flatnonzero(member)], perms)
+        size = int(member.sum())
+    if (member > normal).any():
+        raise VerificationError("the %d-element subset of GL2(F_%d) given as a subgroup reaches "
+                                "cosets outside its normalizer: it is not a group" % (H.order, ell))
+    return normal, new, perms
 
 
-def _conjugates(H: Subgroup, ngens):
-    """The _row_keys key of every conjugate of H, whose normalizer the codes
-    ngens generate: g H g^-1 depends only on g N(H), so one slab row per
-    coset builds each conjugate once."""
+def _transversal(perms, ell):
+    """One _scalar_cosets representative per left coset g N(H), where the
+    coset permutations perms generate right multiplication by N(H): the
+    least of each orbit."""
+    n = len(_scalar_cosets(ell)[0])
+    return np.flatnonzero(_orbit_minima(perms, n) == np.arange(n))
+
+
+def _conjugates(H: Subgroup, perms):
+    """The _row_keys key of every conjugate of H, where the coset perms
+    generate right multiplication by N(H): g H g^-1 depends only on g N(H),
+    so one slab row per coset builds each conjugate once."""
     els, ell = H._codes, H.ell
     top, bottom, fold = _conj_tables(ell)
-    cosets = _transversal(ngens, ell)
+    cosets = _transversal(perms, ell)
     keys: set[bytes] = set()
     hi, lo = np.divmod(els, ell * ell)
     step = max(1, _CHUNK // max(1, len(els)))
@@ -332,17 +373,9 @@ def _conjugates(H: Subgroup, ngens):
     return keys
 
 
-def _normalizer(H: Subgroup):
-    """The sorted codes of N(H) and the generators _greedy_generators picks
-    for them, H's own first."""
-    ell = H.ell
-    codes = _group_codes(ell)[_normalizer_mask(H)[_scalar_cosets(ell)[1]]]
-    return codes, _greedy_generators(codes, ell, H._gen_codes)
-
-
 def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
     """The least element-code tuple among all conjugates, one per coset of N(G)."""
-    best = min(_conjugates(G, _normalizer(G)[1]))
+    best = min(_conjugates(G, _quotient_normalizer(G)[2]))
     return tuple(int(v) for v in np.frombuffer(best, dtype=">i4"))
 
 
@@ -357,11 +390,11 @@ def _position_tables(ell: int):
             fixed.sum(axis=1) == 1, fixed)
 
 
-def _extension(H: Subgroup, ngens):
-    """The extension step for H, whose normalizer the codes ngens generate,
-    as the module docstring sets it out: the candidates x, ascending, and a
-    function from a candidate to the mask of <H, x>.  H's positions and its
-    generators' right-multiplication permutations are built here."""
+def _extension(H: Subgroup, new):
+    """The extension step for H, whose normalizer H, Z and the codes `new`
+    generate, as the module docstring sets it out: the candidates x,
+    ascending, and a function from a candidate to the mask of <H, x> and its
+    _row_keys key.  H's positions and generators' permutations are built here."""
     ell, gens = H.ell, H._gen_codes
     group, index = _group_codes(ell), _code_index(ell)
     idx = index[H._codes]
@@ -370,7 +403,7 @@ def _extension(H: Subgroup, ngens):
     top, bottom, fold = _conj_tables(ell)
     hi, lo = _row_codes(ell)
     conj = [index[fold[top[i][hi] + bottom[i][lo]]]  # Gamma conjugates by H already
-            for i in _scalar_cosets(ell)[1][index[[c for c in ngens if c not in gens]]]]
+            for i in _scalar_cosets(ell)[1][index[list(new)]]]
     least = _orbit_minima([*conj, *gperms, inverse], len(group)) == np.arange(len(group))
     least[idx] = False
     reducible = fixed[:, fixed[index[list(gens)]].all(axis=0)].any(axis=1)
@@ -379,7 +412,10 @@ def _extension(H: Subgroup, ngens):
     member[idx] = True
     perms = np.array([*gperms, np.arange(len(group), dtype=np.int32)])
     dets = np.bincount(det[idx], minlength=ell) > 0  # det H
-    spans: dict[int, np.ndarray] = {}  # det x -> det^-1(det H <det x>)
+    spans: dict[int, tuple] = {}  # det x -> det^-1(det H <det x>) and its key
+
+    def keyed(mask):
+        return mask, _row_keys(group[mask][None])[0]
 
     def extend(pos):
         x, d = group[pos], int(det[pos])
@@ -388,12 +424,12 @@ def _extension(H: Subgroup, ngens):
             ext = _close(member.copy(), perms[-1][idx], perms, whole=True,
                          stop=None if reducible[pos] else ell_order)
             if ext is not None:
-                return ext
+                return keyed(ext)
         if d not in spans:  # <H, x> holds SL_2
             span = dets.copy()
             while not span[(s := np.flatnonzero(span)) * d % ell].all():
                 span[s * d % ell] = True
-            spans[d] = span[det]
+            spans[d] = keyed(span[det])
         return spans[d]
     return np.flatnonzero(least), extend
 
@@ -402,7 +438,7 @@ def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
     """All conjugacy classes of subgroups of GL_2(F_ell), one representative
     each, sorted by (order, conjugacy key).
 
-    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in about 1.3 s (2 vCPU);
+    ell in {2, 3, 5, 7} runs in under a second, ell = 11 in about 1.1 s (2 vCPU);
     the result is computed once per ell and shared by every later call.
     """
     if ell not in ENUMERABLE:
@@ -414,34 +450,38 @@ def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
 @lru_cache(maxsize=None)
 def _enumerate(ell: int) -> tuple[Subgroup, ...]:
     group = _group_codes(ell)
-    classes: list[tuple[Subgroup, list[int], bytes]] = []  # (H, gens of N(H), least key)
+    classes: list[tuple[Subgroup, list[int], bytes]] = []  # (H, new gens of N(H), least key)
     seen: set[bytes] = set()
 
     def register(codes, gen_codes):
         H = Subgroup(ell, codes, gen_codes)
-        ngens = _normalizer(H)[1]
-        keys = _conjugates(H, ngens)
+        _, new, perms = _quotient_normalizer(H)
+        keys = _conjugates(H, perms)
         seen.update(keys)
-        classes.append((H, ngens, min(keys)))
+        classes.append((H, new, min(keys)))
 
     register(np.array([_id_code(ell)], dtype=np.int64), ())
-    for H, ngens, _ in classes:  # classes grows as it is read
+    for H, new, _ in classes:  # classes grows as it is read
         if H.order == len(group):
             continue
-        candidates, extend = _extension(H, ngens)
+        candidates, extend = _extension(H, new)
         for pos in candidates:
-            ext = group[extend(pos)]
-            if _row_keys(ext[None])[0] in seen:
+            mask, key = extend(pos)
+            if key in seen:
                 continue
-            if len(H._gen_codes) + 1 > 3:
-                raise VerificationError(
-                    "subgroup of GL2(F_%d) needed more than 3 generators" % ell)
-            register(ext, H._gen_codes + (int(group[pos]),))
+            if len(H._gen_codes) == 3:
+                raise VerificationError("subgroup of GL2(F_%d) needed more than 3 generators" % ell)
+            register(group[mask], H._gen_codes + (int(group[pos]),))
 
     classes.sort(key=lambda c: (c[0].order, c[2]))
     return tuple(H for H, _, _ in classes)
 
 
 def normalizer(G: Subgroup) -> Subgroup:
-    """N_{GL_2}(G) as a subgroup, found from G's generators (small ell only)."""
-    return Subgroup(G.ell, *_normalizer(G))
+    """N_{GL_2}(G) as a subgroup (small ell only), generated by G's generators,
+    the new ones of _quotient_normalizer and a scalar that generates Z."""
+    ell = G.ell
+    normal, new, _ = _quotient_normalizer(G)
+    scalar = () if ell == 2 else (primitive_root(ell) * _id_code(ell),)
+    return Subgroup(ell, _group_codes(ell)[normal[_scalar_cosets(ell)[1]]],
+                    G._gen_codes + tuple(new) + scalar)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from locisog import subgroups
+from locisog.errors import VerificationError
 from locisog.gl2 import (GL2Element, _det, _encode, _group_codes, _id_code, _inv_codes,
                          _mul_codes)
 from locisog.localglobal import construct_prop3_group
@@ -164,6 +165,56 @@ def test_normalizer_mask_per_coset_representative(ell):
         assert normalizer(G).codes.tolist() == group[brute].tolist()
 
 
+@pytest.mark.parametrize("ell", subgroups.ENUMERABLE)
+def test_right_perm_reads_the_dot_table(ell):
+    """_right_perm(x) is the position of g x for every g, as plain
+    _mul_codes gives it, and _coset_perm(x) is the coset of r x for every
+    _scalar_cosets representative r: every x up to ell = 7, 40 sampled ones
+    at ell = 11.  The dot table holds one byte per entry at these ell."""
+    group = _group_codes(ell)
+    index = subgroups._code_index(ell)
+    reps, coset = subgroups._scalar_cosets(ell)
+    assert subgroups._dot_table(ell).dtype == np.uint8
+    xs = group.tolist() if ell < 11 else random.Random(ell).sample(group.tolist(), 40)
+    for x in xs:
+        products = index[_mul_codes(group, x, ell)]
+        assert (subgroups._right_perm(x, ell) == products).all()
+        assert (subgroups._coset_perm(x, ell) == coset[products[reps]]).all()
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_quotient_normalizer_generates_the_normalizer(ell):
+    """H's generators, the new ones of the quotient BFS and a scalar
+    generate N(H) as plain conjugation of every element finds it.  Each new
+    generator lies outside the group that H, the scalar and the earlier new
+    ones generate, so none lies in H Z.  closure() of normalizer(G)'s own
+    generators gives exactly its codes."""
+    group = _group_codes(ell)
+    scalar = GL2Element(2, 0, 0, 2, ell)  # 2 generates F_3^* and F_5^*
+    for G in _subgroups_to_check(ell):
+        brute = (_brute_conjugates(G.codes, group, ell) == G.codes[None, :]).all(axis=1)
+        gens = [*G.generators, scalar]
+        for c in subgroups._quotient_normalizer(G)[1]:
+            assert c not in closure(gens).codes
+            gens.append(GL2Element.from_code(c, ell))
+        assert closure(gens).codes.tolist() == group[brute].tolist()
+        N = normalizer(G)
+        assert closure(N.generators, ell=ell).codes.tolist() == N.codes.tolist()
+
+
+def test_quotient_normalizer_rejects_a_non_group():
+    """GL_2(F_3) less diag(2, 1), wrapped as a Subgroup with GL_2's
+    generators, is not closed: the BFS marks a coset outside its normalizer
+    mask and raises, for the enumeration and the public entry points alike."""
+    ell = 3
+    G = closure((GL2Element(0, 1, 1, 0, ell), GL2Element(1, 1, 0, 1, ell)))
+    assert G.order == 48
+    H = Subgroup(ell, G.codes[G.codes != GL2Element(2, 0, 0, 1, ell).code()], G._gen_codes)
+    for call in (subgroups._quotient_normalizer, normalizer, conjugacy_key):
+        with pytest.raises(VerificationError, match="not a group"):
+            call(H)
+
+
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_conjugates_one_row_per_coset_of_the_normalizer(ell):
     """The transversal has one row per coset of N(H), ell (ell^2 - 1)
@@ -172,9 +223,10 @@ def test_conjugates_one_row_per_coset_of_the_normalizer(ell):
     reps = _group_codes(ell)[subgroups._scalar_cosets(ell)[0]]
     for G in _subgroups_to_check(ell):
         N = normalizer(G)
-        rows = subgroups._transversal(N._gen_codes, ell)
+        perms = subgroups._quotient_normalizer(G)[2]
+        rows = subgroups._transversal(perms, ell)
         assert len(rows) == len(reps) * (ell - 1) // N.order
-        keys = subgroups._conjugates(G, N._gen_codes)
+        keys = subgroups._conjugates(G, perms)
         brute = {row.astype(">i4").tobytes() for row in _brute_conjugates(G.codes, reps, ell)}
         assert keys == brute and len(keys) == len(rows)
 
@@ -225,10 +277,10 @@ def test_sl2_step_equals_closure(ell, monkeypatch):
     calls = _spy_close(monkeypatch)
     settled = 0
     for G in classes:
-        candidates, extend = subgroups._extension(G, normalizer(G)._gen_codes)
+        candidates, extend = subgroups._extension(G, subgroups._quotient_normalizer(G)[1])
         for pos in candidates.tolist():
             del calls[:]
-            mask = extend(pos)
+            mask = extend(pos)[0]
             if calls and not calls[-1][1]:
                 continue  # the BFS ran to its end
             settled += 1
@@ -247,10 +299,10 @@ def test_extension_equals_closure(ell):
     group = _group_codes(ell)
     checked = 0
     for G in islice(_subgroups_to_check(ell), 12):
-        candidates, extend = subgroups._extension(G, normalizer(G)._gen_codes)
+        candidates, extend = subgroups._extension(G, subgroups._quotient_normalizer(G)[1])
         for pos in candidates.tolist():
             K = closure(G.generators + (GL2Element.from_code(group[pos], ell),))
-            assert group[extend(pos)].tolist() == K.codes.tolist()
+            assert group[extend(pos)[0]].tolist() == K.codes.tolist()
             checked += 1
     assert checked > 0
 
@@ -275,9 +327,9 @@ def test_borel_extension_takes_the_bfs(monkeypatch):
     ell = 7
     H = closure((GL2Element(3, 0, 0, 1, ell),))
     x = GL2Element(1, 1, 0, 1, ell)
-    _, extend = subgroups._extension(H, normalizer(H)._gen_codes)
+    _, extend = subgroups._extension(H, subgroups._quotient_normalizer(H)[1])
     calls = _spy_close(monkeypatch)
-    mask = extend(subgroups._code_index(ell)[x.code()])
+    mask = extend(subgroups._code_index(ell)[x.code()])[0]
     assert calls == [(False, False)]
     K = closure((*H.generators, x))
     assert K.order == 42
@@ -323,7 +375,7 @@ def test_gamma_orbit_candidates_match_double_coset_marking(ell):
     group = _group_codes(ell)
     total = 0
     for G in enumerate_subgroups(ell):
-        candidates = subgroups._extension(G, normalizer(G)._gen_codes)[0]
+        candidates = subgroups._extension(G, subgroups._quotient_normalizer(G)[1])[0]
         assert group[candidates].tolist() == _double_coset_candidates(G, ell)
         total += len(candidates)
     if ell == 7:
