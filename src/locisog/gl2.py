@@ -172,16 +172,16 @@ def _line_perm(codes, ell):
 
 def _orbit_minima(perms, n: int):
     """The least index in the orbit of each of 0..n-1 under the group that
-    the permutations `perms` (index arrays of length n; inverted by scatter) generate."""
-    steps = []
-    for p in perms:
-        steps += [p, np.empty_like(p)]
-        steps[-1][p] = np.arange(n)
-    labels = np.arange(n)
+    the permutations `perms` (index arrays of length n) generate, as int32.
+    A sweep lowers each label to the label of its image under each
+    permutation; a sweep that changes nothing leaves every label at most
+    the labels along each cycle, so constant on orbits, and the group is
+    finite, so no inverse permutation is needed."""
+    labels = np.arange(n, dtype=np.int32)
     while True:
-        before = labels
-        for p in steps:
-            labels = np.minimum(labels, labels[p])
+        before = labels.copy()
+        for p in perms:
+            np.minimum(labels, labels[p], out=labels)
         labels = labels[labels]  # each label lies in its index's orbit
         if (labels == before).all():
             return labels

@@ -3,38 +3,41 @@ conjugacy keys and normalizers, and exhaustive enumeration of conjugacy
 classes for small ell.
 
 A Subgroup holds the sorted numpy array of its elements' codes (the packed
-integers of gl2).  Enumeration closes subgroups on positions in the sorted
-code list of GL_2 (_group_codes): each generator becomes its
-right-multiplication permutation of those positions, and a BFS marks new
-elements in a boolean mask over the group, from H*x when it adds x to a
-closed subgroup H.  The closure of explicit generators, and the check that
-an explicit element set is a subgroup, run their BFS on the set's own
-sorted codes, so their cost follows the size of the set, not of GL_2.
+integers of gl2).  Enumeration indexes GL_2 by code: every mask, permutation
+and per-element table spans all ell^4 codes.  Right multiplication,
+inversion and conjugation by GL_2 keep singular codes singular, so those
+form their own orbits and lie in no mask a BFS grows.  Each generator
+becomes its right-multiplication permutation of the codes, and a BFS marks
+new elements in a boolean mask, from H*x when it adds x to a closed subgroup
+H.  The closure of explicit generators, and the check that an explicit
+element set is a subgroup, run their BFS on the set's own sorted codes, so
+their cost follows the size of the set, not of GL_2.
 
 Enumeration is the cyclic-extension method: extend each class representative
 H by one element x at a time until a fixpoint.  <H, x> is constant, up to
 conjugation by N(H), on each orbit of the group Gamma that conjugation by
 N(H), right multiplication by H and inversion generate, as
-<H, h x h'> = <H, x^-1> = <H, x>: the candidates are the least of each orbit
-outside H.  By Dickson (Linear Groups, 1901; Serre, Invent. Math. 15, 1972,
-section 2) a subgroup that fixes no line and has an element of order
-divisible by ell contains SL_2(F_ell), so it is det^-1 of its determinants.
-<H, x> fixes a line exactly when x fixes one that all of H fixes; if it
-fixes none, and H or x has such an element, no BFS runs.  Otherwise one
-BFS from H x closes <H, x>, stopping at the first such element when no line
-is fixed, or once it holds more than half of GL_2 (Lagrange).  A class is
-kept as (Subgroup, generators of N(H), least conjugate key); registering it
-records its conjugate element sets, which identify later extensions
-exactly: conjugation by one representative of each coset g N(H) builds
-each conjugate once.
+<H, h x h'> = <H, x^-1> = <H, x>: the candidates are the least invertible
+code of each orbit outside H.  By Dickson (Linear Groups, 1901; Serre,
+Invent. Math. 15, 1972, section 2) a subgroup that fixes no line and has an
+element of order divisible by ell contains SL_2(F_ell), so it is det^-1 of
+its determinants.  <H, x> fixes a line exactly when x fixes one that all of
+H fixes; if it fixes none, and H or x has such an element, no BFS runs.
+Otherwise one BFS from H x closes <H, x>, stopping at the first such element
+when no line is fixed, or once it holds more than half of GL_2 (Lagrange).
+A class is kept as (Subgroup, generators of N(H), least conjugate key);
+registering it records its conjugate element sets, which identify later
+extensions exactly: conjugation by one representative of each coset g N(H)
+builds each conjugate once.
 
 Conjugation is table-driven (_conj_tables) and works in the scalar
 quotient (scalars act trivially): one table row per _scalar_cosets
 representative, ell (ell^2 - 1) rows in all, and every table and conjugate
 row holds int32 codes.  N(H) is found there as a mask, one table column per
-generator of H, and generated by one greedy BFS over the marked cosets from
-H's, whose right-multiplication permutations pick the cosets g N(H).  Right
-multiplication reads one ell^2 x ell^2 table of row-vector dot products.
+generator of H, and generated by one greedy BFS (_greedy) over the marked
+cosets from H's, whose right-multiplication permutations pick the cosets
+g N(H).  Right multiplication reads one ell^2 x ell^2 table of row-vector
+dot products.
 """
 
 from __future__ import annotations
@@ -59,22 +62,6 @@ _CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _code_index(ell: int):
-    """code -> position in _group_codes(ell), or -1."""
-    g = _group_codes(ell)
-    idx = np.full(ell ** 4, -1, dtype=np.int32)
-    idx[g] = np.arange(len(g))
-    return idx
-
-
-@lru_cache(maxsize=None)
-def _row_codes(ell: int):
-    """Top and bottom rows, as a*ell + b and c*ell + d, of _group_codes(ell)."""
-    g = _group_codes(ell)
-    return g // (ell * ell), g % (ell * ell)
-
-
-@lru_cache(maxsize=None)
 def _dot_table(ell: int):
     """D[w, v] = v . w mod ell over the ell^2 row vectors, each coded
     v0*ell + v1, in the smallest dtype that holds a row code."""
@@ -82,15 +69,18 @@ def _dot_table(ell: int):
     return ((v0[:, None] * v0 + v1[:, None] * v1) % ell).astype(np.min_scalar_type(ell * ell - 1))
 
 
-def _right_perm(code: int, ell: int, at=slice(None)):
-    """Position of g * code in _group_codes(ell) for every g, or for the
-    positions `at`.  x = [[a, b], [c, d]] maps each row v of g separately, to
-    D[a*ell + c, v]*ell + D[b*ell + d, v], its dot products with x's columns."""
+def _right_perm(code: int, ell: int, at=None):
+    """The int32 code of g * code for every one of the ell^4 codes g, or for
+    the codes `at`.  x = [[a, b], [c, d]] maps each row v of g separately, to
+    D[a*ell + c, v]*ell + D[b*ell + d, v], its dot products with x's columns;
+    g's code is its top row code times ell^2 plus its bottom row code."""
     a, b, c, d = _decode(int(code), ell)
     D = _dot_table(ell)
-    row = (D[a * ell + c] * ell + D[b * ell + d]).astype(np.intp)
-    hi, lo = _row_codes(ell)
-    return _code_index(ell)[(row * (ell * ell))[hi[at]] + row[lo[at]]]
+    q = ell * ell
+    row = (D[a * ell + c] * ell + D[b * ell + d]).astype(np.int32)
+    if at is None:
+        return (row[:, None] * q + row).ravel()
+    return row[at // q] * q + row[at % q]
 
 
 def _coset_perm(code: int, ell: int):
@@ -99,23 +89,24 @@ def _coset_perm(code: int, ell: int):
     return coset[_right_perm(code, ell, reps)]
 
 
-def _close(member, seeds, perms, whole=False, stop=None):
-    """Close the boolean mask `member` (over the positions of a sorted code
-    array, which the rows of `perms` permute) in place: each BFS level is
-    one gather and one scatter.
+def _close(member, seeds, perms, whole=None, stop=None):
+    """Close the boolean mask `member` (over indices that the rows of
+    `perms` permute) in place: each BFS level is one gather and one scatter.
 
     `member` must already be closed under right multiplication by `perms`
-    except for the products listed in `seeds` (positions, marked or not); the
+    except for the products listed in `seeds` (indices, marked or not); the
     BFS starts from the unmarked seeds only.  Closing a subgroup H with a new
-    element x is then close(H, H*x, gens(H) + [x]).  With whole=True the
-    positions are a group's, and a mask past half of them is returned full:
-    by Lagrange the subgroup it grows is then the whole group.  None is
-    returned as soon as the BFS reaches a position in the mask `stop`.
+    element x is then close(H, H*x, gens(H) + [x]).  `whole`, when given, is
+    the mask of a group that holds the BFS, and a mask past half of it is
+    returned as `whole`: by Lagrange the subgroup it grows is then all of
+    it.  None is returned as soon as the BFS reaches an index in the mask
+    `stop`.
     """
     perms = np.asarray(perms)
     fresh = np.zeros_like(member)
     fresh[seeds] = True
-    size, half = int(member.sum()), len(member) // 2 if whole else len(member)
+    size = int(member.sum())
+    half = len(member) if whole is None else int(whole.sum()) // 2
     while True:
         np.greater(fresh, member, out=fresh)  # fresh &= ~member
         frontier = fresh.nonzero()[0]
@@ -126,7 +117,7 @@ def _close(member, seeds, perms, whole=False, stop=None):
         member |= fresh
         size += len(frontier)
         if size > half:
-            member[:] = True
+            member[:] = whole
             return member
         fresh[perms[:, frontier]] = True
 
@@ -199,21 +190,50 @@ def closure(generators, ell: int | None = None) -> Subgroup:
     return Subgroup(m, group, tuple(codes))
 
 
+def _lookup(codes, x):
+    """The positions of x in the sorted code array `codes`, and whether each
+    is really there."""
+    pos = np.minimum(np.searchsorted(codes, x), len(codes) - 1)
+    return pos, codes[pos] == x
+
+
 def _set_perm(codes, g: int, ell: int):
     """Right multiplication by g as a permutation of the positions in the
     sorted code array `codes`, or None when a product falls outside it."""
-    prod = _mul_codes(codes, g, ell)
-    pos = np.searchsorted(codes, prod)
-    pos[pos == len(codes)] = 0
-    return pos if (codes[pos] == prod).all() else None
+    pos, found = _lookup(codes, _mul_codes(codes, g, ell))
+    return pos if found.all() else None
+
+
+def _greedy(member, order, perm_of, total):
+    """Greedy generators of a group of `total` indices: walk the indices
+    `order`, and take each one that the mask `member` (closed under the
+    permutations taken so far; the identity's alone at the start) lacks,
+    closing `member` in place under its permutation perm_of(i).  Returns the
+    indices taken and their permutations, or None when perm_of returns
+    None (the index set is not closed under it)."""
+    size = int(member.sum())
+    taken, perms = [], []
+    for i in order:
+        if size >= total:
+            break
+        if member[i]:
+            continue
+        perm = perm_of(i)
+        if perm is None:
+            return None
+        taken.append(i)
+        perms.append(perm)
+        _close(member, perm[np.flatnonzero(member)], perms)
+        size = int(member.sum())
+    return taken, perms
 
 
 def from_elements(elements) -> Subgroup:
     """Wrap an explicit element set, verifying it really is a subgroup.
 
-    The check works on the set's own sorted codes: _greedy_generators picks
-    generators one at a time, proves the set closed under each, and stops
-    once they reach every element from the identity."""
+    The check works on the set's own sorted codes: _greedy picks generators
+    one at a time, proves the set closed under each, and stops once they
+    reach every element from the identity."""
     els = set(elements)
     if not els:
         raise ValueError("a subgroup needs at least the identity")
@@ -221,49 +241,30 @@ def from_elements(elements) -> Subgroup:
     if any(g.ell != ell for g in els):
         raise ValueError("mixed moduli in element set")
     codes = np.array(sorted(g.code() for g in els), dtype=np.int64)
-    if not (codes == _id_code(ell)).any():
-        raise ValueError("element set lacks the identity")
-    gen_codes = _greedy_generators(codes, ell)
-    if gen_codes is None:
-        raise ValueError("element set is not closed under multiplication")
-    return Subgroup(ell, codes, gen_codes)
-
-
-def _greedy_generators(codes, ell):
-    """Generators of the element set with sorted codes `codes`, which holds
-    the identity: each code that the earlier ones do not generate.  None
-    when the set is not closed."""
     member = codes == _id_code(ell)
-    size = 1
-    gens: list[int] = []
-    perms = []
-    for i, c in enumerate(codes.tolist()):
-        if size == len(codes):
-            break
-        if member[i]:
-            continue
-        perm = _set_perm(codes, c, ell)
-        if perm is None:
-            return None
-        gens.append(c)
-        perms.append(perm)
-        _close(member, perm[np.flatnonzero(member)], perms)
-        size = int(member.sum())
-    return gens
+    if not member.any():
+        raise ValueError("element set lacks the identity")
+    found = _greedy(member, range(len(codes)),
+                    lambda i: _set_perm(codes, int(codes[i]), ell), len(codes))
+    if found is None:
+        raise ValueError("element set is not closed under multiplication")
+    return Subgroup(ell, codes, codes[found[0]])
 
 
 @lru_cache(maxsize=None)
 def _scalar_cosets(ell: int):
-    """Conjugation by g depends only on g up to a scalar.  Returns the
-    positions in _group_codes(ell) of one element per scalar coset, the one
-    whose first non-zero entry is 1, and for every position the index of its
-    coset among them."""
+    """Conjugation by g depends only on g up to a scalar.  Returns the sorted
+    codes of one element per scalar coset, the one whose first non-zero
+    entry is 1, and for every one of the ell^4 codes the index of its coset
+    among them (int32, -1 off GL_2)."""
     group = _group_codes(ell)
     a, b, c, d = _decode(group, ell)
     s = _inv_table(ell)[np.where(a != 0, a, b)]
     unit = _encode(a * s % ell, b * s % ell, c * s % ell, d * s % ell, ell)
-    reps = np.flatnonzero(unit == group)
-    return reps, np.searchsorted(group[reps], unit)
+    reps = group[unit == group]
+    coset = np.full(ell ** 4, -1, dtype=np.int32)
+    coset[group] = np.searchsorted(reps, unit)
+    return reps, coset
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +281,7 @@ def _conj_tables(ell: int):
     entries mod ell.  All three are int32, and spread and fold are built by
     broadcasting one digit per axis, with no decode of every index.
     """
-    reps = _group_codes(ell)[_scalar_cosets(ell)[0]].astype(np.int32)
+    reps = _scalar_cosets(ell)[0].astype(np.int32)
     q, m = ell * ell, 2 * ell - 1
     spread = _digits(np.arange(ell, dtype=np.int32), m)
     fold = _digits(np.arange(m, dtype=np.int32) % ell, ell)
@@ -312,39 +313,30 @@ def _normalizer_mask(H: Subgroup):
     els, gens, ell = H._codes, H._gen_codes, H.ell
     top, bottom, fold = _conj_tables(ell)
     hi, lo = np.divmod(np.array(gens, dtype=np.int64), ell * ell)
-    conj = fold[top[:, hi] + bottom[:, lo]]
-    pos = np.minimum(np.searchsorted(els, conj), len(els) - 1)
-    return (els[pos] == conj).all(axis=1)
+    return _lookup(els, fold[top[:, hi] + bottom[:, lo]])[1].all(axis=1)
 
 
 def _quotient_normalizer(H: Subgroup):
-    """N(H) in the scalar quotient: _normalizer_mask(H), and one greedy BFS over
-    the cosets it marks, from H's generators, giving the codes it adds (N(H)'s
-    generators new modulo H Z, ascending) and the _coset_perm rows that generate
-    right multiplication by N(H).  Raises VerificationError when it marks a
-    coset outside the mask, so H is no group."""
-    ell, normal = H.ell, _normalizer_mask(H)
+    """N(H) in the scalar quotient: _normalizer_mask(H), and one _greedy BFS
+    over the cosets it marks, from H's generators, giving the codes it adds
+    (N(H)'s generators new modulo H Z, ascending) and the _coset_perm rows
+    that generate right multiplication by N(H).  Raises VerificationError
+    when H's codes are not closed under right multiplication by H's
+    generators, or when the BFS marks a coset outside the mask: either way H
+    is no group."""
+    ell, els = H.ell, H._codes
+    fault = "the %d-element subset of GL2(F_%d) given as a subgroup %s: it is not a group"
+    if not all(_lookup(els, _right_perm(g, ell, els))[1].all() for g in H._gen_codes):
+        raise VerificationError(fault % (H.order, ell, "is not closed under its generators"))
+    normal = _normalizer_mask(H)
     reps, coset = _scalar_cosets(ell)
-    index, group = _code_index(ell), _group_codes(ell)
-    member = np.arange(len(reps)) == coset[index[_id_code(ell)]]
-    size, total = 1, int(normal.sum())
-    seeds = coset[index[list(H._gen_codes)]].tolist()
-    new, perms = [], []
-    for k, i in enumerate(seeds + np.flatnonzero(normal).tolist()):
-        if size >= total:
-            break
-        if member[i]:
-            continue
-        c = int(group[reps[i]])
-        if k >= len(seeds):
-            new.append(c)
-        perms.append(_coset_perm(c, ell))
-        _close(member, perms[-1][np.flatnonzero(member)], perms)
-        size = int(member.sum())
+    seeds = coset[list(H._gen_codes)].tolist()
+    member = np.arange(len(reps)) == coset[_id_code(ell)]
+    taken, perms = _greedy(member, seeds + np.flatnonzero(normal).tolist(),
+                           lambda i: _coset_perm(reps[i], ell), int(normal.sum()))
     if (member > normal).any():
-        raise VerificationError("the %d-element subset of GL2(F_%d) given as a subgroup reaches "
-                                "cosets outside its normalizer: it is not a group" % (H.order, ell))
-    return normal, new, perms
+        raise VerificationError(fault % (H.order, ell, "reaches cosets outside its normalizer"))
+    return normal, [int(reps[i]) for i in taken if i not in seeds], perms
 
 
 def _transversal(perms, ell):
@@ -381,48 +373,52 @@ def conjugacy_key(G: Subgroup) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _position_tables(ell: int):
-    """Over the positions in _group_codes(ell): inversion as a permutation,
-    the determinant (int32), whether the order is divisible by ell (exactly
-    when one line is fixed), and which of the ell + 1 lines are fixed."""
-    group = _group_codes(ell)
-    fixed = _line_perm(group, ell) == np.arange(ell + 1)
-    return (_code_index(ell)[_inv_codes(group, ell)], _det(group, ell).astype(np.int32),
-            fixed.sum(axis=1) == 1, fixed)
+    """Over all ell^4 codes: inversion as a permutation (fixing singular
+    codes), the determinant (int32), whether the order is divisible by ell
+    (exactly when one line is fixed; never off GL_2), and which of the
+    ell + 1 lines are fixed."""
+    codes = np.arange(ell ** 4, dtype=np.int32)
+    det = _det(codes, ell)
+    inverse = codes.copy()
+    inverse[det != 0] = _inv_codes(codes[det != 0], ell)
+    fixed = _line_perm(codes, ell) == np.arange(ell + 1)
+    return inverse, det, (fixed.sum(axis=1) == 1) & (det != 0), fixed
 
 
 def _extension(H: Subgroup, new):
     """The extension step for H, whose normalizer H, Z and the codes `new`
-    generate, as the module docstring sets it out: the candidates x,
-    ascending, and a function from a candidate to the mask of <H, x> and its
-    _row_keys key.  H's positions and generators' permutations are built here."""
-    ell, gens = H.ell, H._gen_codes
-    group, index = _group_codes(ell), _code_index(ell)
-    idx = index[H._codes]
+    generate, as the module docstring sets it out: the candidate codes x,
+    ascending, and a function from a candidate to the mask of <H, x> over
+    all ell^4 codes and its _row_keys key.  The permutations of H's
+    generators, and the conjugation rows fold[top[i][:, None] + bottom[i]]
+    of the new ones, are built here."""
+    ell, gens, els = H.ell, H._gen_codes, H._codes
+    n = ell ** 4
     gperms = [_right_perm(c, ell) for c in gens]
     inverse, det, ell_order, fixed = _position_tables(ell)
     top, bottom, fold = _conj_tables(ell)
-    hi, lo = _row_codes(ell)
-    conj = [index[fold[top[i][hi] + bottom[i][lo]]]  # Gamma conjugates by H already
-            for i in _scalar_cosets(ell)[1][index[list(new)]]]
-    least = _orbit_minima([*conj, *gperms, inverse], len(group)) == np.arange(len(group))
-    least[idx] = False
-    reducible = fixed[:, fixed[index[list(gens)]].all(axis=0)].any(axis=1)
-    has_ell_order = ell_order[idx].any()
-    member = np.zeros(len(group), dtype=bool)
-    member[idx] = True
-    perms = np.array([*gperms, np.arange(len(group), dtype=np.int32)])
-    dets = np.bincount(det[idx], minlength=ell) > 0  # det H
+    conj = [fold[top[i][:, None] + bottom[i]].ravel()  # Gamma conjugates by H already
+            for i in _scalar_cosets(ell)[1][list(new)]]
+    gl2 = det != 0
+    least = (_orbit_minima([*conj, *gperms, inverse], n) == np.arange(n)) & gl2
+    least[els] = False
+    reducible = fixed[:, fixed[list(gens)].all(axis=0)].any(axis=1)
+    has_ell_order = ell_order[els].any()
+    member = np.zeros(n, dtype=bool)
+    member[els] = True
+    perms = np.array([*gperms, np.arange(n, dtype=np.int32)])
+    dets = np.bincount(det[els], minlength=ell) > 0  # det H
     spans: dict[int, tuple] = {}  # det x -> det^-1(det H <det x>) and its key
 
     def keyed(mask):
-        return mask, _row_keys(group[mask][None])[0]
+        return mask, _row_keys(np.flatnonzero(mask)[None])[0]
 
-    def extend(pos):
-        x, d = group[pos], int(det[pos])
-        if reducible[pos] or not (has_ell_order or ell_order[pos]):
+    def extend(x):
+        d = int(det[x])
+        if reducible[x] or not (has_ell_order or ell_order[x]):
             perms[-1] = _right_perm(x, ell)  # the last row is x's
-            ext = _close(member.copy(), perms[-1][idx], perms, whole=True,
-                         stop=None if reducible[pos] else ell_order)
+            ext = _close(member.copy(), perms[-1][els], perms, whole=gl2,
+                         stop=None if reducible[x] else ell_order)
             if ext is not None:
                 return keyed(ext)
         if d not in spans:  # <H, x> holds SL_2
@@ -449,7 +445,7 @@ def enumerate_subgroups(ell: int) -> tuple[Subgroup, ...]:
 
 @lru_cache(maxsize=None)
 def _enumerate(ell: int) -> tuple[Subgroup, ...]:
-    group = _group_codes(ell)
+    order = len(_group_codes(ell))
     classes: list[tuple[Subgroup, list[int], bytes]] = []  # (H, new gens of N(H), least key)
     seen: set[bytes] = set()
 
@@ -462,16 +458,16 @@ def _enumerate(ell: int) -> tuple[Subgroup, ...]:
 
     register(np.array([_id_code(ell)], dtype=np.int64), ())
     for H, new, _ in classes:  # classes grows as it is read
-        if H.order == len(group):
+        if H.order == order:
             continue
         candidates, extend = _extension(H, new)
-        for pos in candidates:
-            mask, key = extend(pos)
+        for x in candidates.tolist():
+            mask, key = extend(x)
             if key in seen:
                 continue
             if len(H._gen_codes) == 3:
                 raise VerificationError("subgroup of GL2(F_%d) needed more than 3 generators" % ell)
-            register(group[mask], H._gen_codes + (int(group[pos]),))
+            register(np.flatnonzero(mask), H._gen_codes + (x,))
 
     classes.sort(key=lambda c: (c[0].order, c[2]))
     return tuple(H for H, _, _ in classes)
@@ -482,6 +478,7 @@ def normalizer(G: Subgroup) -> Subgroup:
     the new ones of _quotient_normalizer and a scalar that generates Z."""
     ell = G.ell
     normal, new, _ = _quotient_normalizer(G)
+    group = _group_codes(ell)
     scalar = () if ell == 2 else (primitive_root(ell) * _id_code(ell),)
-    return Subgroup(ell, _group_codes(ell)[normal[_scalar_cosets(ell)[1]]],
+    return Subgroup(ell, group[normal[_scalar_cosets(ell)[1][group]]],
                     G._gen_codes + tuple(new) + scalar)

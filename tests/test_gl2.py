@@ -7,7 +7,7 @@ from locisog.arith import legendre_kronecker, primes_up_to
 from locisog.errors import VerificationError
 from locisog.gl2 import (CartanSpec, ElementActionProfile, GL2Element, _cartan_theta,
                          _fixed_line_counts, _group_codes, _line_perm, _mul_codes,
-                         action_profile, cartan, fixed_point_count, projective_order)
+                         _orbit_minima, action_profile, cartan, fixed_point_count, projective_order)
 from locisog.subgroups import from_elements, normalizer
 
 PRIMES = [p for p in primes_up_to(97)]
@@ -220,6 +220,38 @@ def test_cartan_masks_match_cartan_and_normalizer():
         in_c, in_n = CartanSpec(kind, ell, theta.conjugate_by(w)).masks(group)
         assert set(group[in_c].tolist()) == {g.conjugate_by(w).code() for g in C}
         assert set(group[in_n].tolist()) == {g.conjugate_by(w).code() for g in N.elements}
+
+
+def test_orbit_minima_match_plain_orbits():
+    """_orbit_minima gives each index the least index of its orbit, as a
+    plain BFS over the permutations and their inverses finds it: single long
+    cycles (the least label must travel against the cycle), products of
+    random permutations, and a fixed-point-heavy permutation."""
+    rng = random.Random(7)
+    n = 200
+    cycle = np.roll(np.arange(n), -1)
+    cases = [[cycle], [cycle[::-1].copy()], [cycle, cycle[cycle]]]
+    for _ in range(20):
+        k = rng.randrange(1, 4)
+        cases.append([np.array(rng.sample(range(n), n)) for _ in range(k)])
+    few = np.arange(n)
+    few[[3, 50, 199]] = [50, 199, 3]
+    cases.append([few])
+    for perms in cases:
+        expected = np.arange(n)
+        for start in range(n):
+            if expected[start] < start:
+                continue
+            orbit, frontier = {start}, [start]
+            while frontier:
+                i = frontier.pop()
+                for p in perms:
+                    for j in (int(p[i]), int(np.flatnonzero(p == i)[0])):
+                        if j not in orbit:
+                            orbit.add(j)
+                            frontier.append(j)
+            expected[sorted(orbit)] = min(orbit)
+        assert _orbit_minima(perms, n).tolist() == expected.tolist()
 
 
 def test_profile_validation_catches_lies():

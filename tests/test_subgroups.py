@@ -127,6 +127,23 @@ def test_conj_tables_are_int32_and_fold_decodes_every_index(ell):
     assert (tables[2] == expected).all()
 
 
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_conjugation_rows_span_every_code(ell):
+    """The extension step's conjugation row for a _scalar_cosets
+    representative g, fold[top[i][:, None] + bottom[i]], is g h g^-1 for
+    every one of the ell^4 codes h, singular or not, by plain _mul_codes:
+    a permutation that maps singular codes to singular codes."""
+    top, bottom, fold = subgroups._conj_tables(ell)
+    codes = np.arange(ell ** 4)
+    singular = _det(codes, ell) == 0
+    reps = subgroups._scalar_cosets(ell)[0]
+    rows = fold[top[:, :, None] + bottom[:, None, :]].reshape(len(reps), -1)
+    brute = _mul_codes(_mul_codes(reps[:, None], codes, ell), _inv_codes(reps, ell)[:, None], ell)
+    assert (rows == brute).all()
+    assert (np.sort(rows, axis=1) == codes).all()
+    assert (_det(rows[:, singular], ell) == 0).all()
+
+
 def _brute_conjugates(codes, g, ell):
     """Every conjugate g h g^-1 of the sorted codes, one sorted row per g,
     by plain _mul_codes."""
@@ -161,25 +178,31 @@ def test_normalizer_mask_per_coset_representative(ell):
         normal = subgroups._normalizer_mask(G)
         assert len(normal) == len(reps)
         brute = (_brute_conjugates(G.codes, group, ell) == G.codes[None, :]).all(axis=1)
-        assert (normal[coset] == brute).all()
+        assert (normal[coset[group]] == brute).all()
         assert normalizer(G).codes.tolist() == group[brute].tolist()
 
 
 @pytest.mark.parametrize("ell", subgroups.ENUMERABLE)
 def test_right_perm_reads_the_dot_table(ell):
-    """_right_perm(x) is the position of g x for every g, as plain
-    _mul_codes gives it, and _coset_perm(x) is the coset of r x for every
-    _scalar_cosets representative r: every x up to ell = 7, 40 sampled ones
-    at ell = 11.  The dot table holds one byte per entry at these ell."""
+    """_right_perm(x) is the int32 code of g x for every one of the ell^4
+    codes g, singular or not, as plain _mul_codes gives it, so it maps
+    singular codes to singular codes; restricted to the _scalar_cosets
+    representatives it gives their products, and _coset_perm(x) the cosets
+    of those: every x up to ell = 7, 40 sampled ones at ell = 11.  The dot
+    table holds one byte per entry at these ell."""
+    codes = np.arange(ell ** 4)
+    singular = _det(codes, ell) == 0
     group = _group_codes(ell)
-    index = subgroups._code_index(ell)
     reps, coset = subgroups._scalar_cosets(ell)
     assert subgroups._dot_table(ell).dtype == np.uint8
     xs = group.tolist() if ell < 11 else random.Random(ell).sample(group.tolist(), 40)
     for x in xs:
-        products = index[_mul_codes(group, x, ell)]
-        assert (subgroups._right_perm(x, ell) == products).all()
-        assert (subgroups._coset_perm(x, ell) == coset[products[reps]]).all()
+        perm = subgroups._right_perm(x, ell)
+        assert perm.dtype == np.int32
+        assert (perm == _mul_codes(codes, x, ell)).all()
+        assert (_det(perm[singular], ell) == 0).all()
+        assert (subgroups._right_perm(x, ell, reps) == perm[reps]).all()
+        assert (subgroups._coset_perm(x, ell) == coset[perm[reps]]).all()
 
 
 @pytest.mark.parametrize("ell", [3, 5])
@@ -203,16 +226,26 @@ def test_quotient_normalizer_generates_the_normalizer(ell):
 
 
 def test_quotient_normalizer_rejects_a_non_group():
-    """GL_2(F_3) less diag(2, 1), wrapped as a Subgroup with GL_2's
-    generators, is not closed: the BFS marks a coset outside its normalizer
-    mask and raises, for the enumeration and the public entry points alike."""
+    """Non-groups wrapped as a Subgroup raise, for the enumeration and the
+    public entry points alike.  GL_2(F_3) less any one non-identity element,
+    with GL_2's generators, is not closed under them; for 27 of those 47
+    sets the image in PGL_2(F_3) is still a group, so only that check sees
+    them.  K u aK, with K = <antidiag(1, 1)> and a = [[0, 1], [2, 0]], is
+    closed under K's generators, but a^2 = -1 lies outside it: the BFS marks
+    a coset outside its normalizer mask."""
     ell = 3
     G = closure((GL2Element(0, 1, 1, 0, ell), GL2Element(1, 1, 0, 1, ell)))
     assert G.order == 48
-    H = Subgroup(ell, G.codes[G.codes != GL2Element(2, 0, 0, 1, ell).code()], G._gen_codes)
-    for call in (subgroups._quotient_normalizer, normalizer, conjugacy_key):
-        with pytest.raises(VerificationError, match="not a group"):
-            call(H)
+    sets = [Subgroup(ell, G.codes[G.codes != c], G._gen_codes)
+            for c in G.codes.tolist() if c != _id_code(ell)]
+    K = closure((GL2Element(0, 1, 1, 0, ell),))
+    aK = _mul_codes(GL2Element(0, 1, 2, 0, ell).code(), K.codes, ell)
+    sets.append(Subgroup(ell, np.union1d(K.codes, aK), K._gen_codes))
+    assert len(sets) == 48
+    for H in sets:
+        for call in (subgroups._quotient_normalizer, normalizer, conjugacy_key):
+            with pytest.raises(VerificationError, match="not a group"):
+                call(H)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -220,7 +253,7 @@ def test_conjugates_one_row_per_coset_of_the_normalizer(ell):
     """The transversal has one row per coset of N(H), ell (ell^2 - 1)
     (ell - 1) / |N(H)| in all, and conjugating by it gives exactly the
     conjugates that all ell (ell^2 - 1) scalar-coset representatives give."""
-    reps = _group_codes(ell)[subgroups._scalar_cosets(ell)[0]]
+    reps = subgroups._scalar_cosets(ell)[0]
     for G in _subgroups_to_check(ell):
         N = normalizer(G)
         perms = subgroups._quotient_normalizer(G)[2]
@@ -235,20 +268,21 @@ def test_conjugates_one_row_per_coset_of_the_normalizer(ell):
 def test_extension_closure_stops_only_past_half(ell):
     """By Lagrange a subgroup closure that marks more than half of GL_2 is
     all of it.  The subgroup of square determinants has exactly half and
-    comes out unfilled; a generating pair comes out full."""
-    group = _group_codes(ell)
+    comes out unfilled; a generating pair comes out as GL_2's mask, which
+    holds no singular code."""
+    det = _det(np.arange(ell ** 4), ell)
+    gl2 = det != 0
     squares = {x * x % ell for x in range(1, ell)}
-    half = np.isin(_det(group, ell), list(squares))
+    half = np.isin(det, list(squares))
     root = {3: 2, 5: 2, 7: 3}[ell]  # a primitive root mod ell
     pair = (GL2Element(root, 0, 0, 1, ell), GL2Element(ell - 1, 1, ell - 1, 0, ell))
-    assert closure(pair).order == len(group)
-    ident = subgroups._code_index(ell)[_id_code(ell)]
-    for gens, expected in ((subgroups._greedy_generators(group[half], ell), half),
-                           ([g.code() for g in pair], np.ones(len(group), dtype=bool))):
+    assert closure(pair).order == gl2.sum()
+    ident = _id_code(ell)
+    squares_group = from_elements(GL2Element.from_code(c, ell) for c in np.flatnonzero(half))
+    for gens, expected in ((squares_group._gen_codes, half), ([g.code() for g in pair], gl2)):
         perms = [subgroups._right_perm(c, ell) for c in gens]
-        member = np.zeros(len(group), dtype=bool)
-        member[ident] = True
-        out = subgroups._close(member, [p[ident] for p in perms], perms, whole=True)
+        member = np.arange(ell ** 4) == ident
+        out = subgroups._close(member, [p[ident] for p in perms], perms, whole=gl2)
         assert (out == expected).all()
 
 
@@ -272,20 +306,20 @@ def test_sl2_step_equals_closure(ell, monkeypatch):
     with no BFS or with one that stopped at an element of order divisible
     by ell, that mask is closure() of H's generators and x.  At ell = 7 it
     settles 674 of the 1,228 candidates."""
-    group = _group_codes(ell)
-    classes = [G for G in enumerate_subgroups(ell) if G.order < len(group)]
+    order = len(_group_codes(ell))
+    classes = [G for G in enumerate_subgroups(ell) if G.order < order]
     calls = _spy_close(monkeypatch)
     settled = 0
     for G in classes:
         candidates, extend = subgroups._extension(G, subgroups._quotient_normalizer(G)[1])
-        for pos in candidates.tolist():
+        for x in candidates.tolist():
             del calls[:]
-            mask = extend(pos)[0]
+            mask = extend(x)[0]
             if calls and not calls[-1][1]:
                 continue  # the BFS ran to its end
             settled += 1
-            K = closure(G.generators + (GL2Element.from_code(group[pos], ell),))
-            assert group[mask].tolist() == K.codes.tolist()
+            K = closure(G.generators + (GL2Element.from_code(x, ell),))
+            assert np.flatnonzero(mask).tolist() == K.codes.tolist()
     assert settled > 0
     if ell == 7:
         assert settled == 674
@@ -296,13 +330,12 @@ def test_extension_equals_closure(ell):
     """On subgroups the enumeration did not build, each candidate's mask is
     closure() of H's generators and x: after a full BFS, one that stopped at
     an element of order divisible by ell, or none."""
-    group = _group_codes(ell)
     checked = 0
     for G in islice(_subgroups_to_check(ell), 12):
         candidates, extend = subgroups._extension(G, subgroups._quotient_normalizer(G)[1])
-        for pos in candidates.tolist():
-            K = closure(G.generators + (GL2Element.from_code(group[pos], ell),))
-            assert group[extend(pos)[0]].tolist() == K.codes.tolist()
+        for x in candidates.tolist():
+            K = closure(G.generators + (GL2Element.from_code(x, ell),))
+            assert np.flatnonzero(extend(x)[0]).tolist() == K.codes.tolist()
             checked += 1
     assert checked > 0
 
@@ -310,10 +343,12 @@ def test_extension_equals_closure(ell):
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11])
 def test_order_divisible_by_ell_fixes_one_line(ell):
     """The position tables read "order divisible by ell" as "fixes exactly
-    one line".  At every position that is the closed form: not scalar, and
-    tr^2 - 4 det = 0 mod ell.  At ell = 2 it marks the three transvections."""
-    a, b, c, d = (_group_codes(ell) // ell ** k % ell for k in (3, 2, 1, 0))
-    expected = ~((b == 0) & (c == 0) & (a == d)) & (((a + d) ** 2 - 4 * (a * d - b * c)) % ell == 0)
+    one line".  At every one of the ell^4 codes that is the closed form:
+    invertible, not scalar, and tr^2 - 4 det = 0 mod ell.  At ell = 2 it
+    marks the three transvections."""
+    a, b, c, d = (np.arange(ell ** 4) // ell ** k % ell for k in (3, 2, 1, 0))
+    expected = ((a * d - b * c) % ell != 0) & ~((b == 0) & (c == 0) & (a == d)) \
+        & (((a + d) ** 2 - 4 * (a * d - b * c)) % ell == 0)
     assert (subgroups._position_tables(ell)[2] == expected).all()
     if ell == 2:
         assert expected.sum() == 3
@@ -329,11 +364,11 @@ def test_borel_extension_takes_the_bfs(monkeypatch):
     x = GL2Element(1, 1, 0, 1, ell)
     _, extend = subgroups._extension(H, subgroups._quotient_normalizer(H)[1])
     calls = _spy_close(monkeypatch)
-    mask = extend(subgroups._code_index(ell)[x.code()])[0]
+    mask = extend(x.code())[0]
     assert calls == [(False, False)]
     K = closure((*H.generators, x))
     assert K.order == 42
-    assert _group_codes(ell)[mask].tolist() == K.codes.tolist()
+    assert np.flatnonzero(mask).tolist() == K.codes.tolist()
 
 
 def _double_coset_candidates(G, ell):
@@ -372,14 +407,43 @@ def test_gamma_orbit_candidates_match_double_coset_marking(ell):
     """One candidate per orbit of Gamma (conjugation by N(H), right
     multiplication by H, inversion) is exactly what the sequential marking
     of double cosets closed, in the same order: 1,228 candidates at ell = 7."""
-    group = _group_codes(ell)
     total = 0
     for G in enumerate_subgroups(ell):
         candidates = subgroups._extension(G, subgroups._quotient_normalizer(G)[1])[0]
-        assert group[candidates].tolist() == _double_coset_candidates(G, ell)
+        assert candidates.tolist() == _double_coset_candidates(G, ell)
         total += len(candidates)
     if ell == 7:
         assert total == 1228
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_enumeration_work_pin(ell, monkeypatch):
+    """A fresh enumeration extends each class by one candidate per Gamma
+    orbit and conjugates it by one row per coset of N(H).  Too few
+    generators of N(H) leave the classes as they are but add candidates and
+    duplicate conjugate rows, so the work is pinned: (candidates, conjugate
+    rows, conjugate codes) per enumeration."""
+    cached = enumerate_subgroups(ell)  # before the spies, so that they see one enumeration
+    work = Counter()
+    extension, conjugates = subgroups._extension, subgroups._conjugates
+
+    def counted_extension(H, new):
+        candidates, extend = extension(H, new)
+        work["candidates"] += len(candidates)
+        return candidates, extend
+
+    def counted_conjugates(H, perms):
+        rows = len(subgroups._transversal(perms, H.ell))
+        work["rows"] += rows
+        work["codes"] += rows * H.order
+        return conjugates(H, perms)
+
+    monkeypatch.setattr(subgroups, "_extension", counted_extension)
+    monkeypatch.setattr(subgroups, "_conjugates", counted_conjugates)
+    classes = subgroups._enumerate.__wrapped__(ell)
+    assert [G.codes.tolist() for G in classes] == [G.codes.tolist() for G in cached]
+    assert (work["candidates"], work["rows"], work["codes"]) == \
+        {5: (385, 466, 7767), 7: (1228, 1704, 44980)}[ell]
 
 
 def test_conj_tables_build_peaks_near_what_it_keeps():
@@ -503,8 +567,9 @@ def test_from_elements_needs_no_group_wide_tables(monkeypatch):
     def forbidden(ell):
         raise AssertionError("group-wide table requested for ell = %d" % ell)
 
-    monkeypatch.setattr(subgroups, "_group_codes", forbidden)
-    monkeypatch.setattr(subgroups, "_code_index", forbidden)
+    for table in ("_group_codes", "_dot_table", "_scalar_cosets", "_position_tables",
+                  "_conj_tables"):
+        monkeypatch.setattr(subgroups, table, forbidden)
     assert construct_prop3_group(43, 21).order == 1764
     G = closure((GL2Element(1, 0, 0, 3, 43), GL2Element(0, 1, 1, 0, 43)))
     assert G.order == 3528
