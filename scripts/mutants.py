@@ -106,9 +106,9 @@ MUTANTS = (
            (("    return T[:, j.value] @ _rows_mod(M, p) @ T % p\n",
              "    return T[:, j.value] @ _rows_mod(M, p) @ T\n"),),
            (MODPOLY_TESTS + "test_phi_values_match_the_specialization",)),
-    Mutant("naive-count-tables-to-naive-limit", "src/locisog/ecfp.py",
-           (("    if p <= _TABLE_LIMIT:\n        chi = np.full(p, -1, dtype=np.int64)\n",
-             "    if p <= NAIVE_LIMIT:\n        chi = np.full(p, -1, dtype=np.int64)\n"),),
+    Mutant("char-sum-tables-to-naive-limit", MODPOLY,
+           (("    if q <= _TABLE_LIMIT:\n        chi[_powers(q)[2]] = 1\n",
+             "    if q <= 1 << 12:\n        chi[_powers(q)[2]] = 1\n"),),
            ("tests/test_ecfp.py::test_power_tables_stay_at_or_below_table_limit",)),
     # the exact Gauss sum and its CLI verdict
     Mutant("gauss-fold-drops-correction", "src/locisog/arith.py",
@@ -157,10 +157,11 @@ MUTANTS = (
              "np.divmod(np.array(gens[:1], dtype=np.int64), ell * ell)"),),
            (SUBGROUPS_TESTS + "test_normalizer_mask_per_coset_representative[3]",
             SUBGROUPS_TESTS + "test_enumeration_regression_pin[5]")),
-    Mutant("lagrange-stop-at-half", SUBGROUPS,
-           (("        if size > half:\n", "        if size >= half:\n"),),
-           (SUBGROUPS_TESTS + "test_extension_closure_stops_only_past_half[3]",
-            SUBGROUPS_TESTS + "test_enumeration_class_counts")),
+    # an extension BFS that ignores its stop mask closes the same group the
+    # SL2 step would read, so only the sizes of the completed masks show it
+    Mutant("close-ignores-stop", SUBGROUPS,
+           (("        if stop is not None and stop[frontier].any():\n            return None\n", ""),),
+           (SUBGROUPS_TESTS + "test_extension_bfs_never_needs_a_lagrange_stop[3]",)),
     Mutant("classes-of-equal-order-merged", SUBGROUPS,
            (("    return tuple(H for H, _, _ in classes)\n",
              "    return tuple({H.order: H for H, _, _ in classes}.values())\n"),),

@@ -7,7 +7,8 @@ polynomials in the a_i, so this agrees with reducing the a_i at every p that
 divides no coefficient denominator; a p that does is a DenominatorError.
 
 Up to NAIVE_LIMIT (measured where it is defined), #E(F_p) is p + 1
-plus a quadratic character sum over the cubic's values at every x in F_p.
+plus modpoly's _char_sum, the quadratic character sum over the cubic's
+values at every x in F_p.
 Above it, counting is by annihilator sets (the Shanks-Mestre method; Cohen,
 A Course in Computational Algebraic Number Theory, 7.4.3), on the model
 y^2 = x^3 + a x + b and on x-coordinates only, as projective pairs (X : Z)
@@ -55,24 +56,23 @@ import numpy as np
 from .arith import _require_prime, legendre_kronecker, primes_up_to
 from .ecq import WeierstrassCurve
 from .errors import DenominatorError, VerificationError
-from .modpoly import _TABLE_LIMIT, _powers, _values_mod
+from .modpoly import _char_sum
 
 # At or below this prime, #E(F_p) is a character sum over the cubic's values
-# at every x in F_p (_values_mod); above it, BSGS counts.  Median
+# at every x in F_p (modpoly's _char_sum); above it, BSGS counts.  Median
 # microseconds per call, 6 curves at each of the 8 primes from p on (best of
-# 3 each, median of 3 runs), on a 2-vCPU VM (CPython 3.11, numpy 2.4).  At
-# 256 a naive count builds its table of powers (cold), finds it built (warm)
-# or runs Horner's rule; above modpoly's _TABLE_LIMIT it always runs
-# Horner's rule:
+# 3 each, median of 3 runs), both rows in one run, on a 2-vCPU VM (CPython
+# 3.11, numpy 2.4).  At 256 a naive count builds its table of powers (cold),
+# finds it built (warm) or, with modpoly's _TABLE_LIMIT set to 0, runs
+# Horner's rule in blocks; above _TABLE_LIMIT it always runs the blocks:
 #
 #   p                             256      1k      4k      8k     16k
-#   #E(F_p) naive, cold/warm/H  43/17/28    43     100     175     331
-#   #E(F_p) BSGS                  318      350     386     393     413
+#   #E(F_p) naive, cold/warm/H  27/11/18    29      63     112     214
+#   #E(F_p) BSGS                  174      201     210     225     237
 #
 # Single counts cross above 16k.  The limit sits lower because moving it also
 # moves where _count_chunk may raise "group order ambiguous".
 NAIVE_LIMIT = 1 << 12
-_BLOCK = 1 << 14  # values of x per block of a naive count above _TABLE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -139,25 +139,10 @@ def _reduce(E: WeierstrassCurve, p: int) -> tuple[int, ...] | None:
 
 
 def _naive_count(inv: tuple[int, ...], p: int) -> int:
-    """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p; up to
-    modpoly's _TABLE_LIMIT the squares are row 2 of its table of powers, and
-    above it chi is int8 and read _BLOCK x at a time (b2 < 2p, b4 < 4p, 10 p^2 < 2^63)."""
-    b2, b4, b6, _, _ = inv
-    if p <= _TABLE_LIMIT:
-        chi = np.full(p, -1, dtype=np.int64)
-        chi[_powers(p)[2]] = 1
-        chi[0] = 0
-        return p + 1 + int(chi[_values_mod([4, b2, 2 * b4, b6], p)].sum())
-    chi = np.full(p, -1, dtype=np.int8)
-    x = np.arange(min(p, _BLOCK), dtype=np.int64)
-    for s in range(0, p // 2 + 1, _BLOCK):  # x^2 = (p - x)^2
-        chi[(x[:p // 2 + 1 - s] + s) ** 2 % p] = 1
-    chi[0] = 0
-    count = p + 1
-    for s in range(0, p, _BLOCK):
-        y = x[:p - s] + s
-        count += int(chi[(((4 * y + b2) * y % p + 2 * b4) * y + b6) % p].sum())
-    return count
+    """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p, where
+    (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 completes the square."""
+    b2, b4, b6 = inv[:3]
+    return p + 1 + _char_sum([4, b2, 2 * b4, b6], p)
 
 
 # primes per numpy batch, ascending, with s from the largest: at p <= 10^5,
@@ -335,8 +320,7 @@ def _count_chunk(ps, a, b, rng) -> list[int]:
     for r in np.nonzero(found > 1)[0]:
         if ps[r] > NAIVE_LIMIT:
             raise ArithmeticError("group order ambiguous at p = %d" % ps[r])
-        # (b2, b4, b6) of y^2 = x^3 + a x + b are (0, 2a, 4b)
-        out[r] = _naive_count((0, 2 * int(a[r]), 4 * int(b[r]), 0, 0), ps[r])
+        out[r] = ps[r] + 1 + _char_sum([1, 0, int(a[r]), int(b[r])], ps[r])
     return out
 
 

@@ -176,10 +176,20 @@ class LemmaReport:
     order: int
     n: int
     cartan_kind: str
-    proper_containment: bool
-    has_orbit_of_size_2: bool
     orbit_sizes: tuple[int, ...]
     generator_entries: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def proper_containment(self) -> bool:
+        """Whether G is smaller than the Cartan normalizer it lies in, of
+        order 2(ell - 1)^2 (split) or 2(ell^2 - 1) (nonsplit); False
+        outside any."""
+        full = {"split": 2 * (self.ell - 1) ** 2, "nonsplit": 2 * (self.ell ** 2 - 1)}
+        return self.order < full.get(self.cartan_kind, 0)
+
+    @property
+    def has_orbit_of_size_2(self) -> bool:
+        return 2 in self.orbit_sizes
 
     def validate(self) -> None:
         """Raise VerificationError unless all four conclusions hold."""
@@ -213,15 +223,10 @@ def lemma_report(G: Subgroup) -> LemmaReport:
     try:
         res = classify(G)
     except NotSemisimpleError:
-        return LemmaReport(G.ell, G.order, 0, "none", False, 2 in sizes, sizes, gens)
+        return LemmaReport(G.ell, G.order, 0, "none", sizes, gens)
     if res.case == CASE_NORMALIZER:
-        kind = res.witness.kind
-        nsize = 2 * (G.ell - 1) ** 2 if kind == "split" else 2 * (G.ell ** 2 - 1)
-        n = res.proj_order // 2
-        proper = G.order < nsize
-    else:
-        kind, n, proper = "none", 0, False
-    return LemmaReport(G.ell, G.order, n, kind, proper, 2 in sizes, sizes, gens)
+        return LemmaReport(G.ell, G.order, res.proj_order // 2, res.witness.kind, sizes, gens)
+    return LemmaReport(G.ell, G.order, 0, "none", sizes, gens)
 
 
 def lemma1_verify(ell: int) -> tuple[LemmaReport, ...]:
@@ -273,7 +278,7 @@ def witness_shape(ell: int, n: int) -> tuple[bool, dict]:
     min_fixed = int(_fixed_line_counts(G.codes, ell).min())
     nothing_fixed = common_fixed_count(G) == 0
     res = classify(G)
-    dihedral = res.case == CASE_NORMALIZER and projective_image_order(G) == 2 * n
+    dihedral = res.case == CASE_NORMALIZER and res.proj_order == 2 * n
     hypothesis = lemma1_hypothesis(G)
     ok = det_surjective and min_fixed >= 2 and nothing_fixed and dihedral and hypothesis
     return ok, {"order": G.order, "det_surjective": det_surjective,

@@ -30,15 +30,18 @@ slot leaves each in [0, 2^W), and a shift and mask reads it.
 
 Polynomials mod q are dense descending coefficient lists, handled by one small
 toolkit: _ptrim, _pdivmod, _pgcd (the one polynomial gcd, not made monic), the
-evaluator _values_mod (f at every point of F_q: the zeros mod the lifting
-prime and point counts; up to _TABLE_LIMIT one product with the table T of
-x^k, k < 9, that _powers keeps for each such q for the run, above it Horner's
-rule) and the power kernel _xpow_mod.  Distinct root counts switch where the
-kept tables end: up to _TABLE_LIMIT, for d + 1 <= _POWERS and q not dividing
-N, with no record there already, Phi_N(x, j) at every x is the bilinear form
-(T[:, j] @ R) @ T, R Phi_N's rows mod q kept by _rows_mod, below
-(d + 1)^2 q^5 < 2^52 before one final % q (_phi_values_mod), and no
-specialization is made.  _pdivmod, _pgcd and _xpow_mod take what their
+evaluator _values_mod (f at every point of F_q, for the zeros mod the lifting
+prime; up to _TABLE_LIMIT one product with the table T of x^k, k < 9, that
+_powers keeps for each such q for the run, above it Horner's rule,
+_horner_mod), the character sum _char_sum (the quadratic character of f
+summed over F_q, for point counts: up to _TABLE_LIMIT over _values_mod and
+T's squares, above it over the same _horner_mod, _BLOCK points at a time,
+against an int8 character table) and the power kernel _xpow_mod.  Distinct
+root counts switch where the kept tables end: up to _TABLE_LIMIT, for
+d + 1 <= _POWERS and q not dividing N, with no record there already,
+Phi_N(x, j) at every x is the bilinear form (T[:, j] @ R) @ T, R Phi_N's
+rows mod q kept by _rows_mod, below (d + 1)^2 q^5 < 2^52 before one final
+% q (_phi_values_mod), and no specialization is made.  _pdivmod, _pgcd and _xpow_mod take what their
 callers pass, trimmed lists (no leading zero) of residues in [0, q), and do
 not reduce or trim their inputs again.  Every other count of F_p-roots of
 f = Phi_N(X, j), distinct or with multiplicity, reads one record per prime,
@@ -270,14 +273,19 @@ def _values_mod(f: list[int], q: int) -> np.ndarray:
     counts; f is descending with integer coefficients, and q^2 must fit in
     int64.  Up to _TABLE_LIMIT, for f of at most _POWERS coefficients, one
     product of f's residues with the table of powers, below _POWERS q^3 < 2^63
-    before the final % q.  Otherwise Horner's rule on one array: a step takes
-    entries at most t to at most (t + 1)(q - 1) <= t q, so it is reduced only
-    where the next could overflow."""
+    before the final % q; otherwise _horner_mod over all of F_q."""
     if q <= _TABLE_LIMIT and len(f) <= _POWERS:
         c = np.array([a % q for a in reversed(f)], dtype=np.int64)
         return c @ _powers(q)[:len(f)] % q
-    x = np.arange(q, dtype=np.int64)
-    v = np.full(q, f[0] % q, dtype=np.int64)
+    return _horner_mod(f, np.arange(q, dtype=np.int64), q)
+
+
+def _horner_mod(f: list[int], x: np.ndarray, q: int) -> np.ndarray:
+    """f(x) mod q at the int64 points x in [0, q), by Horner's rule in place
+    on one array: a step takes entries at most t to at most
+    (t + 1)(q - 1) <= t q, so it is reduced only where the next could
+    overflow."""
+    v = np.full(len(x), f[0] % q, dtype=np.int64)
     top = q - 1  # bound on the entries of v
     for c in f[1:]:
         if top * q >= 1 << 63:
@@ -288,6 +296,27 @@ def _values_mod(f: list[int], q: int) -> np.ndarray:
         top = (top + 1) * (q - 1)
     v %= q
     return v
+
+
+_BLOCK = 1 << 14  # points per block of a character sum above _TABLE_LIMIT
+
+
+def _char_sum(f: list[int], q: int) -> int:
+    """The sum over x in F_q of the quadratic character of f(x), q an odd
+    prime with q^2 inside int64, from an int8 table of the character.  Up
+    to _TABLE_LIMIT the squares are row 2 of the table of powers and f's
+    values come from _values_mod; above it f is evaluated _BLOCK points at a
+    time, so the sum takes about q bytes, not arrays of q int64."""
+    chi = np.full(q, -1, dtype=np.int8)
+    if q <= _TABLE_LIMIT:
+        chi[_powers(q)[2]] = 1
+        chi[0] = 0
+        return int(chi[_values_mod(f, q)].sum())
+    x = np.arange(min(q, _BLOCK), dtype=np.int64)
+    for s in range(0, q // 2 + 1, _BLOCK):  # x^2 = (q - x)^2
+        chi[(x[:q // 2 + 1 - s] + s) ** 2 % q] = 1
+    chi[0] = 0
+    return sum(int(chi[_horner_mod(f, x[:q - s] + s, q)].sum()) for s in range(0, q, _BLOCK))
 
 
 def _slot_bits(q: int, d: int) -> tuple[int, int]:

@@ -24,7 +24,9 @@ element of order divisible by ell contains SL_2(F_ell), so it is det^-1 of
 its determinants.  <H, x> fixes a line exactly when x fixes one that all of
 H fixes; if it fixes none, and H or x has such an element, no BFS runs.
 Otherwise one BFS from H x closes <H, x>, stopping at the first such element
-when no line is fixed, or once it holds more than half of GL_2 (Lagrange).
+when no line is fixed.  So a BFS that completes grows a group inside a Borel
+subgroup (a fixed line), of index ell + 1, or one of order prime to ell,
+which divides |GL_2| / ell: never more than half of GL_2.
 A class is kept as (Subgroup, generators of N(H), least conjugate key);
 registering it records its conjugate element sets, which identify later
 extensions exactly: conjugation by one representative of each coset g N(H)
@@ -89,24 +91,19 @@ def _coset_perm(code: int, ell: int):
     return coset[_right_perm(code, ell, reps)]
 
 
-def _close(member, seeds, perms, whole=None, stop=None):
+def _close(member, seeds, perms, stop=None):
     """Close the boolean mask `member` (over indices that the rows of
     `perms` permute) in place: each BFS level is one gather and one scatter.
 
     `member` must already be closed under right multiplication by `perms`
     except for the products listed in `seeds` (indices, marked or not); the
     BFS starts from the unmarked seeds only.  Closing a subgroup H with a new
-    element x is then close(H, H*x, gens(H) + [x]).  `whole`, when given, is
-    the mask of a group that holds the BFS, and a mask past half of it is
-    returned as `whole`: by Lagrange the subgroup it grows is then all of
-    it.  None is returned as soon as the BFS reaches an index in the mask
-    `stop`.
+    element x is then close(H, H*x, gens(H) + [x]).  None is returned as
+    soon as the BFS reaches an index in the mask `stop`.
     """
     perms = np.asarray(perms)
     fresh = np.zeros_like(member)
     fresh[seeds] = True
-    size = np.count_nonzero(member)
-    half = len(member) if whole is None else np.count_nonzero(whole) // 2
     while True:
         np.greater(fresh, member, out=fresh)  # fresh &= ~member
         frontier = fresh.nonzero()[0]
@@ -115,10 +112,6 @@ def _close(member, seeds, perms, whole=None, stop=None):
         if stop is not None and stop[frontier].any():
             return None
         member |= fresh
-        size += len(frontier)
-        if size > half:
-            member[:] = whole
-            return member
         fresh[perms[:, frontier]] = True
 
 
@@ -376,12 +369,16 @@ def _position_tables(ell: int):
     """Over all ell^4 codes: inversion as a permutation (fixing singular
     codes), the determinant (int32), whether the order is divisible by ell
     (exactly when one line is fixed; never off GL_2), and which of the
-    ell + 1 lines are fixed."""
+    ell + 1 lines are fixed, read from _line_perm in slabs of _CHUNK
+    entries."""
     codes = np.arange(ell ** 4, dtype=np.int32)
     det = _det(codes, ell)
     inverse = codes.copy()
     inverse[det != 0] = _inv_codes(codes[det != 0], ell)
-    fixed = _line_perm(codes, ell) == np.arange(ell + 1)
+    fixed = np.empty((len(codes), ell + 1), dtype=bool)
+    step = max(1, _CHUNK // (ell + 1))
+    for i in range(0, len(codes), step):
+        fixed[i:i + step] = _line_perm(codes[i:i + step], ell) == np.arange(ell + 1)
     return inverse, det, (fixed.sum(axis=1) == 1) & (det != 0), fixed
 
 
@@ -399,8 +396,7 @@ def _extension(H: Subgroup, new):
     top, bottom, fold = _conj_tables(ell)
     conj = [fold[top[i][:, None] + bottom[i]].ravel()  # Gamma conjugates by H already
             for i in _scalar_cosets(ell)[1][list(new)]]
-    gl2 = det != 0
-    least = (_orbit_minima([*conj, *gperms, inverse], n) == np.arange(n)) & gl2
+    least = (_orbit_minima([*conj, *gperms, inverse], n) == np.arange(n)) & (det != 0)
     least[els] = False
     reducible = fixed[:, fixed[list(gens)].all(axis=0)].any(axis=1)
     has_ell_order = ell_order[els].any()
@@ -417,7 +413,7 @@ def _extension(H: Subgroup, new):
         d = int(det[x])
         if reducible[x] or not (has_ell_order or ell_order[x]):
             perms[-1] = _right_perm(x, ell)  # the last row is x's
-            ext = _close(member.copy(), perms[-1][els], perms, whole=gl2,
+            ext = _close(member.copy(), perms[-1][els], perms,
                          stop=None if reducible[x] else ell_order)
             if ext is not None:
                 return keyed(ext)

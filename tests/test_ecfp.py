@@ -174,7 +174,7 @@ def test_bsgs_matches_naive():
 
 
 def test_naive_count_in_blocks_matches_one_array():
-    """Above _TABLE_LIMIT the character sum runs in blocks of ecfp._BLOCK
+    """Above _TABLE_LIMIT the character sum runs in blocks of modpoly._BLOCK
     values of x against an int8 table: at primes around block edges it
     equals the sum over one array of all squares and all cubic values."""
     rng = random.Random(61)

@@ -245,8 +245,8 @@ def test_lemma_report_validation_catches_corruption(monkeypatch):
                             ({"ell": 13}, "ell = 13 is not 3 mod 4"),
                             ({"n": 5}, r"n = 5 does not divide \(ell-1\)/2 = 3"),
                             ({"cartan_kind": "nonsplit"}, r"split Cartan \(kind='nonsplit'\)"),
-                            ({"proper_containment": False}, "containment .* is not proper"),
-                            ({"has_orbit_of_size_2": False}, "no orbit of size 2")):
+                            ({"order": 72}, "containment .* is not proper"),
+                            ({"orbit_sizes": (4, 4)}, "no orbit of size 2")):
         with pytest.raises(VerificationError, match=message):
             dataclasses.replace(rep, **change).validate()
     # lemma_report's fallbacks: a group that classify finds not semisimple,

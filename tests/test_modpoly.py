@@ -418,6 +418,25 @@ def test_values_mod_matches_horner():
                 assert modpoly._values_mod(g, q).tolist() == want, (q, g)
 
 
+def test_char_sum_matches_euler_criterion():
+    # the character sum, by the table route up to _TABLE_LIMIT and in blocks
+    # of _BLOCK points above it, equals a plain sum of Euler's criterion
+    # f(x)^((q-1)/2) mod q over Python ints, for cubics and quartics with
+    # negative and large coefficients, at small primes, primes on both sides
+    # of _TABLE_LIMIT and primes around block edges
+    rng = random.Random(34)
+    for q in (3, 5, 7, 509, 521, 16381, 16411, 32771, 65537):
+        assert is_prime(q)
+        for n in (4, 5):
+            f = [rng.choice((-1, 1)) * rng.randrange(1 << rng.choice((3, 70))) for _ in range(n)]
+            f[0] = f[0] or 1
+            want = 0
+            for x in range(q):
+                e = pow(_eval_mod(f, x, q), (q - 1) // 2, q)
+                want += -1 if e == q - 1 else e
+            assert modpoly._char_sum(f, q) == want, (q, f)
+
+
 def test_phi_values_match_the_specialization():
     # the bilinear form over the kept tables equals the values of the
     # specialization at every prime up to _TABLE_LIMIT, at every level: every

@@ -35,5 +35,5 @@ def test_unknown_mutant_name_exits_2_before_any_run(monkeypatch, capsys):
         pytest.fail("mutant %s was started" % m.name)
 
     monkeypatch.setattr(mutants, "run", started)
-    assert mutants.main(["lagrange-stop-at-half", "no-such-mutant"]) == 2
+    assert mutants.main(["close-ignores-stop", "no-such-mutant"]) == 2
     assert "unknown mutant: no-such-mutant" in capsys.readouterr().err

@@ -265,25 +265,30 @@ def test_conjugates_one_row_per_coset_of_the_normalizer(ell):
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
-def test_extension_closure_stops_only_past_half(ell):
-    """By Lagrange a subgroup closure that marks more than half of GL_2 is
-    all of it.  The subgroup of square determinants has exactly half and
-    comes out unfilled; a generating pair comes out as GL_2's mask, which
-    holds no singular code."""
-    det = _det(np.arange(ell ** 4), ell)
-    gl2 = det != 0
-    squares = {x * x % ell for x in range(1, ell)}
-    half = np.isin(det, list(squares))
-    root = {3: 2, 5: 2, 7: 3}[ell]  # a primitive root mod ell
-    pair = (GL2Element(root, 0, 0, 1, ell), GL2Element(ell - 1, 1, ell - 1, 0, ell))
-    assert closure(pair).order == gl2.sum()
-    ident = _id_code(ell)
-    squares_group = from_elements(GL2Element.from_code(c, ell) for c in np.flatnonzero(half))
-    for gens, expected in ((squares_group._gen_codes, half), ([g.code() for g in pair], gl2)):
-        perms = [subgroups._right_perm(c, ell) for c in gens]
-        member = np.arange(ell ** 4) == ident
-        out = subgroups._close(member, [p[ident] for p in perms], perms, whole=gl2)
-        assert (out == expected).all()
+def test_extension_bfs_never_needs_a_lagrange_stop(ell, monkeypatch):
+    """An extension BFS runs to the end only inside the Borel subgroup of a
+    line that H and x fix, of order ell (ell - 1)^2, or with the stop mask of
+    the elements of order divisible by ell, so on a group of order prime to
+    ell.  Either way it grows at most half of GL_2, so _close needs no stop
+    by Lagrange: every mask a BFS of a fresh enumeration completes says so."""
+    cached = enumerate_subgroups(ell)
+    order = len(_group_codes(ell))
+    sizes = []
+    real = subgroups._close
+
+    def spy(member, seeds, perms, **kwargs):
+        out = real(member, seeds, perms, **kwargs)
+        if "stop" in kwargs and out is not None:  # the BFS calls of _extension
+            sizes.append(int(np.count_nonzero(out)))
+        return out
+
+    monkeypatch.setattr(subgroups, "_close", spy)
+    classes = subgroups._enumerate.__wrapped__(ell)
+    assert [G.codes.tolist() for G in classes] == [G.codes.tolist() for G in cached]
+    assert sizes
+    for size in sizes:
+        assert 2 * size <= order, size
+        assert (ell * (ell - 1) ** 2) % size == 0 or size % ell, size
 
 
 def _spy_close(monkeypatch):
@@ -458,6 +463,19 @@ def test_conj_tables_build_peaks_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * sum(t.nbytes for t in tables)
+
+
+def test_position_tables_build_in_slabs():
+    """A cold build of the per-code tables at ell = 13, past ENUMERABLE,
+    peaks under 4 MB: the line action's int64 (codes, ell + 1) temporaries
+    span one slab of _CHUNK entries, not all ell^4 codes."""
+    tracemalloc.start()
+    try:
+        subgroups._position_tables.__wrapped__(13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def _phi(k):
