@@ -124,10 +124,30 @@ MUTANTS = (
            (("min_fixed >= 2", "min_fixed >= 3"),),
            ("tests/test_cli.py::test_group_shape",
             "tests/test_acceptance.py::test_criterion_3_dihedral_witness_groups")),
+    # a shifted antidiagonal exponent still closes a group of the right
+    # order, but at l = 7 its determinants cover half of F_7^* and its 18
+    # antidiagonal elements fix no line
+    Mutant("antidiagonal-exponent-shifted", "src/locisog/localglobal.py",
+           (("GL2Element(0, pw[i], pw[j], 0, ell)",
+             "GL2Element(0, pw[i], pw[(j + 1) % (ell - 1)], 0, ell)"),),
+           ("tests/test_localglobal.py::test_construct_prop3_group_examples",
+            "tests/test_acceptance.py::test_criterion_3_dihedral_witness_groups")),
     Mutant("replay-ignores-certificate-product", "src/locisog/cli.py",
            (('step("certificate-product", cert.product_matches,',
              'step("certificate-product", True,'),),
            ("tests/test_cli.py::test_counterexample_fails_on_wrong_factors",)),
+    # exact values: the one gate to Q refuses floats, and the quartic check
+    # lets QuadFieldElement's lift reject coordinates from two fields, where
+    # an equality test would answer False
+    Mutant("frac-admits-floats", "src/locisog/arith.py",
+           (("    if isinstance(v, float):\n"
+             "        raise TypeError(\"values must be exact (int, Fraction, or 'p/q' string)\")\n",
+             ""),),
+           ("tests/test_ecq.py::test_floats_rejected_at_every_exact_entry",)),
+    Mutant("quartic-check-compares-across-fields", "src/locisog/ecq.py",
+           (("    return y * y * -7 - _horner(_QUARTIC, x) == 0\n",
+             "    return y * y * -7 == _horner(_QUARTIC, x)\n"),),
+           ("tests/test_ecq.py::test_quartic_check_rejects_mixed_fields",)),
     # the lemma verifier's conclusions
     Mutant("validate-accepts-nonsplit", "src/locisog/localglobal.py",
            (('        if self.cartan_kind != "split":\n', "        if False:\n"),),

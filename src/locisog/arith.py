@@ -2,7 +2,12 @@
 elements, quadratic characters, primitive roots, and quadratic Gauss sums.
 
 Rational arithmetic rides on fractions.Fraction, which already keeps every
-value in lowest terms with a positive denominator.
+value in lowest terms with a positive denominator.  A caller's number becomes
+a Fraction through _frac alone, which refuses floats: QuadFieldElement,
+rational_sqrt, and the curve and polynomial entry points of ecq and modpoly
+all call it.  Integer arguments (the d of QuadFieldElement, and every
+argument of PrimeFieldElement and GL2Element) pass through operator.index,
+so they refuse floats and Fractions.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import index
 
 # Miller-Rabin to these 12 bases is deterministic for n < 3.18 * 10^23 (Sorenson
 # and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017))
@@ -131,6 +137,7 @@ class PrimeFieldElement:
     __slots__ = ("value", "modulus")
 
     def __init__(self, value: int, modulus: int):
+        value, modulus = index(value), index(modulus)
         _require_prime(modulus)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "value", value % modulus)
@@ -161,21 +168,26 @@ def primitive_root(m: int) -> int:
     raise AssertionError("unreachable: no primitive root found for prime %d" % m)
 
 
-def is_rational_square(q: Fraction) -> bool:
-    """True when q is the square of a rational."""
-    q = Fraction(q)
-    if q < 0:
-        return False
-    num, den = q.numerator, q.denominator
-    return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+def _frac(v) -> Fraction:
+    """The one gate from a caller's number to a Fraction.  A float raises
+    TypeError: it was rounded before it got here, so no exact value is left."""
+    if isinstance(v, float):
+        raise TypeError("values must be exact (int, Fraction, or 'p/q' string)")
+    return Fraction(v)
 
 
-def rational_sqrt(q: Fraction) -> Fraction | None:
+def rational_sqrt(q) -> Fraction | None:
     """The non-negative rational square root of q, or None."""
-    q = Fraction(q)
-    if not is_rational_square(q):
+    q = _frac(q)
+    if q < 0:
         return None
-    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
+    r = Fraction(isqrt(q.numerator), isqrt(q.denominator))
+    return r if r * r == q else None
+
+
+def is_rational_square(q) -> bool:
+    """True when q is the square of a rational."""
+    return rational_sqrt(q) is not None
 
 
 @lru_cache(maxsize=None)  # every QuadFieldElement result checks its d again
@@ -191,10 +203,11 @@ class QuadFieldElement:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d: int):
+        d = index(d)
         if not _squarefree(d):
             raise ValueError("d = %s must be squarefree and not 0 or 1" % (d,))
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", _frac(a))
+        object.__setattr__(self, "b", _frac(b))
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, *args):
@@ -261,18 +274,14 @@ class QuadFieldElement:
     def is_square(self) -> bool:
         """True when some w in Q(sqrt(d)) satisfies w^2 = self."""
         if self.b == 0:
-            if self.a == 0 or is_rational_square(self.a):
-                return True
-            return is_rational_square(self.a / self.d)
-        n = self.norm()
-        s = rational_sqrt(n)
+            return is_rational_square(self.a) or is_rational_square(self.a / self.d)
+        s = rational_sqrt(self.norm())
         if s is None:
             return False
         # w = c + e*sqrt(d): c^2 = (a +- s)/2, e = b/(2c)
         for t in (self.a + s, self.a - s):
-            c2 = t / 2
-            if c2 != 0 and is_rational_square(c2):
-                c = rational_sqrt(c2)
+            c = rational_sqrt(t / 2)
+            if c:  # neither None nor 0
                 e = self.b / (2 * c)
                 if c * c + self.d * e * e == self.a and 2 * c * e == self.b:
                     return True

@@ -2,6 +2,13 @@
 two-torsion, the degree-7 twist quartic -7y^2 = x^4 + 2x^3 - 9x^2 - 10x - 3,
 and the exact maps tying its points to j-invariants, with quadratic field
 support for the Q(i) point checks.
+
+Coefficients and coordinates enter through arith._frac, which refuses
+floats; a coordinate that is already a QuadFieldElement is kept as it is.
+The point checks and maps then compute with whatever mix of Q and one
+Q(sqrt(d)) they are given: QuadFieldElement lifts rationals itself, and its
+lift is where coordinates from two different quadratic fields raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -9,15 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import QuadFieldElement, factorize, is_rational_square
+from .arith import QuadFieldElement, _frac, factorize, is_rational_square
 from .errors import DegeneratePointError
 from .modpoly import rational_linear_factors
-
-
-def _frac(v) -> Fraction:
-    if isinstance(v, float):
-        raise TypeError("curve coefficients must be exact (int, Fraction, or 'p/q' string)")
-    return Fraction(v)
 
 
 class WeierstrassCurve:
@@ -118,20 +119,9 @@ def two_torsion_x(E: WeierstrassCurve) -> tuple[Fraction, ...]:
     return tuple(dict.fromkeys(rational_linear_factors([Fraction(4), b2, 2 * b4, b6])))
 
 
-def _coerce_pair(x, y):
-    """Bring both coordinates into one field: Q or a common Q(sqrt(d))."""
-    xq = isinstance(x, QuadFieldElement)
-    yq = isinstance(y, QuadFieldElement)
-    if xq and yq:
-        if x.d != y.d:
-            raise ValueError("coordinates live in different quadratic fields "
-                             "(d = %d and %d)" % (x.d, y.d))
-        return x, y
-    if xq:
-        return x, QuadFieldElement(_frac(y), 0, x.d)
-    if yq:
-        return QuadFieldElement(_frac(x), 0, y.d), y
-    return _frac(x), _frac(y)
+def _exact(v):
+    """A coordinate as it is if it lies in a quadratic field, else as a Fraction."""
+    return v if isinstance(v, QuadFieldElement) else _frac(v)
 
 
 # -7 y^2 = x^4 + 2x^3 - 9x^2 - 10x - 3
@@ -157,13 +147,13 @@ def _horner(coeffs, x):
 
 def quartic_point_check(x, y) -> bool:
     """Exact test of -7 y^2 = x^4 + 2x^3 - 9x^2 - 10x - 3."""
-    x, y = _coerce_pair(x, y)
-    return y * y * -7 == _horner(_QUARTIC, x)
+    x, y = _exact(x), _exact(y)
+    return y * y * -7 - _horner(_QUARTIC, x) == 0
 
 
 def eval_map_f(x):
     """j-invariant attached to a point of the twist quartic with abscissa x."""
-    x = x if isinstance(x, QuadFieldElement) else _frac(x)
+    x = _exact(x)
     parts = []
     for factors in (_F_NUMERATOR, _F_DENOMINATOR):
         acc = 1
@@ -182,7 +172,7 @@ def map_49a3_to_quartic_x(u, v):
     Returns (x, flag) where flag reports whether q(x)/(-7) is a square in
     the coordinate field, i.e. whether a matching ordinate exists there.
     """
-    u, v = _coerce_pair(u, v)
+    u, v = _exact(u), _exact(v)
     u2 = u * u
     if v * v + u * v != u2 * u - u2 - 107 * u + 552:
         raise ValueError("(%s, %s) does not satisfy y^2 + xy = x^3 - x^2 - 107x + 552"
@@ -194,7 +184,5 @@ def map_49a3_to_quartic_x(u, v):
     x = (3 * u - v + 42) / den
     target = _horner(_QUARTIC, x) / -7
     if isinstance(target, QuadFieldElement):
-        flag = target.is_square()
-    else:
-        flag = is_rational_square(target)
-    return x, flag
+        return x, target.is_square()
+    return x, is_rational_square(target)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -84,6 +85,7 @@ class GL2Element:
     __slots__ = ("ell", "_code")
 
     def __init__(self, a: int, b: int, c: int, d: int, ell: int):
+        a, b, c, d, ell = map(index, (a, b, c, d, ell))
         _require_prime(ell)
         code = int(_encode(a % ell, b % ell, c % ell, d % ell, ell))
         if _det(code, ell) == 0:

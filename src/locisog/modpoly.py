@@ -76,7 +76,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import PrimeFieldElement, is_prime, is_rational_square
+from .arith import PrimeFieldElement, _frac, is_prime, is_rational_square
 from .errors import ModPolyFormatError
 
 SHIPPED_LEVELS = (2, 3, 5, 7)
@@ -209,7 +209,7 @@ def _specialize(M: ModularPolynomial, a: int, b: int = 1) -> list[int]:
 
 def evaluate_at_j(M: ModularPolynomial, j) -> list[Fraction]:
     """Coefficients of Phi_N(X, j), descending, length N + 2."""
-    j = Fraction(j)
+    j = _frac(j)
     scale = j.denominator ** M.degree
     return [Fraction(c, scale) for c in _specialize(M, j.numerator, j.denominator)]
 
@@ -455,7 +455,7 @@ def rational_linear_factors(coeffs) -> tuple[Fraction, ...]:
     """All rational roots, with multiplicity, of a polynomial given by its
     descending rational coefficients; sorted ascending.  Exhaustive by the
     divisor bound and the lift described in the module docstring."""
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [_frac(c) for c in coeffs]
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
     if not coeffs:

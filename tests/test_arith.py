@@ -2,6 +2,7 @@ import cmath
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locisog import arith
@@ -91,6 +92,16 @@ def test_prime_field_mixed_moduli_rejected():
         PrimeFieldElement(1, 5).value = 2
 
 
+def test_prime_field_element_takes_integers_only():
+    # numpy integers are integers; a float or a Fraction is not, even when
+    # it equals a cached prime modulus
+    assert PrimeFieldElement(np.int64(9), np.int32(7)) == PrimeFieldElement(2, 7)
+    assert type(PrimeFieldElement(np.int64(9), 7).value) is int
+    for value, modulus in ((2.5, 7), (3, 7.0), (Fraction(3), 7), (3, Fraction(7))):
+        with pytest.raises(TypeError):
+            PrimeFieldElement(value, modulus)
+
+
 def test_primitive_root_has_full_order():
     for m in (3, 5, 7, 11, 13, 97, 101):
         g = primitive_root(m)
@@ -110,6 +121,9 @@ def test_rational_square_detection():
     assert not is_rational_square(Fraction(1, 8))
     assert not is_rational_square(Fraction(-4))
     assert is_rational_square(Fraction(0))
+    assert rational_sqrt("49/121") == Fraction(7, 11)
+    for q in (Fraction(2, 9), Fraction(9, 2), Fraction(13, 9)):
+        assert rational_sqrt(q) is None
 
 
 def test_quad_field_axioms_and_squares():

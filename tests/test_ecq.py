@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from locisog import arith
-from locisog.arith import QuadFieldElement, is_prime
+from locisog.arith import QuadFieldElement, is_prime, rational_sqrt
 from locisog.ecq import (COUNTEREXAMPLE_CURVE, CURVE_49A3, WeierstrassCurve, bad_primes,
                          eval_map_f, invariants, map_49a3_to_quartic_x, parse_curve,
                          quartic_point_check, two_torsion_x)
 from locisog.errors import DegeneratePointError
+from locisog.modpoly import evaluate_at_j, rational_linear_factors, shipped_modpoly
 
 J_TARGET = Fraction(2268945, 128)
 
@@ -178,6 +179,30 @@ def test_map_degenerates_on_two_torsion():
 def test_map_rejects_mixed_fields():
     with pytest.raises(ValueError):
         map_49a3_to_quartic_x(QuadFieldElement(1, 0, -1), QuadFieldElement(1, 0, 2))
+
+
+def test_quartic_check_rejects_mixed_fields():
+    with pytest.raises(ValueError):
+        quartic_point_check(QuadFieldElement(0, 1, -1), QuadFieldElement(1, 1, 2))
+
+
+def test_floats_rejected_at_every_exact_entry():
+    """A float never becomes a Fraction: every exact entry point refuses it,
+    whether it comes alone or next to a quadratic field element."""
+    M = shipped_modpoly(2)
+    i = QuadFieldElement(0, 1, -1)
+    calls = [lambda: QuadFieldElement(0.5, 0, -1), lambda: QuadFieldElement(0, 0.5, -1),
+             lambda: QuadFieldElement(0, 1, -1.0),
+             lambda: quartic_point_check(-0.5, Fraction(1, 4)),
+             lambda: quartic_point_check(i, 0.25),
+             lambda: eval_map_f(-0.5),
+             lambda: map_49a3_to_quartic_x(-14.0, QuadFieldElement(7, 29, -1)),
+             lambda: evaluate_at_j(M, 1728.0),
+             lambda: rational_linear_factors([1, 0, -4.0]),
+             lambda: rational_sqrt(0.25)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_curve_immutability_and_hash():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_singular_matrix_rejected():
         GL2Element(1, 2, 2, 4, 5)
     with pytest.raises(ValueError):
         GL2Element(0, 0, 0, 0, 3)
+
+
+def test_gl2_element_takes_integers_only():
+    # a float entry reduced mod ell would encode a matrix nobody wrote
+    assert GL2Element(np.int64(6), 0, 0, np.int32(1), 5) == GL2Element(1, 0, 0, 1, 5)
+    assert type(GL2Element(2, 0, 0, 1, np.int64(5)).ell) is int
+    for entries in ((1.5, 0, 0, 1, 5), (2, 0, 0, 1, 5.0), (2, 0, 0, Fraction(1), 5)):
+        with pytest.raises(TypeError):
+            GL2Element(*entries)
 
 
 def _line_vector(t, ell):
