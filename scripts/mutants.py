@@ -145,9 +145,17 @@ MUTANTS = (
              ""),),
            ("tests/test_ecq.py::test_floats_rejected_at_every_exact_entry",)),
     Mutant("quartic-check-compares-across-fields", "src/locisog/ecq.py",
-           (("    return y * y * -7 - _horner(_QUARTIC, x) == 0\n",
-             "    return y * y * -7 == _horner(_QUARTIC, x)\n"),),
+           (("    return y * y * -7 - _peval(_QUARTIC, x) == 0\n",
+             "    return y * y * -7 == _peval(_QUARTIC, x)\n"),),
            ("tests/test_ecq.py::test_quartic_check_rejects_mixed_fields",)),
+    # the exact polynomial layer: the certificate's product, and f expanded
+    # from its factored tables
+    Mutant("pmul-drops-last-column", MODPOLY,
+           (("        for k, v in enumerate(g):\n", "        for k, v in enumerate(g[:-1]):\n"),),
+           (MODPOLY_TESTS + "test_certificate_verifies_and_has_the_right_discriminants",)),
+    Mutant("map-f-denominator-power-six", "src/locisog/ecq.py",
+           (("_F_DENOMINATOR = (((1, -2, -1, 1), 7),)\n", "_F_DENOMINATOR = (((1, -2, -1, 1), 6),)\n"),),
+           ("tests/test_ecq.py::test_map_f_values",)),
     # the lemma verifier's conclusions
     Mutant("validate-accepts-nonsplit", "src/locisog/localglobal.py",
            (('        if self.cartan_kind != "split":\n', "        if False:\n"),),

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from numbers import Integral, Rational
 from operator import index
 
 # Miller-Rabin to these 12 bases is deterministic for n < 3.18 * 10^23 (Sorenson
@@ -170,10 +171,12 @@ def primitive_root(m: int) -> int:
 
 def _frac(v) -> Fraction:
     """The one gate from a caller's number to a Fraction.  A float raises
-    TypeError: it was rounded before it got here, so no exact value is left."""
+    TypeError: it was rounded before it got here, so no exact value is left.
+    An integer of any type, numpy's included, becomes a plain int first, so
+    no fixed-width arithmetic is kept inside the Fraction."""
     if isinstance(v, float):
         raise TypeError("values must be exact (int, Fraction, or 'p/q' string)")
-    return Fraction(v)
+    return Fraction(index(v)) if isinstance(v, Integral) else Fraction(v)
 
 
 def rational_sqrt(q) -> Fraction | None:
@@ -218,7 +221,7 @@ class QuadFieldElement:
             if other.d != self.d:
                 raise ValueError("mixed fields Q(sqrt(%d)) and Q(sqrt(%d))" % (self.d, other.d))
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return QuadFieldElement(other, 0, self.d)
         return NotImplemented
 
@@ -288,10 +291,11 @@ class QuadFieldElement:
         return False
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.b == 0 and self.a == other
-        return (isinstance(other, QuadFieldElement) and self.d == other.d
-                and self.a == other.a and self.b == other.b)
+        if isinstance(other, QuadFieldElement):
+            return self.d == other.d and self.a == other.a and self.b == other.b
+        return NotImplemented
 
     def __hash__(self):
         if self.b == 0:

@@ -204,6 +204,8 @@ def main(argv=None) -> int:
         status, findings = _DISPATCH[args.command](args)
     except VerificationError as e:
         status, findings = "fail", [{"violation": str(e)}]
+    except OverflowError:
+        raise  # a value past a stated range is a defect, not an input error
     except (ValueError, ArithmeticError, OSError) as e:
         status, findings = "error", [{"error": str(e)}]
     _render({"command": args.command, "status": status, "findings": findings,

@@ -157,6 +157,10 @@ _ROUNDS = 120
 # local_scan batches the good primes from here on; scanning the counterexample
 # to 4096 took 37 ms unbatched, 17 ms from 256, 19 ms from 128 (best of 15)
 _BATCH_FROM = 256
+# the largest bound local_scan takes: its sieve and entries grow with the
+# bound, and `counterexample --bound 10^7` took 39.5 s and 234 MB on 2 vCPU
+# (CPython 3.11), while 10^13 ran out of memory in the sieve
+_MAX_BOUND = 10 ** 7
 
 
 def _xdbl(X, Z, p, a, b):
@@ -430,6 +434,8 @@ def local_scan(E: WeierstrassCurve, ell: int, bound: int) -> ScanReport:
     _require_prime(ell)
     if bound < 2:
         raise ValueError("bound must be at least 2, got %d" % bound)
+    if bound > _MAX_BOUND:
+        raise ValueError("bound must be at most %d, got %d" % (_MAX_BOUND, bound))
     reduce = _reduction(E)
     entries = []
     batch = ([], [], [])  # p, a, b of the good primes from _BATCH_FROM on

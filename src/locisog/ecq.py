@@ -8,17 +8,20 @@ floats; a coordinate that is already a QuadFieldElement is kept as it is.
 The point checks and maps then compute with whatever mix of Q and one
 Q(sqrt(d)) they are given: QuadFieldElement lifts rationals itself, and its
 lift is where coordinates from two different quadratic fields raise
-ValueError.
+ValueError.  Polynomials are evaluated by modpoly's exact layer (_peval),
+and f's numerator and denominator are expanded once, with its _pmul, from
+their factored tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 from .arith import QuadFieldElement, _frac, factorize, is_rational_square
 from .errors import DegeneratePointError
-from .modpoly import rational_linear_factors
+from .modpoly import _peval, _pmul, rational_linear_factors
 
 
 class WeierstrassCurve:
@@ -135,34 +138,21 @@ _QUARTIC = (1, 2, -9, -10, -3)
 _F_NUMERATOR = (((1, -3), 3), ((1, -2), 1), ((1, 1, -5), 3), ((1, 1, 2), 3),
                 ((1, -3, 2, 3, 1), 3))
 _F_DENOMINATOR = (((1, -2, -1, 1), 7),)
-
-
-def _horner(coeffs, x):
-    """The integer polynomial with coefficients `coeffs`, highest first, at x."""
-    acc = x * 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+# f's numerator and denominator, expanded once
+_F_NUM, _F_DEN = (reduce(_pmul, [c for c, e in table for _ in range(e)], [1])
+                  for table in (_F_NUMERATOR, _F_DENOMINATOR))
 
 
 def quartic_point_check(x, y) -> bool:
     """Exact test of -7 y^2 = x^4 + 2x^3 - 9x^2 - 10x - 3."""
     x, y = _exact(x), _exact(y)
-    return y * y * -7 - _horner(_QUARTIC, x) == 0
+    return y * y * -7 - _peval(_QUARTIC, x) == 0
 
 
 def eval_map_f(x):
     """j-invariant attached to a point of the twist quartic with abscissa x."""
     x = _exact(x)
-    parts = []
-    for factors in (_F_NUMERATOR, _F_DENOMINATOR):
-        acc = 1
-        for coeffs, e in factors:
-            v = _horner(coeffs, x)
-            for _ in range(e):
-                acc = v * acc
-        parts.append(acc)
-    return -parts[0] / parts[1]
+    return -_peval(_F_NUM, x) / _peval(_F_DEN, x)
 
 
 def map_49a3_to_quartic_x(u, v):
@@ -173,8 +163,8 @@ def map_49a3_to_quartic_x(u, v):
     the coordinate field, i.e. whether a matching ordinate exists there.
     """
     u, v = _exact(u), _exact(v)
-    u2 = u * u
-    if v * v + u * v != u2 * u - u2 - 107 * u + 552:
+    a1, a2, a3, a4, a6 = CURVE_49A3.coefficients()
+    if v * v + a1 * u * v + a3 * v != _peval((1, a2, a4, a6), u):
         raise ValueError("(%s, %s) does not satisfy y^2 + xy = x^3 - x^2 - 107x + 552"
                          % (u, v))
     den = u + 2 * v
@@ -182,7 +172,7 @@ def map_49a3_to_quartic_x(u, v):
         raise DegeneratePointError("u + 2v = 0: the map is undefined at (%s, %s)"
                                    % (u, v))
     x = (3 * u - v + 42) / den
-    target = _horner(_QUARTIC, x) / -7
+    target = _peval(_QUARTIC, x) / -7
     if isinstance(target, QuadFieldElement):
         return x, target.is_square()
     return x, is_rational_square(target)

@@ -5,7 +5,10 @@ Matrices are packed into the integer code ((a*ell + b)*ell + c)*ell + d, an
 order-preserving bijection with row-major entry tuples; this module owns
 that format, and the private helpers below work on numpy arrays of codes
 and on single Python-int codes alike.  GL2Element, the view of one matrix
-that users see, holds only its code and calls those helpers.
+that users see, holds only its code and calls those helpers.  Codes are
+below ell^4 and enter numpy as int64, so arrays of codes serve the primes
+with ell^4 < 2^63, ell <= _MAX_ELL = 55,103; subgroups checks it where a set
+of elements becomes an array.
 
 The lines through the origin in F_ell^2 are the indices 0..ell: t < ell is
 the line (1 : t) and ell is (0 : 1).  Matrices act by left multiplication
@@ -22,6 +25,9 @@ import numpy as np
 
 from .arith import _require_prime, smallest_nonresidue
 from .errors import VerificationError
+
+
+_MAX_ELL = 55103  # the largest prime with ell^4 < 2^63
 
 
 def _decode(codes, ell):

@@ -243,11 +243,21 @@ def lemma1_verify(ell: int) -> tuple[LemmaReport, ...]:
     return tuple(reports)
 
 
+# a witness group has 2(ell-1)n elements, each built as a GL2Element, and
+# witness_shape reads their action on the ell + 1 lines as int64 tables of
+# 2(ell-1)n(ell+1) entries.  Bounding that product bounds the elements too
+# (at most 40,804, as n <= (ell-1)/2) and ell (at most 1,181, as n >= 3), far
+# inside gl2's int64 code range.  Measured on 2 vCPU: witness_shape(199, 99),
+# 7.8 x 10^6 entries, took 1.0 s and 287 MB
+_MAX_LINE_IMAGES = 1 << 23
+
+
 def construct_prop3_group(ell: int, n: int) -> Subgroup:
     """The dihedral-image group witnessing the hypothesis: all diagonal and
     antidiagonal matrices with entries alpha^i, alpha^j where i = j mod d,
     d = (ell-1)/n.  Order 2(ell-1)^2/d; n = (ell-1)/2 gives the same-parity
-    construction."""
+    construction.  Sizes past _MAX_LINE_IMAGES raise ValueError before any
+    element is built."""
     _require_prime(ell)
     if ell <= 3 or ell % 4 != 3:
         raise ValueError("need a prime ell > 3 with ell = 3 mod 4, got %d" % ell)
@@ -255,6 +265,10 @@ def construct_prop3_group(ell: int, n: int) -> Subgroup:
         raise ValueError("n must be odd and >= 3, got %d" % n)
     if ((ell - 1) // 2) % n:
         raise ValueError("n = %d does not divide (ell-1)/2 = %d" % (n, (ell - 1) // 2))
+    if 2 * (ell - 1) * n * (ell + 1) > _MAX_LINE_IMAGES:
+        raise ValueError("the group has 2(ell-1)n = %d elements acting on %d lines; "
+                         "at most %d line images are supported"
+                         % (2 * (ell - 1) * n, ell + 1, _MAX_LINE_IMAGES))
     d = (ell - 1) // n
     alpha = primitive_root(ell)
     pw = [pow(alpha, e, ell) for e in range(ell - 1)]

@@ -63,13 +63,21 @@ X^-(d-2)), X^d / f expanded (Barrett division; von zur Gathen and Gerhard,
 Modern Computer Algebra, 9.1): one product of T, reduced, and the packed h,
 slots below 2 (d-1) q^2.  Q reduced, the square mod f is L + Q (X^d mod f)
 masked to d slots, below 6 d q^2 < 2^B.  X r is a shift and one row X^d mod f.
+
+Exact polynomials, over Z, Q or one Q(sqrt d), are descending coefficient
+lists too, handled by one small layer (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 2): _ptrim drops leading zeros, _pmul is the schoolbook
+product, _peval is Horner's rule in the ring of the point (so a
+QuadFieldElement point gives a value in its field), and _derivative and
+_primitive serve the rational-root finder.  verify_certificate and ecq's
+twist quartic and j-map compute with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import count, islice
 from math import gcd, lcm
 from pathlib import Path
@@ -216,7 +224,9 @@ def evaluate_at_j(M: ModularPolynomial, j) -> list[Fraction]:
 
 # -- dense polynomial arithmetic mod a prime (descending coefficients) --
 
-def _ptrim(f: list[int]) -> list[int]:
+def _ptrim(f: list) -> list:
+    """f without its leading zeros, keeping a last zero; residues mod q or
+    exact values alike."""
     k = 0
     while k < len(f) - 1 and f[k] == 0:
         k += 1
@@ -385,6 +395,23 @@ def _derivative(f: list[int]) -> list[int]:
     return [(len(f) - 1 - k) * c for k, c in enumerate(f[:-1])] or [0]
 
 
+def _pmul(f, g) -> list:
+    """The exact product of two descending coefficient lists."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, u in enumerate(f):
+        for k, v in enumerate(g):
+            out[i + k] += u * v
+    return out
+
+
+def _peval(f, x):
+    """f at x by Horner's rule, in the ring of x: Q, or one Q(sqrt d)."""
+    acc = x * 0
+    for c in f:
+        acc = acc * x + c
+    return acc
+
+
 def _deflate(f: list[int], root: Fraction) -> tuple[list[int], int]:
     """(f / (b X - a)^k, k) for root = a/b and the largest k at which the
     synthetic division is exact over Z; a false candidate gives (f, 0)."""
@@ -455,10 +482,8 @@ def rational_linear_factors(coeffs) -> tuple[Fraction, ...]:
     """All rational roots, with multiplicity, of a polynomial given by its
     descending rational coefficients; sorted ascending.  Exhaustive by the
     divisor bound and the lift described in the module docstring."""
-    coeffs = [_frac(c) for c in coeffs]
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    if not coeffs:
+    coeffs = _ptrim([_frac(c) for c in coeffs])
+    if not any(coeffs):
         raise ValueError("the zero polynomial vanishes identically")
     mult = lcm(*(c.denominator for c in coeffs))
     return tuple(sorted(_rational_roots([int(c * mult) for c in coeffs])))
@@ -587,32 +612,21 @@ def verify_certificate(cert: FactorizationCertificate) -> CertificateReport:
     """Multiply the factors exactly and compare against the target; report
     discriminants of the quadratic and cubic factors and whether each has
     the shape -7 a^2 / 4^b."""
-    prod = [Fraction(1)]
-    for factor in cert.factors:
-        if not factor or factor[0] == 0:
-            return CertificateReport(False, "factor with zero leading coefficient", ())
-        nxt = [Fraction(0)] * (len(prod) + len(factor) - 1)
-        for i, u in enumerate(prod):
-            for k, v in enumerate(factor):
-                nxt[i + k] += u * v
-        prod = nxt
-    target = list(cert.target)
-    while target and target[0] == 0:
-        target = target[1:]
+    if any(not factor or factor[0] == 0 for factor in cert.factors):
+        return CertificateReport(False, "factor with zero leading coefficient", ())
+    prod = reduce(_pmul, cert.factors, [Fraction(1)])
+    target = _ptrim(cert.target) if any(cert.target) else ()  # 0 has degree -1
     detail = ""
     if len(prod) != len(target):
         detail = "degree mismatch: product %d vs target %d" % (len(prod) - 1, len(target) - 1)
     else:
-        for k, (u, v) in enumerate(zip(prod, target)):
-            if u != v:
-                detail = "coefficient of X^%d differs: %s vs %s" % (len(prod) - 1 - k, u, v)
-                break
-    discs = []
-    for factor in cert.factors:
-        disc = _poly_disc(factor)
-        if disc is not None:
-            discs.append(FactorDiscriminant(len(factor) - 1, disc, _disc_shape(disc)))
-    return CertificateReport(detail == "", detail, tuple(discs))
+        k = next((k for k, (u, v) in enumerate(zip(prod, target)) if u != v), None)
+        if k is not None:
+            detail = "coefficient of X^%d differs: %s vs %s" % (len(prod) - 1 - k,
+                                                               prod[k], target[k])
+    discs = tuple(FactorDiscriminant(len(f) - 1, d, _disc_shape(d))
+                  for f, d in zip(cert.factors, map(_poly_disc, cert.factors)) if d is not None)
+    return CertificateReport(detail == "", detail, discs)
 
 
 def _parse_factor_lines(lines, source: str) -> tuple[tuple[Fraction, ...], ...]:

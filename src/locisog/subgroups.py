@@ -50,8 +50,8 @@ import numpy as np
 
 from .arith import _require_prime, primitive_root
 from .errors import VerificationError
-from .gl2 import (GL2Element, _decode, _det, _encode, _group_codes, _id_code, _inv_codes,
-                  _inv_table, _line_perm, _mul_codes, _orbit_minima)
+from .gl2 import (_MAX_ELL, GL2Element, _decode, _det, _encode, _group_codes, _id_code,
+                  _inv_codes, _inv_table, _line_perm, _mul_codes, _orbit_minima)
 
 ENUMERABLE = (2, 3, 5, 7, 11)
 
@@ -161,6 +161,12 @@ class Subgroup:
         return "Subgroup(ell=%d, order=%d)" % (self.ell, self.order)
 
 
+def _require_int64_codes(ell: int) -> None:
+    if ell > _MAX_ELL:
+        raise ValueError("ell = %d is past %d: codes below ell^4 must fit int64"
+                         % (ell, _MAX_ELL))
+
+
 def closure(generators, ell: int | None = None) -> Subgroup:
     """The subgroup generated by the given GL2Elements (trivial when empty)."""
     gens = list(generators)
@@ -173,6 +179,7 @@ def closure(generators, ell: int | None = None) -> Subgroup:
     if ell is not None and ell != m:
         raise ValueError("generators live over F_%d, not F_%d" % (m, ell))
     _require_prime(m)
+    _require_int64_codes(m)
     codes = [g.code() for g in gens]
     gen_arr = np.unique(np.array(codes, dtype=np.int64))
     group = frontier = np.array([_id_code(m)], dtype=np.int64)
@@ -233,6 +240,7 @@ def from_elements(elements) -> Subgroup:
     ell = next(iter(els)).ell
     if any(g.ell != ell for g in els):
         raise ValueError("mixed moduli in element set")
+    _require_int64_codes(ell)
     codes = np.array(sorted(g.code() for g in els), dtype=np.int64)
     member = codes == _id_code(ell)
     if not member.any():

@@ -156,6 +156,20 @@ def test_quad_field_nonsquares():
         QuadFieldElement(0, 1, 4)
 
 
+def test_quad_field_element_meets_numpy_integers():
+    """A numpy integer is a rational like any int: equal from either side,
+    lifted by + and -, and stored as a plain int, so no int64 arithmetic
+    can wrap inside the result."""
+    one, i, two = QuadFieldElement(1, 0, -1), QuadFieldElement(0, 1, -1), np.int64(2)
+    assert one == np.int64(1) and np.int64(1) == one
+    assert i != np.int64(1) and one != two
+    for got, want in ((i + two, (2, 1)), (two + i, (2, 1)),
+                      (i - two, (-2, 1)), (two - i, (2, -1))):
+        assert isinstance(got, QuadFieldElement) and (got.a, got.b, got.d) == (*want, -1)
+        assert type(got.a.numerator) is int
+    assert one.__eq__("1") is NotImplemented and one != "1"
+
+
 def test_gauss_sum_square_identity():
     for ell in primes_up_to(200)[1:]:
         g2 = gauss_sum_square(ell)

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from locisog import cli
+from locisog import cli, ecfp, localglobal
 from locisog.arith import primes_up_to
 from locisog.cli import main
 from locisog.errors import VerificationError
@@ -191,6 +191,39 @@ def test_verification_error_exits_one(monkeypatch, capsys):
     assert code == 1
     assert doc["status"] == "fail"
     assert doc["findings"] == [{"violation": "planted violation at 7"}]
+
+
+def test_oversized_inputs_exit_2_before_any_work(monkeypatch, capsys):
+    """A group past the supported size and a scan past the largest bound are
+    refused at once: neither the witness group nor the sieve is started."""
+    def started(*args):
+        raise AssertionError("work started on an oversized input")
+
+    for module, name in ((localglobal, "primitive_root"), (localglobal, "from_elements"),
+                         (ecfp, "primes_up_to")):
+        monkeypatch.setattr(module, name, started)
+    curve = ("curve", "local", "--curve", "1,-1,0,-107,-379", "--ell", "7")
+    for argv in (("group", "--ell", "1000003", "--n", "3"),
+                 ("counterexample", "--bound", "10000000000000"),
+                 curve + ("--bound", "10000000000000"), curve + ("--bound", "10000001")):
+        code, doc = _run_json(capsys, *argv)
+        assert code == 2 and doc["status"] == "error", argv
+
+
+def test_overflow_is_a_crash_and_planned_arithmetic_errors_exit_2(monkeypatch, capsys):
+    def raising(error):
+        def run(args):
+            raise error
+        return run
+
+    monkeypatch.setitem(cli._DISPATCH, "group", raising(OverflowError("too large")))
+    with pytest.raises(OverflowError):
+        main(["group", "--ell", "7", "--n", "3"])
+    # the two the program raises on purpose: an ambiguous point count, and a
+    # Gauss sum square with irrational coordinates
+    monkeypatch.setitem(cli._DISPATCH, "group", raising(ArithmeticError("ambiguous")))
+    code, doc = _run_json(capsys, "group", "--ell", "7", "--n", "3")
+    assert code == 2 and doc["findings"] == [{"error": "ambiguous"}]
 
 
 # j of the Legendre curve y^2 = x(x - 1)(x - lambda), lambda = 12345678901/1000003:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from locisog import arith
+from locisog import arith, ecq
 from locisog.arith import QuadFieldElement, is_prime, rational_sqrt
 from locisog.ecq import (COUNTEREXAMPLE_CURVE, CURVE_49A3, WeierstrassCurve, bad_primes,
                          eval_map_f, invariants, map_49a3_to_quartic_x, parse_curve,
@@ -143,6 +143,33 @@ def test_map_f_values():
     # -1 and 1, and equal x^27 / x^20 coefficients: f(x) = -x^7 (1 + O(1/x^2))
     big = 10 ** 6
     assert abs(eval_map_f(big) / big ** 7 + 1) < Fraction(1, 10 ** 10)
+
+
+def _factored(table, x):
+    """The product of the factors' values to their powers over a factored
+    table, each value by a Horner loop of its own."""
+    out = 1
+    for coeffs, e in table:
+        v = x * 0
+        for c in coeffs:
+            v = v * x + c
+        for _ in range(e):
+            out = v * out
+    return out
+
+
+def test_map_f_equals_its_factored_tables():
+    """f's expanded numerator and denominator give the factored tables'
+    quotient at 200 seeded rationals and 50 seeded points of Q(i)."""
+    rng = random.Random(7)
+
+    def q():
+        return Fraction(rng.randrange(-60, 61), rng.randrange(1, 40))
+
+    points = [q() for _ in range(200)] + [QuadFieldElement(q(), q(), -1) for _ in range(50)]
+    for x in points:
+        want = -_factored(ecq._F_NUMERATOR, x) / _factored(ecq._F_DENOMINATOR, x)
+        assert eval_map_f(x) == want, x
 
 
 def test_map_f_factors_d_once(monkeypatch):

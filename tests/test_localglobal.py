@@ -223,6 +223,23 @@ def test_construct_prop3_group_preconditions():
         construct_prop3_group(9, 3)
 
 
+def test_construct_prop3_group_bounds_its_line_images(monkeypatch):
+    """2(ell-1)n elements acting on ell + 1 lines: 7,840,800 line images at
+    (199, 99) pass the bound, and 9,092,160 at (1231, 3) are refused before
+    any element is built."""
+    class Started(Exception):
+        pass
+
+    def started(ell):
+        raise Started
+
+    monkeypatch.setattr(localglobal, "primitive_root", started)
+    with pytest.raises(Started):
+        construct_prop3_group(199, 99)
+    with pytest.raises(ValueError, match="at most 8388608 line images"):
+        construct_prop3_group(1231, 3)
+
+
 def test_lemma_verify_eleven():
     reports = lemma1_verify(11)
     assert sorted(r.order for r in reports) == [10, 20, 50, 100]

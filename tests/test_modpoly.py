@@ -757,6 +757,11 @@ def test_certificate_catches_perturbations():
     # leading zeros of the target are not part of its degree
     rep = verify_certificate(FactorizationCertificate((Fraction(0), Fraction(0)) + target, good))
     assert rep.product_matches and rep.detail == ""
+    # the zero polynomial has degree -1, whether written with zeros or empty
+    for zero in ((Fraction(0),) * 9, ()):
+        rep = verify_certificate(FactorizationCertificate(zero, good))
+        assert not rep.product_matches
+        assert rep.detail == "degree mismatch: product 8 vs target -1"
 
 
 def test_disc_shape():

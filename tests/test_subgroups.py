@@ -576,6 +576,14 @@ def test_from_elements_validation():
         from_elements([])
     with pytest.raises(ValueError, match="mixed moduli"):
         from_elements([GL2Element.identity(5), GL2Element.identity(7)])
+    # codes below ell^4 fit int64 up to the prime 55,103, and the next prime
+    # is refused before its codes become an array
+    assert from_elements([GL2Element.identity(55103)]).order == 1
+    assert closure((), 55103).order == 1
+    for make in (lambda ell: from_elements([GL2Element.identity(ell)]),
+                 lambda ell: closure((), ell)):
+        with pytest.raises(ValueError, match="must fit int64"):
+            make(55109)
 
 
 def test_from_elements_needs_no_group_wide_tables(monkeypatch):
