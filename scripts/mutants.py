@@ -245,6 +245,12 @@ MUTANTS = (
            (("    u = (a * x + b * y) % ell\n    v = (c * x + d * y) % ell\n",
              "    u = (a * x + c * y) % ell\n    v = (b * x + d * y) % ell\n"),),
            ("tests/test_gl2.py::test_projective_action_is_action",)),
+    # the one owner of fixed lines, built in slabs: a skipped slab leaves
+    # np.empty rows, which the slabs of GL2(F_17) show
+    Mutant("fixed-lines-skip-first-slab", "src/locisog/gl2.py",
+           (("    for i in range(0, len(codes), step):\n        fixed[i:i + step]",
+             "    for i in range(step, len(codes), step):\n        fixed[i:i + step]"),),
+           ("tests/test_gl2.py::test_fixed_points_match_action",)),
     # orbit labels by sweeps to a fixpoint: one sweep leaves labels that are
     # not yet constant on orbits
     Mutant("orbit-minima-one-sweep", "src/locisog/gl2.py",

@@ -12,7 +12,10 @@ of elements becomes an array.
 
 The lines through the origin in F_ell^2 are the indices 0..ell: t < ell is
 the line (1 : t) and ell is (0 : 1).  Matrices act by left multiplication
-on column vectors.
+on column vectors.  Which lines a code fixes is read from that action only,
+by _fixed_lines, in slabs of _CHUNK line images; every fixed-line question
+(fixed point counts, the subgroup enumeration's tables, the lemma's
+hypothesis) goes through it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,14 @@ from .errors import VerificationError
 
 
 _MAX_ELL = 55103  # the largest prime with ell^4 < 2^63
+
+# element budget per vectorized slab of codes (conjugation in subgroups, and
+# the ell + 1 line images per code in _fixed_lines).  Measured on 2 vCPU at
+# 2^15 / 2^16 / 2^17: one-pass benchmark `lemma` peak RSS 37.4-37.5 /
+# 37.7-38.0 / 38.8-39.1 MB (three runs each); `lemma --ell 11` 4.5-5.8 /
+# 4.2-5.5 / 3.9-5.4 s (six runs each, overlapping on that host; an earlier
+# pair read 5.2 s at 2^16 against 5.6 s at 2^15)
+_CHUNK = 1 << 16
 
 
 def _decode(codes, ell):
@@ -201,14 +212,20 @@ def _orbit_sizes(perms, n: int) -> tuple[int, ...]:
     return tuple(sorted(int(t) for t in counts[counts > 0]))
 
 
-def _fixed_line_counts(codes, ell):
-    """|Omega^g| for every code g: the fixed points of its action on lines."""
-    return (_line_perm(codes, ell) == np.arange(ell + 1)).sum(axis=-1)
+def _fixed_lines(codes, ell):
+    """Which of the ell + 1 lines each code fixes, as a bool array of shape
+    (len(codes), ell + 1).  _line_perm's int64 temporaries are bounded by
+    building it in slabs of _CHUNK line images."""
+    fixed = np.empty((len(codes), ell + 1), dtype=bool)
+    step = max(1, _CHUNK // (ell + 1))
+    for i in range(0, len(codes), step):
+        fixed[i:i + step] = _line_perm(codes[i:i + step], ell) == np.arange(ell + 1)
+    return fixed
 
 
 def fixed_point_count(g: GL2Element) -> int:
     """|Omega^g|: the number of lines g fixes."""
-    return int(_fixed_line_counts(g.code(), g.ell))
+    return int(_fixed_lines([g.code()], g.ell).sum())
 
 
 def projective_order(g: GL2Element) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 from .arith import _require_prime, primitive_root
 from .errors import NotSemisimpleError, VerificationError
 from .gl2 import (CartanSpec, GL2Element, _cartan_theta, _centralizer_masks,
-                  _fixed_line_counts, _group_codes, _inv_codes, _is_scalar, _line_perm,
+                  _fixed_lines, _group_codes, _inv_codes, _is_scalar, _line_perm,
                   _mul_codes, _orbit_sizes, fixed_point_count, projective_order)
 from .subgroups import Subgroup, enumerate_subgroups, from_elements
 
@@ -49,7 +49,7 @@ def omega_orbit_sizes(G: Subgroup) -> tuple[int, ...]:
 
 def common_fixed_count(G: Subgroup) -> int:
     """|Omega^G|: lines fixed by the whole group (= by its generators)."""
-    return int((_generator_perms(G) == np.arange(G.ell + 1)).all(axis=0).sum())
+    return int(_fixed_lines(_generator_codes(G), G.ell).all(axis=0).sum())
 
 
 def sigma_nontrivial(G: Subgroup) -> bool:
@@ -69,7 +69,7 @@ def lemma1_hypothesis(G: Subgroup) -> bool:
         return False
     if common_fixed_count(G) != 0:
         return False
-    return bool((_fixed_line_counts(G.codes, G.ell) > 0).all())
+    return bool(_fixed_lines(G.codes, G.ell).any(axis=1).all())
 
 
 @dataclass(frozen=True)
@@ -244,11 +244,12 @@ def lemma1_verify(ell: int) -> tuple[LemmaReport, ...]:
 
 
 # a witness group has 2(ell-1)n elements, each built as a GL2Element, and
-# witness_shape reads their action on the ell + 1 lines as int64 tables of
-# 2(ell-1)n(ell+1) entries.  Bounding that product bounds the elements too
-# (at most 40,804, as n <= (ell-1)/2) and ell (at most 1,181, as n >= 3), far
-# inside gl2's int64 code range.  Measured on 2 vCPU: witness_shape(199, 99),
-# 7.8 x 10^6 entries, took 1.0 s and 287 MB
+# witness_shape reads which of the ell + 1 lines each fixes as a bool table
+# of 2(ell-1)n(ell+1) entries, 1 byte each (gl2._fixed_lines builds it in
+# slabs).  Bounding that product bounds the elements too (at most 40,804, as
+# n <= (ell-1)/2) and ell (at most 1,181, as n >= 3), far inside gl2's int64
+# code range.  Measured on 2 vCPU: witness_shape(199, 99), 7.8 x 10^6
+# entries, took 0.5 s, with a traced peak of 13 MB and 45 MB ru_maxrss
 _MAX_LINE_IMAGES = 1 << 23
 
 
@@ -289,7 +290,7 @@ def witness_shape(ell: int, n: int) -> tuple[bool, dict]:
     fixing >= 2 lines, none common, dihedral(2n) image, lemma1_hypothesis."""
     G = construct_prop3_group(ell, n)
     det_surjective = G.det_image_size() == ell - 1
-    min_fixed = int(_fixed_line_counts(G.codes, ell).min())
+    min_fixed = int(_fixed_lines(G.codes, ell).sum(axis=1).min())
     nothing_fixed = common_fixed_count(G) == 0
     res = classify(G)
     dihedral = res.case == CASE_NORMALIZER and res.proj_order == 2 * n

@@ -22,7 +22,9 @@ code of each orbit outside H.  By Dickson (Linear Groups, 1901; Serre,
 Invent. Math. 15, 1972, section 2) a subgroup that fixes no line and has an
 element of order divisible by ell contains SL_2(F_ell), so it is det^-1 of
 its determinants.  <H, x> fixes a line exactly when x fixes one that all of
-H fixes; if it fixes none, and H or x has such an element, no BFS runs.
+H fixes (the table of which lines each code fixes is gl2._fixed_lines, read
+once over all ell^4 codes); if it fixes none, and H or x has such an
+element, no BFS runs.
 Otherwise one BFS from H x closes <H, x>, stopping at the first such element
 when no line is fixed.  So a BFS that completes grows a group inside a Borel
 subgroup (a fixed line), of index ell + 1, or one of order prime to ell,
@@ -35,7 +37,8 @@ builds each conjugate once.
 Conjugation is table-driven (_conj_tables) and works in the scalar
 quotient (scalars act trivially): one table row per _scalar_cosets
 representative, ell (ell^2 - 1) rows in all, and every table and conjugate
-row holds int32 codes.  N(H) is found there as a mask, one table column per
+row holds int32 codes; conjugates are built in slabs of gl2's _CHUNK
+elements.  N(H) is found there as a mask, one table column per
 generator of H, and generated by one greedy BFS (_greedy) over the marked
 cosets from H's, whose right-multiplication permutations pick the cosets
 g N(H).  Right multiplication reads one ell^2 x ell^2 table of row-vector
@@ -50,17 +53,10 @@ import numpy as np
 
 from .arith import _require_prime, primitive_root
 from .errors import VerificationError
-from .gl2 import (_MAX_ELL, GL2Element, _decode, _det, _encode, _group_codes, _id_code,
-                  _inv_codes, _inv_table, _line_perm, _mul_codes, _orbit_minima)
+from .gl2 import (_CHUNK, _MAX_ELL, GL2Element, _decode, _det, _encode, _fixed_lines,
+                  _group_codes, _id_code, _inv_codes, _inv_table, _mul_codes, _orbit_minima)
 
 ENUMERABLE = (2, 3, 5, 7, 11)
-
-# element budget per vectorized conjugation slab.  Measured on 2 vCPU at
-# 2^15 / 2^16 / 2^17: one-pass benchmark `lemma` peak RSS 37.4-37.5 /
-# 37.7-38.0 / 38.8-39.1 MB (three runs each); `lemma --ell 11` 4.5-5.8 /
-# 4.2-5.5 / 3.9-5.4 s (six runs each, overlapping on that host; an earlier
-# pair read 5.2 s at 2^16 against 5.6 s at 2^15)
-_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -377,16 +373,12 @@ def _position_tables(ell: int):
     """Over all ell^4 codes: inversion as a permutation (fixing singular
     codes), the determinant (int32), whether the order is divisible by ell
     (exactly when one line is fixed; never off GL_2), and which of the
-    ell + 1 lines are fixed, read from _line_perm in slabs of _CHUNK
-    entries."""
+    ell + 1 lines are fixed, from gl2._fixed_lines."""
     codes = np.arange(ell ** 4, dtype=np.int32)
     det = _det(codes, ell)
     inverse = codes.copy()
     inverse[det != 0] = _inv_codes(codes[det != 0], ell)
-    fixed = np.empty((len(codes), ell + 1), dtype=bool)
-    step = max(1, _CHUNK // (ell + 1))
-    for i in range(0, len(codes), step):
-        fixed[i:i + step] = _line_perm(codes[i:i + step], ell) == np.arange(ell + 1)
+    fixed = _fixed_lines(codes, ell)
     return inverse, det, (fixed.sum(axis=1) == 1) & (det != 0), fixed
 
 

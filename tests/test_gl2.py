@@ -7,7 +7,7 @@ import pytest
 from locisog.arith import legendre_kronecker, primes_up_to
 from locisog.errors import VerificationError
 from locisog.gl2 import (CartanSpec, ElementActionProfile, GL2Element, _cartan_theta,
-                         _fixed_line_counts, _group_codes, _line_perm, _mul_codes,
+                         _fixed_lines, _group_codes, _line_perm, _mul_codes,
                          _orbit_minima, action_profile, cartan, fixed_point_count, projective_order)
 from locisog.subgroups import from_elements, normalizer
 
@@ -108,10 +108,14 @@ def _eigenline_counts(codes, ell):
 
 def test_fixed_points_match_action():
     """The fixed points of the line action are the eigenlines: every
-    element at small ell, a random sample up to 97."""
-    for ell in EXHAUSTIVE:
+    element at small ell and at 17, a random sample up to 97.  GL2(F_17)
+    has 78,336 elements, read in 22 slabs of 65,536 // 18 = 3,640 codes,
+    the last one partial; every smaller group fits in one slab."""
+    for ell in EXHAUSTIVE + (17,):
         group = _group_codes(ell)
-        assert (_fixed_line_counts(group, ell) == _eigenline_counts(group, ell)).all()
+        fixed = _fixed_lines(group, ell)
+        assert fixed.shape == (len(group), ell + 1)
+        assert (fixed.sum(axis=1) == _eigenline_counts(group, ell)).all()
     rng = random.Random(6)
     for _ in range(300):
         ell = rng.choice(PRIMES)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from locisog.localglobal import (CASE_CARTAN, CASE_EXCEPTIONAL, CASE_NORMALIZER,
                                  ClassificationResult, brute_cartan_witness, classify,
                                  common_fixed_count, construct_prop3_group, lemma1_hypothesis,
                                  lemma1_verify, lemma_report, omega_orbit_sizes,
-                                 projective_image_order, sigma_nontrivial)
+                                 projective_image_order, sigma_nontrivial, witness_shape)
 from locisog.subgroups import closure, enumerate_subgroups, from_elements, normalizer
 
 
@@ -238,6 +239,20 @@ def test_construct_prop3_group_bounds_its_line_images(monkeypatch):
         construct_prop3_group(199, 99)
     with pytest.raises(ValueError, match="at most 8388608 line images"):
         construct_prop3_group(1231, 3)
+
+
+def test_witness_shape_at_the_line_image_bound_reads_fixed_lines_in_slabs():
+    """witness_shape(199, 99), the largest witness group under the bound
+    (39,204 elements, 7,840,800 line images), has a traced peak under 32 MB:
+    its fixed lines are read in slabs, never as int64 (|G|, ell + 1) tables."""
+    tracemalloc.start()
+    try:
+        ok, shape = witness_shape(199, 99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and shape["order"] == 39204
+    assert peak < 32e6
 
 
 def test_lemma_verify_eleven():
